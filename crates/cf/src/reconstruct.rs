@@ -1,177 +1,12 @@
 //! The end-to-end reconstruction pipeline used by Quasar's classifier.
 
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-use quasar_obs::registry::{Counter, Registry};
 
 use crate::dense::DenseMatrix;
-use crate::fingerprint::Fingerprint;
 use crate::pq::{PqModel, SgdConfig};
 use crate::scratch::{self, CfScratch};
 use crate::sparse::SparseMatrix;
-
-/// Entries kept in the row-reconstruction memo. Experiments reuse a
-/// handful of history matrices across thousands of workloads, so a
-/// small bound captures nearly all the reuse; past the cap the
-/// least-recently-used entry is evicted (an earlier version cleared the
-/// whole map, which collapsed the hit rate exactly when long density
-/// sweeps needed it most).
-const ROW_CACHE_CAP: usize = 1024;
-
-/// Global registry handles for the row-cache counters
-/// (`quasar.cf.row_cache.*`), aggregated across all [`Reconstructor`]
-/// instances; per-instance counts stay available via
-/// [`Reconstructor::row_cache_stats`].
-fn cache_metrics() -> &'static (Counter, Counter, Counter) {
-    static METRICS: OnceLock<(Counter, Counter, Counter)> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = Registry::global();
-        (
-            reg.counter("quasar.cf.row_cache.hits"),
-            reg.counter("quasar.cf.row_cache.misses"),
-            reg.counter("quasar.cf.row_cache.evictions"),
-        )
-    })
-}
-
-/// A memoized row threaded into an intrusive doubly-linked recency
-/// list (`prev` toward more recent, `next` toward less recent).
-#[derive(Debug)]
-struct CacheEntry {
-    row: Vec<f64>,
-    prev: Option<u128>,
-    next: Option<u128>,
-}
-
-/// LRU map with O(1) lookup, touch, and eviction: a `HashMap` whose
-/// entries double as nodes of a doubly-linked list ordered by recency.
-/// This replaces an O(capacity) min-scan over `last_used` stamps that
-/// ran on every eviction once the map filled (ROADMAP open item).
-#[derive(Debug, Default)]
-struct RowCacheInner {
-    map: HashMap<u128, CacheEntry>,
-    /// Most-recently-used key.
-    head: Option<u128>,
-    /// Least-recently-used key (next eviction victim).
-    tail: Option<u128>,
-    /// Keys currently being computed by some thread. Arrivals for an
-    /// in-flight key wait on [`RowCache::computed`] instead of
-    /// recomputing, which is what makes the hit/miss counters (and the
-    /// kernel work counters downstream) scheduling-invariant: every key
-    /// is computed exactly once no matter how calls interleave.
-    pending: HashSet<u128>,
-}
-
-impl RowCacheInner {
-    fn unlink(&mut self, key: u128) {
-        let (prev, next) = {
-            let node = &self.map[&key];
-            (node.prev, node.next)
-        };
-        match prev {
-            Some(p) => self.map.get_mut(&p).expect("lru prev missing").next = next,
-            None => self.head = next,
-        }
-        match next {
-            Some(n) => self.map.get_mut(&n).expect("lru next missing").prev = prev,
-            None => self.tail = prev,
-        }
-    }
-
-    fn push_front(&mut self, key: u128) {
-        let old_head = self.head;
-        {
-            let node = self.map.get_mut(&key).expect("lru node missing");
-            node.prev = None;
-            node.next = old_head;
-        }
-        match old_head {
-            Some(h) => self.map.get_mut(&h).expect("lru head missing").prev = Some(key),
-            None => self.tail = Some(key),
-        }
-        self.head = Some(key);
-    }
-
-    /// Marks `key` most recently used. O(1).
-    fn touch(&mut self, key: u128) {
-        if self.head == Some(key) {
-            return;
-        }
-        self.unlink(key);
-        self.push_front(key);
-    }
-
-    /// Inserts `key`, evicting the least-recently-used entry when at
-    /// capacity. Returns whether an eviction happened. O(1).
-    fn insert(&mut self, key: u128, row: Vec<f64>) -> bool {
-        if let Some(node) = self.map.get_mut(&key) {
-            node.row = row;
-            self.touch(key);
-            return false;
-        }
-        let mut evicted = false;
-        if self.map.len() >= ROW_CACHE_CAP {
-            if let Some(lru) = self.tail {
-                self.unlink(lru);
-                self.map.remove(&lru);
-                evicted = true;
-            }
-        }
-        self.map.insert(
-            key,
-            CacheEntry {
-                row,
-                prev: None,
-                next: None,
-            },
-        );
-        self.push_front(key);
-        evicted
-    }
-}
-
-/// Shared memo for [`Reconstructor::reconstruct_row`]. Reconstruction
-/// is a pure function of `(history, target, config)`, so returning a
-/// cached row is observably identical to recomputing it — including
-/// every bit of every float — which is what lets the cache stay enabled
-/// under the deterministic parallel runner.
-///
-/// A per-key once-guard (`RowCacheInner::pending` + [`RowCache::computed`])
-/// ensures each key is computed at most once even when several threads
-/// miss concurrently: the first arrival computes, later arrivals block
-/// until the row lands and then count a hit. Absent evictions, hit and
-/// miss totals therefore match a serial run exactly, so the counters can
-/// live in deterministic snapshots.
-#[derive(Debug, Default)]
-struct RowCache {
-    inner: Mutex<RowCacheInner>,
-    /// Signalled whenever a pending key resolves (row inserted) or is
-    /// abandoned (compute failed or panicked).
-    computed: Condvar,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Removes a key from the pending set — and wakes the waiters — when the
-/// computing scope ends, **including** by error return or panic, so a
-/// failed compute can never strand other threads in the wait loop.
-struct PendingGuard<'a> {
-    cache: &'a RowCache,
-    key: u128,
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        let mut inner = self.cache.inner.lock().expect("row cache poisoned");
-        inner.pending.remove(&self.key);
-        drop(inner);
-        self.cache.computed.notify_all();
-    }
-}
 
 /// Error returned when a sparse matrix cannot be reconstructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,6 +16,12 @@ pub enum ReconstructError {
     /// A row that must be predicted has no observations and no other row
     /// can anchor it (matrix has a single row).
     Unanchored,
+    /// A target observation is not finite, or names a column the history
+    /// does not have.
+    InvalidObservation {
+        /// The offending observation's column.
+        col: usize,
+    },
 }
 
 impl fmt::Display for ReconstructError {
@@ -189,6 +30,12 @@ impl fmt::Display for ReconstructError {
             ReconstructError::Empty => write!(f, "matrix has no observed entries"),
             ReconstructError::Unanchored => {
                 write!(f, "row cannot be anchored without other observations")
+            }
+            ReconstructError::InvalidObservation { col } => {
+                write!(
+                    f,
+                    "observation at column {col} is non-finite or out of range"
+                )
             }
         }
     }
@@ -220,11 +67,16 @@ impl Error for ReconstructError {}
 /// let dense = Reconstructor::new().reconstruct(&a);
 /// assert!((dense.get(2, 1) - 6.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reconstructor {
     config: SgdConfig,
     clamp_to_observed: bool,
-    row_cache: Arc<RowCache>,
+}
+
+impl Default for Reconstructor {
+    fn default() -> Reconstructor {
+        Reconstructor::new()
+    }
 }
 
 impl Reconstructor {
@@ -234,7 +86,6 @@ impl Reconstructor {
         Reconstructor {
             config: SgdConfig::default(),
             clamp_to_observed: true,
-            row_cache: Arc::default(),
         }
     }
 
@@ -273,38 +124,33 @@ impl Reconstructor {
     ///
     /// Returns [`ReconstructError::Empty`] when `a` has no observations.
     pub fn try_reconstruct(&self, a: &SparseMatrix) -> Result<DenseMatrix, ReconstructError> {
-        scratch::with(|s| self.try_reconstruct_in(a, s))
-    }
-
-    /// [`Reconstructor::try_reconstruct`] against an explicit workspace
-    /// arena: training and prediction buffers are pooled, and the
-    /// trained model's buffers are recycled once the predictions are
-    /// out. The returned matrix is bit-identical to the fresh path.
-    fn try_reconstruct_in(
-        &self,
-        a: &SparseMatrix,
-        scratch: &mut CfScratch,
-    ) -> Result<DenseMatrix, ReconstructError> {
         if a.is_empty() {
             return Err(ReconstructError::Empty);
         }
-        let model = PqModel::train_in(a, &self.config, scratch);
-        let dense = self.finish_predictions_in(&model, a, scratch);
-        // The model never escapes this path; hand its buffers back.
-        scratch.recycle_model(model);
-        Ok(dense)
+        scratch::with(|s| {
+            let (dense, model) = self.fit_in(a, None, s);
+            // The model never escapes this path; hand its buffers back.
+            s.recycle_model(model);
+            Ok(dense)
+        })
     }
 
-    /// The steps of [`Reconstructor::try_reconstruct`] after model
-    /// training: predict every cell (into the arena's recycled
-    /// prediction buffer, when one is pooled), restore the observed
-    /// entries, and clamp to the observed range.
-    fn finish_predictions_in(
+    /// Trains a model on `a` — warm-started from `warm` via
+    /// [`PqModel::train_warm_in`] when its factor shapes line up, cold
+    /// (SVD-initialized) otherwise — and predicts every cell: into the
+    /// arena's recycled prediction buffer when one is pooled, with the
+    /// observed entries restored and the rest clamped to the observed
+    /// range.
+    fn fit_in(
         &self,
-        model: &PqModel,
         a: &SparseMatrix,
+        warm: Option<&PqModel>,
         scratch: &mut CfScratch,
-    ) -> DenseMatrix {
+    ) -> (DenseMatrix, PqModel) {
+        let model = match warm.and_then(|w| PqModel::train_warm_in(a, &self.config, w, scratch)) {
+            Some(m) => m,
+            None => PqModel::train_in(a, &self.config, scratch),
+        };
         let buf = match scratch.predict.take() {
             Some(buf) => {
                 scratch.stats.slot(true);
@@ -324,13 +170,11 @@ impl Reconstructor {
             let (lo, hi) = observed_range(a);
             let span = (hi - lo).max(1e-12);
             let (lo, hi) = (lo - 0.25 * span, hi + 0.25 * span);
-            // Clamp in place: elementwise, so bit-identical to the old
-            // full-matrix `from_fn` rebuild without the allocation.
             for v in dense.as_mut_slice() {
                 *v = v.clamp(lo, hi);
             }
         }
-        dense
+        (dense, model)
     }
 
     /// Predicts the missing entries of a single target row given a dense
@@ -338,78 +182,34 @@ impl Reconstructor {
     /// previously-scheduled workloads) plus sparse observations for the
     /// target (the profiling runs).
     ///
-    /// Returns the full predicted row for the target.
+    /// Returns the full predicted row for the target. The trained
+    /// model's buffers go back to the calling thread's arena, so in
+    /// steady state the only allocations on this path are the returned
+    /// row and the target's entry list.
     ///
     /// # Errors
     ///
-    /// Returns [`ReconstructError::Unanchored`] when `history` is empty and
-    /// the target row alone cannot be reconstructed, or
-    /// [`ReconstructError::Empty`] when the target row has no observations.
+    /// Returns [`ReconstructError::Empty`] when the target row has no
+    /// observations, [`ReconstructError::Unanchored`] when `history` is
+    /// empty and the target row alone cannot be reconstructed, and
+    /// [`ReconstructError::InvalidObservation`] when an observation is
+    /// not finite or names a column `history` does not have.
     pub fn reconstruct_row(
         &self,
         history: &DenseMatrix,
         target: &[(usize, f64)],
     ) -> Result<Vec<f64>, ReconstructError> {
-        if target.is_empty() {
-            return Err(ReconstructError::Empty);
-        }
-        if history.rows() == 0 {
-            return Err(ReconstructError::Unanchored);
-        }
-        let key = self.row_key(history, target);
-        let (hits, misses, evictions) = cache_metrics();
-        let mut inner = self.row_cache.inner.lock().expect("row cache poisoned");
-        loop {
-            if let Some(row) = inner.map.get(&key).map(|entry| entry.row.clone()) {
-                inner.touch(key);
-                self.row_cache.hits.fetch_add(1, Ordering::Relaxed);
-                hits.inc();
-                return Ok(row);
-            }
-            if !inner.pending.contains(&key) {
-                break;
-            }
-            // Another thread is computing this key: wait for it rather
-            // than duplicating the work. The hit is counted above once
-            // the row lands (exactly once per call).
-            inner = self
-                .row_cache
-                .computed
-                .wait(inner)
-                .expect("row cache poisoned");
-        }
-        // First arrival for this key: claim it, then compute outside the
-        // lock. The guard clears the claim (and wakes waiters) on every
-        // exit path, including panics.
-        inner.pending.insert(key);
-        drop(inner);
-        self.row_cache.misses.fetch_add(1, Ordering::Relaxed);
-        misses.inc();
-        let guard = PendingGuard {
-            cache: &self.row_cache,
-            key,
-        };
-        let row = self.reconstruct_row_uncached(history, target);
-        if let Ok(row) = &row {
-            let mut inner = self.row_cache.inner.lock().expect("row cache poisoned");
-            if inner.insert(key, row.clone()) {
-                evictions.inc();
-            }
-        }
-        drop(guard);
-        row
+        scratch::with(|s| {
+            let (row, model) = self.reconstruct_row_in(history, target, None, s)?;
+            s.recycle_model(model);
+            Ok(row)
+        })
     }
 
     /// [`Reconstructor::reconstruct_row`] that also returns the trained
     /// [`PqModel`], for callers that keep models around to warm-start
     /// later reconstructions (the similarity index in `quasar-core`).
-    ///
-    /// Deliberately **uncached**: it always trains, leaving the row memo
-    /// and its hit/miss/eviction counters untouched, so the plain
-    /// cached path behaves byte-identically whether or not anyone ever
-    /// captures models. Reconstruction is a pure function of
-    /// `(history, target, config)`, so the returned row is bit-identical
-    /// to what [`Reconstructor::reconstruct_row`] returns.
+    /// The row is the one [`Reconstructor::reconstruct_row`] returns.
     ///
     /// # Errors
     ///
@@ -419,7 +219,7 @@ impl Reconstructor {
         history: &DenseMatrix,
         target: &[(usize, f64)],
     ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
-        self.reconstruct_row_model(history, target, None)
+        scratch::with(|s| self.reconstruct_row_in(history, target, None, s))
     }
 
     /// Like [`Reconstructor::reconstruct_row_with_model`], but
@@ -436,14 +236,20 @@ impl Reconstructor {
         target: &[(usize, f64)],
         warm: &PqModel,
     ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
-        self.reconstruct_row_model(history, target, Some(warm))
+        scratch::with(|s| self.reconstruct_row_in(history, target, Some(warm), s))
     }
 
-    fn reconstruct_row_model(
+    /// The one row-reconstruction body behind the three public entry
+    /// points: validate the observations, fill the arena's pooled
+    /// history+target matrix (the fully-observed `history` rows plus
+    /// one sparse target row), fit, and copy the target's predicted row
+    /// out. The model is the caller's to keep or recycle.
+    fn reconstruct_row_in(
         &self,
         history: &DenseMatrix,
         target: &[(usize, f64)],
         warm: Option<&PqModel>,
+        scratch: &mut CfScratch,
     ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
         if target.is_empty() {
             return Err(ReconstructError::Empty);
@@ -451,32 +257,14 @@ impl Reconstructor {
         if history.rows() == 0 {
             return Err(ReconstructError::Unanchored);
         }
-        scratch::with(|s| {
-            let (target_row, sparse) = Self::pooled_history_matrix(history, target, s);
-            let model = match warm.and_then(|w| PqModel::train_warm_in(&sparse, &self.config, w, s))
-            {
-                Some(m) => m,
-                None => PqModel::train_in(&sparse, &self.config, s),
-            };
-            let dense = self.finish_predictions_in(&model, &sparse, s);
-            s.row_sparse = Some(sparse);
-            let row = dense.row(target_row).to_vec();
-            s.recycle_predict(dense.into_vec());
-            // The model escapes to the caller, so its buffers are not
-            // recycled here.
-            Ok((row, model))
-        })
-    }
-
-    /// Checks the pooled history+target matrix out of `scratch` and
-    /// fills it: the fully-observed `history` rows plus one sparse
-    /// target row. Returns the target row's index and the matrix (the
-    /// caller returns it to the `row_sparse` slot when done).
-    fn pooled_history_matrix(
-        history: &DenseMatrix,
-        target: &[(usize, f64)],
-        scratch: &mut CfScratch,
-    ) -> (usize, SparseMatrix) {
+        // `SparseMatrix::insert` asserts both conditions; the profiling
+        // rows arrive from outside this crate, so reject them as errors.
+        if let Some(&(col, _)) = target
+            .iter()
+            .find(|&&(c, v)| c >= history.cols() || !v.is_finite())
+        {
+            return Err(ReconstructError::InvalidObservation { col });
+        }
         let mut sparse = match scratch.row_sparse.take() {
             Some(mut pooled) => {
                 scratch.stats.slot(true);
@@ -492,62 +280,11 @@ impl Reconstructor {
         for &(c, v) in target {
             sparse.insert(target_row, c, v);
         }
-        (target_row, sparse)
-    }
-
-    /// Cache hits and misses of the row memo, for benchmarks and tests.
-    pub fn row_cache_stats(&self) -> (u64, u64) {
-        (
-            self.row_cache.hits.load(Ordering::Relaxed),
-            self.row_cache.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Fingerprints everything `reconstruct_row` depends on: matrix
-    /// shape and contents (via the matrix's own memoized fingerprint, so
-    /// a lookup is O(target) instead of O(rows × cols)), the sparse
-    /// target (its density and values), the SGD hyper-parameters, and
-    /// the clamping flag.
-    fn row_key(&self, history: &DenseMatrix, target: &[(usize, f64)]) -> u128 {
-        let mut fp = Fingerprint::new();
-        let (ha, hb) = history.fingerprint();
-        fp.word(ha);
-        fp.word(hb);
-        fp.word(target.len() as u64);
-        for &(c, v) in target {
-            fp.word(c as u64);
-            fp.float(v);
-        }
-        fp.float(self.config.learning_rate);
-        fp.float(self.config.regularization);
-        fp.word(self.config.max_epochs as u64);
-        fp.float(self.config.tolerance);
-        fp.float(self.config.energy);
-        fp.word(self.config.max_rank as u64);
-        fp.word(self.config.seed);
-        fp.word(u64::from(self.clamp_to_observed));
-        fp.finish()
-    }
-
-    fn reconstruct_row_uncached(
-        &self,
-        history: &DenseMatrix,
-        target: &[(usize, f64)],
-    ) -> Result<Vec<f64>, ReconstructError> {
-        // Bulk-copy the fully-observed history (per-cell `insert` here
-        // was O(rows · cols²) from duplicate scans) into the pooled
-        // history matrix, then append the sparse target row. In steady
-        // state the only allocations left on this path are the target
-        // row's entry list and the escaping result row.
-        scratch::with(|s| {
-            let (target_row, sparse) = Self::pooled_history_matrix(history, target, s);
-            let result = self.try_reconstruct_in(&sparse, s);
-            s.row_sparse = Some(sparse);
-            let dense = result?;
-            let row = dense.row(target_row).to_vec();
-            s.recycle_predict(dense.into_vec());
-            Ok(row)
-        })
+        let (dense, model) = self.fit_in(&sparse, warm, scratch);
+        scratch.row_sparse = Some(sparse);
+        let row = dense.row(target_row).to_vec();
+        scratch.recycle_predict(dense.into_vec());
+        Ok((row, model))
     }
 }
 
@@ -631,145 +368,29 @@ mod tests {
     }
 
     #[test]
-    fn row_cache_returns_identical_bits_and_counts_hits() {
-        let history = DenseMatrix::from_fn(6, 5, |r, c| (r as f64 + 1.5) * (c as f64 + 0.5));
+    fn invalid_observations_are_errors_not_panics() {
+        let history = DenseMatrix::from_fn(5, 4, |r, c| (r as f64 + 1.0) * (c as f64 + 1.0));
         let rec = Reconstructor::new();
-        let target = [(0usize, 1.2), (3usize, 4.8)];
-        let first = rec.reconstruct_row(&history, &target).unwrap();
-        let second = rec.reconstruct_row(&history, &target).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&first), bits(&second));
-        let (hits, misses) = rec.row_cache_stats();
-        assert_eq!((hits, misses), (1, 1));
-
-        // A different density (extra observation) is a different key.
-        rec.reconstruct_row(&history, &[(0, 1.2), (3, 4.8), (4, 6.0)])
-            .unwrap();
-        let (hits, misses) = rec.row_cache_stats();
-        assert_eq!((hits, misses), (1, 2));
-    }
-
-    #[test]
-    fn row_cache_distinguishes_matrix_contents() {
-        let a = DenseMatrix::from_fn(3, 3, |r, c| (r * 3 + c) as f64);
-        let mut b = a.clone();
-        b.set(2, 2, 99.0);
-        let rec = Reconstructor::new();
-        let ra = rec.reconstruct_row(&a, &[(0, 1.0)]).unwrap();
-        let rb = rec.reconstruct_row(&b, &[(0, 1.0)]).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                rec.reconstruct_row(&history, &[(0, 2.5), (2, bad)]),
+                Err(ReconstructError::InvalidObservation { col: 2 })
+            );
+        }
+        // Column 4 is one past the history's last.
         assert_eq!(
-            rec.row_cache_stats().1,
-            2,
-            "different matrices must both miss"
+            rec.reconstruct_row(&history, &[(0, 2.5), (4, 7.5)]),
+            Err(ReconstructError::InvalidObservation { col: 4 })
         );
-        assert_ne!(ra, rb);
-    }
-
-    #[test]
-    fn row_cache_has_no_hit_rate_cliff_at_capacity() {
-        // Fig3-style access pattern: a long sweep inserts more distinct
-        // keys than ROW_CACHE_CAP, then revisits the most recent ones.
-        // Wholesale clear-at-cap used to wipe the whole working set the
-        // moment entry 1025 arrived; LRU keeps the recent tail resident.
-        let history = DenseMatrix::from_fn(3, 2, |r, c| (r + c) as f64 + 1.0);
-        // One SGD epoch and rank 1: each miss must stay cheap, since
-        // this test performs ROW_CACHE_CAP + 100 of them.
-        let rec = Reconstructor::new().with_config(SgdConfig {
-            max_epochs: 1,
-            max_rank: 1,
-            ..SgdConfig::default()
-        });
-        let total = ROW_CACHE_CAP + 100;
-        for i in 0..total {
-            rec.reconstruct_row(&history, &[(0, i as f64 + 0.25)])
-                .unwrap();
-        }
-        let (hits_before, misses_before) = rec.row_cache_stats();
-        assert_eq!(hits_before, 0);
-        assert_eq!(misses_before, total as u64);
-        // Revisit the most recent ROW_CACHE_CAP - 76 targets (all inside
-        // the LRU window): every one must hit.
-        let revisit = ROW_CACHE_CAP - 76;
-        for i in (total - revisit)..total {
-            rec.reconstruct_row(&history, &[(0, i as f64 + 0.25)])
-                .unwrap();
-        }
-        let (hits, misses) = rec.row_cache_stats();
         assert_eq!(
-            misses, misses_before,
-            "recently-inserted keys must survive crossing the capacity"
-        );
-        assert_eq!(hits, revisit as u64);
-    }
-
-    #[test]
-    fn row_cache_touch_protects_entries_from_eviction() {
-        let history = DenseMatrix::from_fn(3, 2, |r, c| (r + c) as f64 + 1.0);
-        let rec = Reconstructor::new().with_config(SgdConfig {
-            max_epochs: 1,
-            max_rank: 1,
-            ..SgdConfig::default()
-        });
-        let target = |i: usize| [(0usize, i as f64 + 0.25)];
-        // Fill to capacity, then re-touch the oldest entry.
-        for i in 0..ROW_CACHE_CAP {
-            rec.reconstruct_row(&history, &target(i)).unwrap();
-        }
-        rec.reconstruct_row(&history, &target(0)).unwrap();
-        assert_eq!(rec.row_cache_stats(), (1, ROW_CACHE_CAP as u64));
-        // The next insert evicts the true LRU (key 1), not key 0.
-        rec.reconstruct_row(&history, &target(ROW_CACHE_CAP))
-            .unwrap();
-        rec.reconstruct_row(&history, &target(0)).unwrap();
-        let (hits, misses) = rec.row_cache_stats();
-        assert_eq!((hits, misses), (2, ROW_CACHE_CAP as u64 + 1));
-        rec.reconstruct_row(&history, &target(1)).unwrap();
-        assert_eq!(
-            rec.row_cache_stats().1,
-            ROW_CACHE_CAP as u64 + 2,
-            "key 1 must have been the eviction victim"
+            rec.reconstruct_row_with_model(&history, &[(9, 1.0)]).err(),
+            Some(ReconstructError::InvalidObservation { col: 9 })
         );
     }
 
     #[test]
-    fn concurrent_same_key_lookups_compute_once_and_count_deterministically() {
-        // The per-key once-guard must collapse racing lookups into one
-        // compute: whatever the interleaving, N calls on one key are
-        // exactly 1 miss + N−1 hits, same as a serial run.
-        let history = DenseMatrix::from_fn(6, 5, |r, c| (r as f64 + 1.5) * (c as f64 + 0.5));
-        let rec = Reconstructor::new();
-        let threads = 8;
-        let rows: Vec<Vec<f64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let rec = &rec;
-                    let history = &history;
-                    scope
-                        .spawn(move || rec.reconstruct_row(history, &[(0, 1.2), (3, 4.8)]).unwrap())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        for row in &rows[1..] {
-            assert_eq!(bits(&rows[0]), bits(row), "all threads see identical bits");
-        }
-        assert_eq!(rec.row_cache_stats(), (threads as u64 - 1, 1));
-    }
-
-    #[test]
-    fn with_model_matches_cached_row_bitwise_and_skips_the_cache() {
-        let history = DenseMatrix::from_fn(6, 5, |r, c| (r as f64 + 1.5) * (c as f64 + 0.5));
-        let rec = Reconstructor::new();
-        let target = [(0usize, 1.2), (3usize, 4.8)];
-        let cached = rec.reconstruct_row(&history, &target).unwrap();
-        let (modeled, model) = rec.reconstruct_row_with_model(&history, &target).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&cached), bits(&modeled));
-        assert!(model.rank() >= 1);
-        // The model-capturing path must not have touched the memo: one
-        // cached call = 1 miss, and the uncached call adds nothing.
-        assert_eq!(rec.row_cache_stats(), (0, 1));
+    fn default_is_new() {
+        assert_eq!(Reconstructor::default(), Reconstructor::new());
     }
 
     #[test]
@@ -812,9 +433,8 @@ mod tests {
 
     #[test]
     fn steady_state_row_reconstruction_stops_growing_the_arena() {
-        // Distinct targets bust the row memo, so every call reaches the
-        // training kernels; after a short warmup at a fixed shape the
-        // thread's arena must serve every checkout from pooled capacity.
+        // After a short warmup at a fixed shape the thread's arena must
+        // serve every checkout from pooled capacity.
         // (Each test runs on its own thread, so `thread_stats` observes
         // only this test's arena.)
         let history = DenseMatrix::from_fn(4, 3, |r, c| (r as f64 + 1.0) * (c as f64 + 0.5));
@@ -842,5 +462,8 @@ mod tests {
     fn error_display_is_nonempty() {
         assert!(!ReconstructError::Empty.to_string().is_empty());
         assert!(!ReconstructError::Unanchored.to_string().is_empty());
+        assert!(ReconstructError::InvalidObservation { col: 7 }
+            .to_string()
+            .contains('7'));
     }
 }

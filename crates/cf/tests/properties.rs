@@ -271,7 +271,7 @@ proptest! {
 
     /// End-to-end: a `reconstruct_row` on a thread whose default arena
     /// has already served unrelated reconstructions returns exactly the
-    /// bits a pristine thread (fresh arena, fresh memo) returns.
+    /// bits a pristine thread (fresh arena) returns.
     #[test]
     fn reconstruct_row_bits_do_not_depend_on_arena_state(
         warm_h in dense_matrix(6),

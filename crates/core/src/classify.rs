@@ -75,16 +75,6 @@ impl Classification {
     }
 }
 
-/// The output of one axis task, tagged so results can be reassembled
-/// in a fixed order regardless of which worker finished first.
-enum AxisOut {
-    ScaleUp(Vec<f64>),
-    Hetero(Vec<f64>),
-    ScaleOut(Option<Vec<f64>>),
-    Params(Option<Vec<f64>>),
-    Pressure(PressureVector, PressureVector),
-}
-
 /// The per-axis latent-factor models behind one [`Classification`],
 /// captured so the similarity index can warm-start SGD for a later,
 /// similar arrival ([`Classifier::classify_warm`]) instead of paying
@@ -110,16 +100,18 @@ pub struct AxisModels {
     pub caused: Option<PqModel>,
 }
 
-/// A pressure estimate plus the model that produced it (when trained).
-type PressureOutM = (PressureVector, Option<PqModel>);
+/// One reconstructed axis in its own units, plus the trained model when
+/// the caller keeps it (otherwise its buffers went back to the arena).
+type AxisRow<T> = (T, Option<PqModel>);
 
-/// The model-capturing variant of [`AxisOut`].
-enum AxisOutM {
-    ScaleUp(Vec<f64>, PqModel),
-    Hetero(Vec<f64>, PqModel),
-    ScaleOut(Option<(Vec<f64>, PqModel)>),
-    Params(Option<(Vec<f64>, PqModel)>),
-    Pressure(Box<(PressureOutM, PressureOutM)>),
+/// The output of one axis task: a speed axis (`None` when the workload
+/// lacks it), or the interference task's tolerated and caused pressures.
+// Five of these exist per decision and each is moved once; boxing the
+// interference pair would cost a heap allocation per decision instead.
+#[allow(clippy::large_enum_variant)]
+enum AxisOut {
+    Speed(Option<AxisRow<Vec<f64>>>),
+    Pressure(AxisRow<PressureVector>, AxisRow<PressureVector>),
 }
 
 /// Runs the four parallel classifications.
@@ -132,7 +124,9 @@ pub struct Classifier {
 impl Default for Classifier {
     fn default() -> Classifier {
         Classifier {
-            reconstructor: Reconstructor::default(),
+            // Clamping stays off here: every tracked figure and outcome
+            // digest was produced by unclamped axis reconstructions.
+            reconstructor: Reconstructor::new().with_clamping(false),
             threads: 1,
         }
     }
@@ -163,7 +157,7 @@ impl Classifier {
     /// Classifies one workload from its profiling signal against the
     /// offline history.
     pub fn classify(&self, history: &HistorySet, data: &ProfilingData) -> Classification {
-        self.classify_timed(history, data).0
+        self.classify_inner(history, data, None, false).0
     }
 
     /// [`Classifier::classify`] plus the wall-clock decision time of the
@@ -179,113 +173,21 @@ impl Classifier {
         history: &HistorySet,
         data: &ProfilingData,
     ) -> (Classification, f64) {
-        let kind = data.kind;
-        let k: &KindHistory = history.kind(kind);
-        let _decision_span = quasar_obs::span!("core.classify.decision");
-
-        // Each axis runs under a `timed` span: the span carries the
-        // per-axis wall time into traces, and the returned microseconds
-        // feed the registry histograms and the decision-latency model
-        // below (no ad-hoc `Instant::now()` bookkeeping).
-        type AxisTask<'a> = Box<dyn FnOnce() -> (AxisOut, f64) + Send + 'a>;
-        let tasks: Vec<AxisTask<'_>> = vec![
-            Box::new(move || {
-                timed("core.classify.scale_up", || {
-                    AxisOut::ScaleUp(self.speed_axis(kind, &k.scale_up, &data.scale_up))
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.hetero", || {
-                    AxisOut::Hetero(self.speed_axis(kind, &k.hetero, &data.hetero))
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.scale_out", || {
-                    AxisOut::ScaleOut(
-                        k.scale_out
-                            .as_ref()
-                            .filter(|_| !data.scale_out.is_empty())
-                            .map(|m| self.speed_axis(kind, m, &data.scale_out)),
-                    )
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.params", || {
-                    AxisOut::Params(
-                        k.params
-                            .as_ref()
-                            .filter(|_| !data.params.is_empty())
-                            .map(|m| self.speed_axis(kind, m, &data.params)),
-                    )
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.interference", || {
-                    let tolerated = self.pressure_axis(&k.tolerated, &data.tolerated);
-                    let caused = self.pressure_axis(&k.caused, &data.caused);
-                    AxisOut::Pressure(tolerated, caused)
-                })
-            }),
-        ];
-
-        let results = crate::par::par_invoke(self.threads, tasks);
-        let wall_us = results.iter().map(|(_, us)| *us).fold(0.0, f64::max);
-        let metrics = classify_metrics();
-        metrics.classifications.inc();
-        for (_, us) in &results {
-            metrics.axis_us.record(*us);
-        }
-        metrics.decision_us.record(wall_us);
-
-        let mut scale_up_speed = Vec::new();
-        let mut hetero_speed = Vec::new();
-        let mut scale_out_speed = None;
-        let mut params_speed = None;
-        let mut tolerated = PressureVector::zero();
-        let mut caused = PressureVector::zero();
-        for (out, _) in results {
-            match out {
-                AxisOut::ScaleUp(v) => scale_up_speed = v,
-                AxisOut::Hetero(v) => hetero_speed = v,
-                AxisOut::ScaleOut(v) => scale_out_speed = v,
-                AxisOut::Params(v) => params_speed = v,
-                AxisOut::Pressure(t, c) => {
-                    tolerated = t;
-                    caused = c;
-                }
-            }
-        }
-
-        (
-            Classification {
-                kind,
-                scale_up_speed,
-                scale_out_speed,
-                hetero_speed,
-                params_speed,
-                tolerated,
-                caused,
-                runtime_calibration: 1.0,
-            },
-            wall_us,
-        )
+        let (class, wall_us, _) = self.classify_inner(history, data, None, false);
+        (class, wall_us)
     }
 
     /// [`Classifier::classify_timed`] that also captures the trained
     /// per-axis models, so the caller (the similarity index) can store
-    /// them for later warm starts.
-    ///
-    /// The reconstructions bypass the row cache (models must actually be
-    /// trained to be captured), but reconstruction is a pure function of
-    /// its inputs, so the returned [`Classification`] is **bit-identical**
-    /// to [`Classifier::classify`] on the same `(history, data)` — only
-    /// the wall-clock time can differ.
+    /// them for later warm starts. The [`Classification`] is the one
+    /// [`Classifier::classify`] returns.
     pub fn classify_with_models(
         &self,
         history: &HistorySet,
         data: &ProfilingData,
     ) -> (Classification, f64, AxisModels) {
-        self.classify_models_inner(history, data, None)
+        let (class, wall_us, models) = self.classify_inner(history, data, None, true);
+        (class, wall_us, models.expect("models were kept"))
     }
 
     /// Classifies with every axis's SGD warm-started from a similar
@@ -298,92 +200,89 @@ impl Classifier {
         data: &ProfilingData,
         warm: &AxisModels,
     ) -> (Classification, f64, AxisModels) {
-        self.classify_models_inner(history, data, Some(warm))
+        let (class, wall_us, models) = self.classify_inner(history, data, Some(warm), true);
+        (class, wall_us, models.expect("models were kept"))
     }
 
-    /// Shared driver for the model-capturing paths: the same five-task
-    /// fan-out, latency model, and metrics as [`Classifier::classify_timed`].
-    fn classify_models_inner(
+    /// The one classification driver: the five-task fan-out, the
+    /// decision-latency model, and the metrics. With `keep_models` the
+    /// per-axis models come back as [`AxisModels`]; without, each task
+    /// recycles its model into the arena of the thread it ran on.
+    fn classify_inner(
         &self,
         history: &HistorySet,
         data: &ProfilingData,
         warm: Option<&AxisModels>,
-    ) -> (Classification, f64, AxisModels) {
+        keep_models: bool,
+    ) -> (Classification, f64, Option<AxisModels>) {
         let kind = data.kind;
         let k: &KindHistory = history.kind(kind);
         let _decision_span = quasar_obs::span!("core.classify.decision");
 
-        type AxisTask<'a> = Box<dyn FnOnce() -> (AxisOutM, f64) + Send + 'a>;
-        let tasks: Vec<AxisTask<'_>> = vec![
-            Box::new(move || {
-                timed("core.classify.scale_up", || {
-                    let (v, m) = self.speed_axis_model(
-                        kind,
-                        &k.scale_up,
-                        &data.scale_up,
-                        warm.map(|w| &w.scale_up),
-                    );
-                    AxisOutM::ScaleUp(v, m)
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.hetero", || {
-                    let (v, m) = self.speed_axis_model(
-                        kind,
-                        &k.hetero,
-                        &data.hetero,
-                        warm.map(|w| &w.hetero),
-                    );
-                    AxisOutM::Hetero(v, m)
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.scale_out", || {
-                    AxisOutM::ScaleOut(
-                        k.scale_out
-                            .as_ref()
-                            .filter(|_| !data.scale_out.is_empty())
-                            .map(|m| {
-                                self.speed_axis_model(
-                                    kind,
-                                    m,
-                                    &data.scale_out,
-                                    warm.and_then(|w| w.scale_out.as_ref()),
-                                )
-                            }),
+        // The speed axes: span name, history (absent when the workload
+        // kind lacks the axis), observations, neighbor model.
+        let speed_axes = [
+            (
+                "core.classify.scale_up",
+                Some(&k.scale_up),
+                &data.scale_up,
+                warm.map(|w| &w.scale_up),
+            ),
+            (
+                "core.classify.hetero",
+                Some(&k.hetero),
+                &data.hetero,
+                warm.map(|w| &w.hetero),
+            ),
+            (
+                "core.classify.scale_out",
+                k.scale_out.as_ref(),
+                &data.scale_out,
+                warm.and_then(|w| w.scale_out.as_ref()),
+            ),
+            (
+                "core.classify.params",
+                k.params.as_ref(),
+                &data.params,
+                warm.and_then(|w| w.params.as_ref()),
+            ),
+        ];
+
+        // Each axis runs under a `timed` span: the span carries the
+        // per-axis wall time into traces, and the returned microseconds
+        // feed the registry histograms and the decision-latency model
+        // below (no ad-hoc `Instant::now()` bookkeeping).
+        type AxisTask<'a> = Box<dyn FnOnce() -> (AxisOut, f64) + Send + 'a>;
+        let mut tasks: Vec<AxisTask<'_>> = Vec::with_capacity(speed_axes.len() + 1);
+        for (span, axis_history, observed, axis_warm) in speed_axes {
+            tasks.push(Box::new(move || {
+                timed(span, || {
+                    AxisOut::Speed(
+                        axis_history
+                            .filter(|_| !observed.is_empty())
+                            .map(|m| self.speed_axis(kind, m, observed, axis_warm, keep_models)),
                     )
                 })
-            }),
-            Box::new(move || {
-                timed("core.classify.params", || {
-                    AxisOutM::Params(k.params.as_ref().filter(|_| !data.params.is_empty()).map(
-                        |m| {
-                            self.speed_axis_model(
-                                kind,
-                                m,
-                                &data.params,
-                                warm.and_then(|w| w.params.as_ref()),
-                            )
-                        },
-                    ))
-                })
-            }),
-            Box::new(move || {
-                timed("core.classify.interference", || {
-                    let tolerated = self.pressure_axis_model(
+            }));
+        }
+        tasks.push(Box::new(move || {
+            timed("core.classify.interference", || {
+                AxisOut::Pressure(
+                    self.pressure_axis(
                         &k.tolerated,
                         &data.tolerated,
                         warm.and_then(|w| w.tolerated.as_ref()),
-                    );
-                    let caused = self.pressure_axis_model(
+                        keep_models,
+                    ),
+                    self.pressure_axis(
                         &k.caused,
                         &data.caused,
                         warm.and_then(|w| w.caused.as_ref()),
-                    );
-                    AxisOutM::Pressure(Box::new((tolerated, caused)))
-                })
-            }),
-        ];
+                        keep_models,
+                    ),
+                )
+            })
+        }));
 
         let results = crate::par::par_invoke(self.threads, tasks);
         let wall_us = results.iter().map(|(_, us)| *us).fold(0.0, f64::max);
@@ -394,54 +293,63 @@ impl Classifier {
         }
         metrics.decision_us.record(wall_us);
 
-        let mut scale_up = None;
-        let mut hetero = None;
-        let mut scale_out = None;
-        let mut params = None;
+        // `par_invoke` returns outputs in task order.
+        let mut speeds: [Option<AxisRow<Vec<f64>>>; 4] = Default::default();
         let mut pressure = None;
-        for (out, _) in results {
+        for (slot, (out, _)) in results.into_iter().enumerate() {
             match out {
-                AxisOutM::ScaleUp(v, m) => scale_up = Some((v, m)),
-                AxisOutM::Hetero(v, m) => hetero = Some((v, m)),
-                AxisOutM::ScaleOut(v) => scale_out = v,
-                AxisOutM::Params(v) => params = v,
-                AxisOutM::Pressure(tc) => pressure = Some(*tc),
+                AxisOut::Speed(row) => speeds[slot] = row,
+                AxisOut::Pressure(tolerated, caused) => pressure = Some((tolerated, caused)),
             }
         }
-        let (scale_up_speed, scale_up_model) = scale_up.expect("scale-up task ran");
-        let (hetero_speed, hetero_model) = hetero.expect("hetero task ran");
-        let (scale_out_speed, scale_out_model) = match scale_out {
-            Some((v, m)) => (Some(v), Some(m)),
-            None => (None, None),
-        };
-        let (params_speed, params_model) = match params {
-            Some((v, m)) => (Some(v), Some(m)),
-            None => (None, None),
-        };
+        let [scale_up, hetero, scale_out, params] =
+            speeds.map(|row| row.map_or((None, None), |(speed, model)| (Some(speed), model)));
         let ((tolerated, tolerated_model), (caused, caused_model)) =
             pressure.expect("interference task ran");
 
         (
             Classification {
                 kind,
-                scale_up_speed,
-                scale_out_speed,
-                hetero_speed,
-                params_speed,
+                scale_up_speed: scale_up.0.expect("scale-up is always profiled"),
+                scale_out_speed: scale_out.0,
+                hetero_speed: hetero.0.expect("heterogeneity is always profiled"),
+                params_speed: params.0,
                 tolerated,
                 caused,
                 runtime_calibration: 1.0,
             },
             wall_us,
-            AxisModels {
-                scale_up: scale_up_model,
-                hetero: hetero_model,
-                scale_out: scale_out_model,
-                params: params_model,
+            keep_models.then(|| AxisModels {
+                scale_up: scale_up.1.expect("kept models are returned"),
+                hetero: hetero.1.expect("kept models are returned"),
+                scale_out: scale_out.1,
+                params: params.1,
                 tolerated: tolerated_model,
                 caused: caused_model,
-            },
+            }),
         )
+    }
+
+    /// Reconstructs `target` against `history`, warm-started from `warm`
+    /// when given. The model comes back only with `keep_model`.
+    fn reconstruct_axis(
+        &self,
+        history: &DenseMatrix,
+        target: &[(usize, f64)],
+        warm: Option<&PqModel>,
+        keep_model: bool,
+    ) -> AxisRow<Vec<f64>> {
+        let r = &self.reconstructor;
+        match (warm, keep_model) {
+            (Some(w), _) => r
+                .reconstruct_row_warm(history, target, w)
+                .map(|(row, m)| (row, Some(m))),
+            (None, true) => r
+                .reconstruct_row_with_model(history, target)
+                .map(|(row, m)| (row, Some(m))),
+            (None, false) => r.reconstruct_row(history, target).map(|row| (row, None)),
+        }
+        .expect("history is dense and target non-empty")
     }
 
     /// Reconstructs one speed axis: goal-value observations → ln-speed
@@ -451,79 +359,28 @@ impl Classifier {
         kind: GoalKind,
         history: &DenseMatrix,
         observed: &[(usize, f64)],
-    ) -> Vec<f64> {
+        warm: Option<&PqModel>,
+        keep_model: bool,
+    ) -> AxisRow<Vec<f64>> {
         let target: Vec<(usize, f64)> = observed
             .iter()
             .map(|&(c, v)| (c, ln_speed(kind, v)))
             .collect();
-        let row = self
-            .reconstructor
-            .reconstruct_row(history, &target)
-            .expect("history is dense and target non-empty");
-        row.into_iter().map(f64::exp).collect()
+        let (row, model) = self.reconstruct_axis(history, &target, warm, keep_model);
+        (row.into_iter().map(f64::exp).collect(), model)
     }
 
     /// Reconstructs one interference axis. Pressure values live on a
     /// 0–100 scale; they are normalized into [0, 1] for the SGD pass
     /// (whose learning rate is tuned for unit-scale data) and scaled back.
-    fn pressure_axis(&self, history: &DenseMatrix, observed: &[(usize, f64)]) -> PressureVector {
-        if observed.is_empty() {
-            return PressureVector::uniform(PressureVector::MAX / 2.0);
-        }
-        let scaled_history = DenseMatrix::from_fn(history.rows(), history.cols(), |r, c| {
-            history.get(r, c) / PressureVector::MAX
-        });
-        let scaled_observed: Vec<(usize, f64)> = observed
-            .iter()
-            .map(|&(c, v)| (c, v / PressureVector::MAX))
-            .collect();
-        let row = self
-            .reconstructor
-            .reconstruct_row(&scaled_history, &scaled_observed)
-            .expect("history is dense and target non-empty");
-        let mut v = PressureVector::zero();
-        for (i, value) in row.into_iter().enumerate() {
-            v.set(
-                quasar_interference::SharedResource::from_index(i),
-                value * PressureVector::MAX,
-            );
-        }
-        v
-    }
-
-    /// [`Classifier::speed_axis`] that trains uncached and returns the
-    /// model, optionally warm-starting from a neighbor's. The float
-    /// pipeline is identical, so the speeds match the cached path
-    /// bit-for-bit on a cold train.
-    fn speed_axis_model(
-        &self,
-        kind: GoalKind,
-        history: &DenseMatrix,
-        observed: &[(usize, f64)],
-        warm: Option<&PqModel>,
-    ) -> (Vec<f64>, PqModel) {
-        let target: Vec<(usize, f64)> = observed
-            .iter()
-            .map(|&(c, v)| (c, ln_speed(kind, v)))
-            .collect();
-        let (row, model) = match warm {
-            Some(w) => self.reconstructor.reconstruct_row_warm(history, &target, w),
-            None => self
-                .reconstructor
-                .reconstruct_row_with_model(history, &target),
-        }
-        .expect("history is dense and target non-empty");
-        (row.into_iter().map(f64::exp).collect(), model)
-    }
-
-    /// [`Classifier::pressure_axis`] that trains uncached and returns
-    /// the model (`None` on the no-observations uniform fallback).
-    fn pressure_axis_model(
+    /// No observations fall back to a uniform estimate and train nothing.
+    fn pressure_axis(
         &self,
         history: &DenseMatrix,
         observed: &[(usize, f64)],
         warm: Option<&PqModel>,
-    ) -> (PressureVector, Option<PqModel>) {
+        keep_model: bool,
+    ) -> AxisRow<PressureVector> {
         if observed.is_empty() {
             return (PressureVector::uniform(PressureVector::MAX / 2.0), None);
         }
@@ -534,16 +391,8 @@ impl Classifier {
             .iter()
             .map(|&(c, v)| (c, v / PressureVector::MAX))
             .collect();
-        let (row, model) = match warm {
-            Some(w) => {
-                self.reconstructor
-                    .reconstruct_row_warm(&scaled_history, &scaled_observed, w)
-            }
-            None => self
-                .reconstructor
-                .reconstruct_row_with_model(&scaled_history, &scaled_observed),
-        }
-        .expect("history is dense and target non-empty");
+        let (row, model) =
+            self.reconstruct_axis(&scaled_history, &scaled_observed, warm, keep_model);
         let mut v = PressureVector::zero();
         for (i, value) in row.into_iter().enumerate() {
             v.set(
@@ -551,7 +400,7 @@ impl Classifier {
                 value * PressureVector::MAX,
             );
         }
-        (v, Some(model))
+        (v, model)
     }
 }
 
@@ -780,56 +629,6 @@ mod tests {
             reuses.get() > before,
             "classification must reuse pooled scratch buffers"
         );
-    }
-
-    /// `classify_with_models` (the similarity index's miss path) must be
-    /// bit-identical to the plain cached path — this is what makes
-    /// "index enabled, no hits" byte-identical to "index disabled".
-    #[test]
-    fn model_capturing_classification_is_bit_identical_to_plain() {
-        let catalog = PlatformCatalog::local();
-        let history = HistorySet::bootstrap(&catalog, 8, 41);
-        let axes = history.axes().clone();
-
-        let mut sim = Simulation::new(
-            ClusterSpec::uniform(catalog.clone(), 1),
-            Box::new(NullManager),
-            SimConfig::default(),
-        );
-        let mut generator = Generator::new(catalog.clone(), 7);
-        let job = generator.analytics_job(
-            WorkloadClass::Hadoop,
-            "model-probe",
-            Dataset::new("d", 12.0, 1.0),
-            2,
-            600.0,
-            Priority::Guaranteed,
-        );
-        let id = job.id();
-        sim.submit_at(job, 0.0);
-        sim.run_until(5.0);
-        let data = Profiler::new(2, 9).profile(sim.world_mut(), &axes, id);
-
-        let classifier = Classifier::new();
-        let plain = classifier.classify(&history, &data);
-        let (modeled, _, models) = classifier.classify_with_models(&history, &data);
-        assert_eq!(plain, modeled);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&plain.scale_up_speed), bits(&modeled.scale_up_speed));
-        assert_eq!(bits(&plain.hetero_speed), bits(&modeled.hetero_speed));
-        // A Hadoop job reconstructs every axis, so every model is there.
-        assert!(models.scale_out.is_some());
-        assert!(models.params.is_some());
-        assert!(models.tolerated.is_some());
-
-        // Warm-starting from the captured models on the same data stays
-        // a valid classification (finite, positive speeds).
-        let (warm, _, _) = classifier.classify_warm(&history, &data, &models);
-        assert_eq!(warm.kind, plain.kind);
-        assert!(warm
-            .scale_up_speed
-            .iter()
-            .all(|s| s.is_finite() && *s > 0.0));
     }
 
     #[test]

@@ -177,25 +177,6 @@ proptest! {
     // low so the suite stays fast in debug builds.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The model-capturing path the similarity index misses through is
-    /// bit-identical to the plain cached classification on any profiling
-    /// row — the invariant that makes "index disabled" and "index miss"
-    /// indistinguishable from classification without the index.
-    #[test]
-    fn model_capture_is_bit_identical_to_plain_classification(
-        kind_idx in 0usize..3,
-        su in proptest::collection::vec((0usize..1000, 0.1..100.0f64), 1..3),
-        he in proptest::collection::vec((0usize..1000, 0.1..100.0f64), 1..3),
-        tol in proptest::collection::vec((0usize..1000, 1.0..99.0f64), 0..3),
-    ) {
-        let history = shared_history();
-        let data = fold_profile(GoalKind::ALL[kind_idx], &su, &he, &tol);
-        let classifier = Classifier::new();
-        let plain = classifier.classify(history, &data);
-        let (modeled, _, _) = classifier.classify_with_models(history, &data);
-        prop_assert_eq!(plain, modeled);
-    }
-
     /// An exact-duplicate arrival hits the index and gets back exactly
     /// what a full reconstruction of the same row would produce, with
     /// runtime calibration reset to 1.0.

@@ -12,9 +12,8 @@
 //! * **index on** — the jittered profile quantizes to the same signature
 //!   as its base, so the index reuses the cached classification in O(µs)
 //!   query time;
-//! * **index off** — the raw bits differ, so the plain classifier's
-//!   row-level memoization cannot help and every arrival pays the full
-//!   SVD+SGD reconstruction in O(ms).
+//! * **index off** — every arrival pays the full SVD+SGD reconstruction
+//!   in O(ms).
 //!
 //! Rates and outcome counts are pure functions of the seeds; the latency
 //! columns are live wall-clock and mask to `-`/NaN like every other
@@ -99,8 +98,7 @@ pub struct ClassifyBenchReport {
 /// quantization bucket: speeds move by up to ±20% of `ln_bucket` around
 /// the bucket center, pressures by up to ±20% of `pressure_bucket`
 /// (clamped to the 0–100 scale). The returned profile has different
-/// bits from `data` — so row-level memoization in the plain classifier
-/// cannot reuse it — but an identical [`Signature`], so the similarity
+/// bits from `data` but an identical [`Signature`], so the similarity
 /// index sees a quantization-level duplicate. Deterministic in
 /// `(data, config, salt)`.
 pub fn jitter_within_buckets(
@@ -183,10 +181,9 @@ pub fn run(scale: Scale) -> ClassifyBenchReport {
                 let b = rng.random_range(0..bases.len());
                 jitter_within_buckets(&bases[b], &config, derive_seed(point_seed, i as u64))
             };
-            // Off-path sample: only re-arrivals. Their jittered rows are
-            // never bit-identical to anything prior, so the classifier's
-            // row-level memoization cannot shortcut them — the same
-            // situation an index-less manager faces on this stream.
+            // Off-path sample: only re-arrivals, which pay the full cold
+            // path — the situation an index-less manager faces on this
+            // stream.
             if i >= bases.len() && off_us.len() < off_n {
                 let (_, wall_us) = validator.classifier().classify_timed(history, &data);
                 off_us.push(wall_us);

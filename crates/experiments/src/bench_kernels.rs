@@ -13,7 +13,7 @@
 //! * a **blocked-vs-scalar rotation** delta for the 4-lane
 //!   `rotate_cols` kernel at classifier and cache-resident lengths;
 //! * end-to-end **classification allocations per decision** through the
-//!   real `Classifier` on distinct (memo-busting) profiling rows.
+//!   real `Classifier` on distinct profiling rows.
 //!
 //! Allocation counts come from the counting global allocator the
 //! `quasar-experiments` binary installs (see [`crate::alloc_track`]);
@@ -83,13 +83,13 @@ impl RotationBench {
 /// Allocations per end-to-end classification decision.
 #[derive(Debug, Clone)]
 pub struct ClassifyAllocBench {
-    /// Decisions measured (each on a distinct, memo-busting profiling
-    /// row, after arena warmup).
+    /// Decisions measured (each on a distinct profiling row, after
+    /// arena warmup).
     pub calls: usize,
     /// Mean heap allocations per decision (zero when tracking is
-    /// inactive). Not expected to reach 0: the escaping result row, the
-    /// row-memo insert, and per-axis bookkeeping all allocate; the
-    /// scratch arenas remove the kernel working sets from this number.
+    /// inactive). Not expected to reach 0: the escaping result rows and
+    /// per-axis bookkeeping allocate; the scratch arenas remove the
+    /// kernel working sets from this number.
     pub allocs_per_op: f64,
 }
 
@@ -233,9 +233,8 @@ fn rotation_bench(reps: usize, len: usize, iters: usize) -> RotationBench {
 /// Measures heap allocations per end-to-end classification decision:
 /// profiles a handful of distinct workloads through the validation
 /// harness, warms the (serial-path) classifier on two of them, then
-/// counts allocations across decisions on the rest. Distinct profiling
-/// rows bust the row memo, so every measured decision runs the full
-/// SVD + SGD pipeline against the warmed thread arena.
+/// counts allocations across decisions on the rest, each of which runs
+/// the full SVD + SGD pipeline against the warmed thread arena.
 fn classify_alloc_bench(tracking: bool) -> ClassifyAllocBench {
     const SEED: u64 = 0xA110C;
     let validator = Validator::new(crate::local_history(), SEED);
@@ -471,7 +470,7 @@ impl fmt::Display for KernelBenchReport {
         writeln!(f, "{}", r.render())?;
         write!(
             f,
-            "classify: {:.1} allocs/decision over {} memo-busting decisions",
+            "classify: {:.1} allocs/decision over {} decisions",
             self.classify.allocs_per_op, self.classify.calls
         )
     }

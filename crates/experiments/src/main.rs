@@ -54,9 +54,9 @@
 //! Perfetto or `chrome://tracing`) to `--trace-out PATH`, a JSONL
 //! event+metric stream to `--jsonl-out PATH` (to stderr when neither
 //! flag is given), plus a per-run summary table on stdout. Under
-//! `QUASAR_MASK_TIMINGS` (or the `QUASAR_SMOKE_THREADS` CI smoke) both
-//! exports drop wall-clock fields and order records by logical keys, so
-//! the files are byte-identical across `--threads` values.
+//! `QUASAR_MASK_TIMINGS` both exports drop wall-clock fields and order
+//! records by logical keys, so the files are byte-identical across
+//! `--threads` values.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::Ordering;
@@ -231,8 +231,7 @@ fn parse_args(args: &[String]) -> Options {
 /// to stderr (so result stdout can be diffed across `--threads`
 /// values). Every report's columns are pure functions of the seeds
 /// except the live decision-time measurements, which print as `-` when
-/// `QUASAR_MASK_TIMINGS` or `QUASAR_SMOKE_THREADS` is set (as in the CI
-/// smoke that cmp's stdout).
+/// `QUASAR_MASK_TIMINGS` is set (as in the CI smoke that cmp's stdout).
 fn run_one(id: &str, scale: Scale, threads: usize) {
     eprintln!("[{id}: {scale:?}, {threads} threads]");
     let (report, wall_us) = quasar_obs::span::timed("experiments.run", || {

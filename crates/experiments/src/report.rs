@@ -37,25 +37,23 @@ pub fn maximum(values: &[f64]) -> f64 {
 
 /// Whether reports should mask live wall-clock measurements.
 ///
-/// Set via `QUASAR_MASK_TIMINGS=1`, or implicitly by the thread-scaling
-/// determinism smoke (`QUASAR_SMOKE_THREADS`), which `cmp`s stdout
-/// across `--threads` values: the classification decision-time columns
-/// are the one thing *measured* with a real clock rather than derived
-/// from seeds, so they are the one thing allowed to differ between two
-/// otherwise byte-identical runs. Masked columns print `-`.
+/// Set via `QUASAR_MASK_TIMINGS=1`, as the determinism smokes do before
+/// they `cmp` stdout across `--threads` values: the classification
+/// decision-time columns are the one thing *measured* with a real clock
+/// rather than derived from seeds, so they are the one thing allowed to
+/// differ between two otherwise byte-identical runs. Masked columns
+/// print `-`.
 pub fn mask_live_timings() -> bool {
     std::env::var_os("QUASAR_MASK_TIMINGS").is_some()
-        || std::env::var_os("QUASAR_SMOKE_THREADS").is_some()
 }
 
 /// Renders the per-run telemetry summary from the process-global metric
-/// registry: decision-latency percentiles, row-cache effectiveness,
-/// worker-pool utilization, and the logical work counters. Wall-clock
-/// and scheduling-dependent values print `-` under
-/// [`mask_live_timings`], so the summary stays byte-identical across
-/// `--threads` values in the CI smoke; the logical counters (jobs,
-/// classifications, journal events, ticks) are deterministic and always
-/// print.
+/// registry: decision-latency percentiles, worker-pool utilization, and
+/// the logical work counters. Wall-clock and scheduling-dependent values
+/// print `-` under [`mask_live_timings`], so the summary stays
+/// byte-identical across `--threads` values in the CI smoke; the logical
+/// counters (jobs, classifications, journal events, ticks) are
+/// deterministic and always print.
 pub fn telemetry_summary() -> String {
     let masked = mask_live_timings();
     let reg = quasar_obs::Registry::global();
@@ -64,13 +62,6 @@ pub fn telemetry_summary() -> String {
 
     let decision = reg.histogram_us("quasar.core.classify.decision_us");
     let exhaustive = reg.histogram_us("quasar.core.classify.exhaustive_us");
-    let hits = count("quasar.cf.row_cache.hits");
-    let misses = count("quasar.cf.row_cache.misses");
-    let hit_rate = if hits + misses > 0 {
-        format!("{:.1}%", 100.0 * hits as f64 / (hits + misses) as f64)
-    } else {
-        "n/a".to_string()
-    };
     let job_workers = reg.histogram(
         "quasar.core.par.pool.job_workers",
         &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
@@ -110,16 +101,6 @@ pub fn telemetry_summary() -> String {
     t.row([
         "exhaustive classify p50 (us, bucketed)".to_string(),
         live(format!("{:.0}", exhaustive.percentile(0.5))),
-    ]);
-    // Hits/misses are scheduling-invariant (per-key once-guard in the
-    // row cache), so they print unmasked; evictions still follow the
-    // actual access interleaving and stay masked.
-    t.row(["row-cache hits".to_string(), hits.to_string()]);
-    t.row(["row-cache misses".to_string(), misses.to_string()]);
-    t.row(["row-cache hit rate".to_string(), hit_rate]);
-    t.row([
-        "row-cache evictions".to_string(),
-        live(count("quasar.cf.row_cache.evictions").to_string()),
     ]);
     t.row([
         "parallel jobs".to_string(),

@@ -1,12 +1,14 @@
 //! End-to-end telemetry coverage over a real experiment: span nesting
 //! under nested `par_map`, registry-snapshot determinism across thread
-//! counts, and golden validity of the trace exports.
+//! counts, golden validity of the trace exports, and a tripwire on
+//! counters that a full manager run never moves.
 //!
 //! The span collector and the metric registry are process-global, so
 //! every test here serializes on one lock and resets both before use.
 
 use quasar_core::par::par_map;
 use quasar_experiments::{run_experiment_with, Scale};
+use quasar_obs::registry::MetricValue;
 use quasar_obs::trace::{self, export_chrome, export_jsonl, EventKind};
 use quasar_obs::{json, Registry};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -145,5 +147,44 @@ fn masked_chrome_export_is_identical_across_thread_counts() {
     assert_eq!(
         exports[0].1, exports[1].1,
         "masked jsonl differs across thread counts"
+    );
+}
+
+/// Dead-tier tripwire: after one quick run of the full Quasar manager,
+/// the registered counters still at zero are exactly the ones listed
+/// here, each for a stated reason. A cache, index or fallback tier whose
+/// own counter never moves on a real run fails this the day it lands
+/// (the LRU row cache sat at 0 hits for nine PRs before it was deleted).
+#[test]
+fn counters_left_at_zero_by_a_manager_run_are_allowlisted() {
+    let _guard = lock();
+    trace::disable();
+    Registry::global().reset();
+    run_experiment_with("fig9", Scale::Quick, 2);
+    // Live (scheduling-dependent) counters are stripped: whether a
+    // scratch arena grows depends on which worker served which axis.
+    let snapshot = Registry::global().snapshot().deterministic();
+    let zero: Vec<&str> = snapshot
+        .entries
+        .iter()
+        .filter(|e| e.value == MetricValue::Counter(0))
+        .map(|e| e.name.as_str())
+        .collect();
+    let allowed = [
+        // fig9 keeps its journal in memory; no chunk store is attached.
+        "quasar.cluster.journal.chunk_events",
+        "quasar.cluster.journal.chunk_flushes",
+        // fig9's services set neither isolation nor framework parameters.
+        "quasar.cluster.journal.isolation_set",
+        "quasar.cluster.journal.params_set",
+        // QoS causes this scenario does not produce.
+        "quasar.cluster.qos.cause.calibration_drift",
+        "quasar.cluster.qos.cause.straggler",
+        // The Quasar manager asks for idle ticks, so none are skipped.
+        "quasar.cluster.sim.ticks_skipped",
+    ];
+    assert_eq!(
+        zero, allowed,
+        "a registered counter never moved (or an allowlisted one now does)"
     );
 }

@@ -8,7 +8,7 @@
 //! itself is only locked at handle-creation and snapshot time.
 //!
 //! Naming convention: `quasar.<crate>.<subsystem>.<name>`, e.g.
-//! `quasar.cf.row_cache.hits`. Metrics under [`LIVE_PREFIXES`] (worker
+//! `quasar.cf.sgd.epochs`. Metrics under [`LIVE_PREFIXES`] (worker
 //! pool occupancy) and the `sum`/bucket detail of wall-clock histograms
 //! are *scheduling-dependent*: they vary run-to-run and across
 //! `--threads` values. [`Snapshot::deterministic`] strips exactly those,
@@ -23,13 +23,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Metric-name prefixes whose values depend on thread scheduling (and so
 /// are excluded from [`Snapshot::deterministic`]).
 ///
-/// Pool occupancy obviously varies run to run. Row-cache *evictions* do
-/// too: eviction order follows the actual interleaving of accesses once
-/// the LRU fills. Row-cache hits and misses, by contrast, are
-/// scheduling-invariant since the per-key once-guard landed (concurrent
-/// lookups on one key collapse to a single compute: exactly one miss,
-/// the rest hits — the same totals as a serial run, absent evictions),
-/// so they stay in deterministic snapshots and CI diffs them.
+/// Pool occupancy obviously varies run to run.
 ///
 /// The sharded manager's wall-clock round timings
 /// (`quasar.cluster.shard.wall.*`) are live by definition; its *logical*
@@ -41,9 +35,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// because every worker thread owns its own arena: how checkouts split
 /// into reuses vs. grows (and the peak bytes held) depends on how the
 /// classification axes land on pool threads.
-pub const LIVE_PREFIXES: [&str; 4] = [
+pub const LIVE_PREFIXES: [&str; 3] = [
     "quasar.core.par.pool.",
-    "quasar.cf.row_cache.evictions",
     "quasar.cf.scratch.",
     "quasar.cluster.shard.wall.",
 ];
@@ -595,8 +588,8 @@ mod tests {
     #[test]
     fn snapshot_deterministic_strips_live_metrics() {
         let r = Registry::new();
-        r.counter("quasar.cf.row_cache.hits").add(3);
-        r.counter("quasar.cf.row_cache.evictions").add(2);
+        r.counter("quasar.cf.sgd.epochs").add(3);
+        r.counter("quasar.cf.scratch.grows").add(2);
         r.counter("quasar.core.classify.classifications").add(5);
         r.gauge("quasar.core.par.pool.live").set(7);
         let h = r.histogram_us("quasar.core.classify.decision_us");
@@ -607,7 +600,7 @@ mod tests {
             .record(987.6);
         let det = r.snapshot().deterministic();
         assert!(det.get("quasar.core.par.pool.live").is_none());
-        assert!(det.get("quasar.cf.row_cache.evictions").is_none());
+        assert!(det.get("quasar.cf.scratch.grows").is_none());
         // Shard wall timings are live; logical shard metrics are kept.
         assert!(det.get("quasar.cluster.shard.wall.round_us").is_none());
         assert_eq!(
@@ -618,9 +611,9 @@ mod tests {
             det.get("quasar.cluster.shard.queue_depth_max"),
             Some(&MetricValue::Gauge(4))
         );
-        // Hits/misses are deterministic (per-key once-guard) and kept.
+        // Kernel work counters are deterministic and kept.
         assert_eq!(
-            det.get("quasar.cf.row_cache.hits"),
+            det.get("quasar.cf.sgd.epochs"),
             Some(&MetricValue::Counter(3))
         );
         assert_eq!(
