@@ -509,7 +509,7 @@ mod tests {
         }
         // Every cell builds a working cluster.
         for cell in cells {
-            assert!(ClusterState::new(cell).servers().len() > 0);
+            assert!(!ClusterState::new(cell).servers().is_empty());
         }
     }
 

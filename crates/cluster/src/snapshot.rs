@@ -507,7 +507,6 @@ fn three(fields: Vec<String>, what: &str) -> io::Result<[String; 3]> {
 mod tests {
     use super::*;
     use crate::chunk::FileChunks;
-    use crate::world::World;
     use quasar_workloads::generate::Generator;
     use quasar_workloads::{PlatformCatalog, Priority};
     use std::collections::HashMap;

@@ -34,11 +34,7 @@
 //! sim.run_until(3600.0);
 //! ```
 
-// `deny` rather than `forbid`: the persistent worker pool in `par`
-// carries two tightly-scoped, documented `#[allow(unsafe_code)]` items
-// (lending a caller-owned closure to pool threads that outlive the
-// call). Everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod axes;

@@ -1,35 +1,25 @@
 //! Deterministic parallel execution.
 //!
-//! A lazily-started **persistent worker pool** that fans out independent
-//! items while guaranteeing **bit-identical output to serial execution
-//! regardless of thread count**. Two ingredients make this hold:
+//! A fan-out over [`std::thread::scope`] whose output is **bit-identical
+//! to serial execution regardless of thread count**, because:
 //!
 //! 1. Results are assembled by *item index*, never by completion order.
 //! 2. Any randomness an item needs comes from a private RNG stream
 //!    seeded by [`derive_seed`]`(base_seed, item_index)` — a pure
-//!    function of the item's position, not of which worker ran it or
-//!    when.
+//!    function of the item's position, not of which thread ran it.
 //!
-//! With those two rules, `--threads 1` and `--threads N` produce the
-//! same bytes; parallelism only changes wall-clock time.
-//!
-//! Workers are spawned on first use, park on a condvar while idle, and
-//! are reused across [`par_map`] calls, so many-small-item sweeps do not
-//! pay thread-spawn latency on every fan-out (an earlier version built a
-//! fresh [`std::thread::scope`] pool per call). The submitting thread
-//! always participates in its own job, so a job makes progress even when
-//! every pooled worker is busy elsewhere (including nested `par_map`
-//! calls from inside a worker).
+//! Each call spawns its own scoped workers and joins them before it
+//! returns — the repo's fan-outs are a few items of milliseconds to
+//! seconds each, so a spawn is noise — and a nested call (a sharded cell
+//! classifying inside [`par_map_mut`]) just opens an inner scope.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use quasar_obs::registry::{Counter, Histogram, Registry};
 
-/// Registry handles for the fan-out metrics. `jobs`/`items` count
-/// logical work (deterministic across thread counts — they increment on
-/// the serial path too); everything under `quasar.core.par.pool.` is
-/// live scheduling telemetry and is excluded from deterministic
-/// snapshots.
+/// Fan-out metrics. They count logical work (on the serial path too),
+/// so they are deterministic across thread counts.
 struct ParMetrics {
     jobs: Counter,
     items: Counter,
@@ -75,27 +65,10 @@ pub fn derive_seed(base_seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// `(workers currently alive, workers ever spawned)` in the persistent
-/// pool. The two are equal today (workers never exit); tests use the
-/// second to assert that consecutive [`par_map`] calls reuse the pool
-/// instead of spawning fresh threads.
-pub fn pool_status() -> (usize, u64) {
-    pool::status()
-}
-
-/// Maps `f` over `items` on up to `threads` workers, returning results
-/// in item order.
-///
-/// `f` receives the item's index alongside the item. With `threads <= 1`
-/// (or a single item) this degenerates to a plain serial loop — no
-/// threads are spawned or woken. Workers pull indices from a shared
-/// atomic counter, so scheduling is dynamic, but because `f` sees only
-/// `(index, item)` and results land in slot `index`, the output vector
-/// is identical for every thread count.
-///
-/// Panics in `f` propagate to the caller: the first panicking item's
-/// payload is resumed on the submitting thread after the job drains.
-pub fn par_map<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
+/// The one body behind [`par_map`] and [`par_map_mut`]: runs `f(i, item)`
+/// for every item on up to `threads` threads (the submitter is one of
+/// them) and returns the outputs in item order.
+fn fan_out<T, U, F>(threads: usize, items: impl ExactSizeIterator<Item = T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -110,104 +83,78 @@ where
     metrics.items.add(n as u64);
     metrics.job_items.record(n as f64);
     let _job_span = quasar_obs::span!("core.par.job", "items={n}");
+    // Sim time is item-local state: every item starts from the same
+    // baseline on either path, and so does the submitter afterwards.
+    let run = |i: usize, item: T| {
+        quasar_obs::set_sim_time(0.0);
+        f(i, item)
+    };
     if threads <= 1 || n <= 1 {
-        let out = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| {
-                // Sim time is item-local state: start each item from the
-                // same baseline the pooled path gives it.
-                quasar_obs::set_sim_time(0.0);
-                f(i, x)
-            })
-            .collect();
-        // Leave the submitter at the same baseline regardless of which
-        // item ran last (matches the pooled path below).
+        let out = items.enumerate().map(|(i, x)| run(i, x)).collect();
         quasar_obs::set_sim_time(0.0);
         return out;
     }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    let slots: Vec<Mutex<Option<T>>> = items.map(|x| Mutex::new(Some(x))).collect();
     let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let task = |i: usize| {
-        let item = slots[i]
-            .lock()
-            .expect("item slot poisoned")
-            .take()
-            .expect("each index is claimed exactly once");
-        // Reset per item so a span inside `f` sees a sim time derived
-        // only from this item's own work, never from whatever item this
-        // worker thread happened to run previously.
-        quasar_obs::set_sim_time(0.0);
-        let out = f(i, item);
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let item = slots[i].lock().expect("item slot poisoned").take();
+        let out = run(i, item.expect("each index is claimed exactly once"));
         *results[i].lock().expect("result slot poisoned") = Some(out);
     };
-    pool::run(threads, n, &task);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(work)).collect();
+        // A panicking item ends only its own thread; the rest drain the
+        // job, and the scope joins them all before any unwind leaves it.
+        work();
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
     quasar_obs::set_sim_time(0.0);
     results
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every index was processed")
-        })
+        .map(|slot| slot.into_inner().expect("result slot poisoned"))
+        .map(|out| out.expect("every index was processed"))
         .collect()
+}
+
+/// Maps `f` over `items` on up to `threads` threads, returning results
+/// in item order.
+///
+/// With `threads <= 1` (or a single item) this is a plain serial loop
+/// and no thread is spawned. Otherwise `min(threads, n) - 1` scoped
+/// workers and the submitter claim indices from one atomic counter; `f`
+/// sees only `(index, item)` and results land in slot `index`, so the
+/// output is the same for every thread count. A panic in `f` reaches the
+/// caller with its original payload once every thread has stopped.
+pub fn par_map<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, T) -> U + Sync,
+{
+    fan_out(threads, items.into_iter(), f)
 }
 
 /// [`par_map`] over items the caller keeps: `f` receives `(index,
 /// &mut item)` and the items stay in place, so long-lived stateful
 /// workers (e.g. sharded manager cells that persist across admission
 /// rounds) can be driven in parallel without moving them through a
-/// `Vec` every round. Returns `f`'s outputs in item order.
-///
-/// The determinism contract is the same as [`par_map`]: results land by
-/// item index, `threads <= 1` (or a single item) degenerates to a plain
-/// serial loop, and sim time is reset per item and on return.
+/// `Vec` every round. Same determinism contract as [`par_map`].
 pub fn par_map_mut<T, U, F>(threads: usize, items: &mut [T], f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
     F: Fn(usize, &mut T) -> U + Sync,
 {
-    let n = items.len();
-    let metrics = par_metrics();
-    metrics.jobs.inc();
-    metrics.items.add(n as u64);
-    metrics.job_items.record(n as f64);
-    let _job_span = quasar_obs::span!("core.par.job", "items={n}");
-    if threads <= 1 || n <= 1 {
-        let out = items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, x)| {
-                quasar_obs::set_sim_time(0.0);
-                f(i, x)
-            })
-            .collect();
-        quasar_obs::set_sim_time(0.0);
-        return out;
-    }
-    let slots: Vec<Mutex<Option<&mut T>>> = items.iter_mut().map(|x| Mutex::new(Some(x))).collect();
-    let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let task = |i: usize| {
-        let item = slots[i]
-            .lock()
-            .expect("item slot poisoned")
-            .take()
-            .expect("each index is claimed exactly once");
-        quasar_obs::set_sim_time(0.0);
-        let out = f(i, item);
-        *results[i].lock().expect("result slot poisoned") = Some(out);
-    };
-    pool::run(threads, n, &task);
-    quasar_obs::set_sim_time(0.0);
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every index was processed")
-        })
-        .collect()
+    fan_out(threads, items.iter_mut(), f)
 }
 
 /// [`par_map`] for items that need a private RNG stream: `f` receives
@@ -232,244 +179,6 @@ where
     U: Send + 'a,
 {
     par_map(threads, tasks, |_, task| task())
-}
-
-/// The persistent pool behind [`par_map`].
-///
-/// Jobs are queued under one mutex; workers park on `job_ready` while
-/// the queue has no claimable work and scan it again on wake. The
-/// submitter enqueues its job, wakes workers, works through items
-/// itself, then blocks on `job_done` until no worker still holds an item
-/// of the job. Because the submitter only returns once the job is fully
-/// quiescent, a task closure borrowing stack data can safely be handed
-/// to pool threads that outlive the call — that protocol invariant is
-/// what the two `unsafe` blocks below encode.
-mod pool {
-    use std::any::Any;
-    use std::collections::VecDeque;
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-    use quasar_obs::registry::{Gauge, Histogram, Registry};
-
-    /// Live pool telemetry (`quasar.core.par.pool.*`). These reflect
-    /// actual scheduling — worker counts, queue pressure, per-job
-    /// occupancy — so they are deliberately *not* part of the
-    /// deterministic snapshot view.
-    struct PoolMetrics {
-        live: Gauge,
-        spawned: Gauge,
-        queue_depth_max: Gauge,
-        job_workers: Histogram,
-    }
-
-    fn pool_metrics() -> &'static PoolMetrics {
-        static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
-        METRICS.get_or_init(|| {
-            let reg = Registry::global();
-            PoolMetrics {
-                live: reg.gauge("quasar.core.par.pool.live"),
-                spawned: reg.gauge("quasar.core.par.pool.spawned"),
-                queue_depth_max: reg.gauge("quasar.core.par.pool.queue_depth_max"),
-                job_workers: reg.histogram(
-                    "quasar.core.par.pool.job_workers",
-                    &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-                ),
-            }
-        })
-    }
-
-    /// Upper bound on pool size. Oversubscribing a little lets blocked
-    /// submitters overlap with running workers, but an unbounded pool
-    /// would grow with the largest `threads` argument ever seen.
-    fn worker_cap() -> usize {
-        super::available_threads().saturating_mul(2).clamp(4, 64)
-    }
-
-    /// Type-erased pointer to a caller-owned task closure.
-    ///
-    /// Pool workers outlive any one [`run`] call, so the task cannot be
-    /// lent to them as a plain borrow; validity is a protocol invariant
-    /// instead: `run` does not return until no worker can reach this
-    /// pointer again (job dequeued and `active == 0`), and the pointee
-    /// outlives `run`'s borrow of it.
-    struct TaskPtr(*const (dyn Fn(usize) + Sync));
-
-    // SAFETY: the pointee is `Sync` (callable from any thread through a
-    // shared reference) and `run` keeps it alive for as long as any
-    // worker can observe the pointer, per the protocol described above.
-    #[allow(unsafe_code)]
-    unsafe impl Send for TaskPtr {}
-    #[allow(unsafe_code)]
-    unsafe impl Sync for TaskPtr {}
-
-    struct Job {
-        task: TaskPtr,
-        n: usize,
-        /// Next unclaimed item index; claims past `n` mean "drained".
-        next: AtomicUsize,
-        /// Workers currently inside `run_items` for this job. Mutated
-        /// only under the pool lock so `job_done` waits cannot miss the
-        /// final decrement.
-        active: AtomicUsize,
-        /// Set on the first panic; stops further claims so the job
-        /// drains quickly.
-        abort: AtomicBool,
-        panic: Mutex<Option<Box<dyn Any + Send>>>,
-        /// Distinct threads that ran at least one stint on this job
-        /// (pool workers + the submitter), for occupancy telemetry.
-        participants: AtomicUsize,
-    }
-
-    impl Job {
-        fn has_work(&self) -> bool {
-            !self.abort.load(Ordering::Relaxed) && self.next.load(Ordering::Relaxed) < self.n
-        }
-
-        /// Claims and runs items until none remain or the job aborts.
-        fn run_items(&self) {
-            // SAFETY: this job is observable by the worker (it was found
-            // on the queue, or is owned by the submitter), so per the
-            // `TaskPtr` protocol the pointee is still alive.
-            #[allow(unsafe_code)]
-            let task = unsafe { &*self.task.0 };
-            while !self.abort.load(Ordering::Relaxed) {
-                let i = self.next.fetch_add(1, Ordering::Relaxed);
-                if i >= self.n {
-                    break;
-                }
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
-                    self.abort.store(true, Ordering::Relaxed);
-                    let mut slot = self.panic.lock().expect("panic slot poisoned");
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-            }
-        }
-    }
-
-    #[derive(Default)]
-    struct State {
-        queue: VecDeque<Arc<Job>>,
-        workers: usize,
-    }
-
-    struct Pool {
-        state: Mutex<State>,
-        /// Signalled when a job with claimable work is enqueued.
-        job_ready: Condvar,
-        /// Signalled when a worker finishes its involvement in a job.
-        job_done: Condvar,
-        spawned_total: AtomicU64,
-    }
-
-    fn pool() -> &'static Pool {
-        static POOL: OnceLock<Pool> = OnceLock::new();
-        POOL.get_or_init(|| Pool {
-            state: Mutex::new(State::default()),
-            job_ready: Condvar::new(),
-            job_done: Condvar::new(),
-            spawned_total: AtomicU64::new(0),
-        })
-    }
-
-    pub(super) fn status() -> (usize, u64) {
-        let p = pool();
-        let workers = p.state.lock().expect("pool state poisoned").workers;
-        (workers, p.spawned_total.load(Ordering::Relaxed))
-    }
-
-    fn worker_loop(pool: &'static Pool) {
-        loop {
-            let job: Arc<Job> = {
-                let mut st = pool.state.lock().expect("pool state poisoned");
-                loop {
-                    if let Some(job) = st.queue.iter().find(|j| j.has_work()).cloned() {
-                        job.active.fetch_add(1, Ordering::Relaxed);
-                        job.participants.fetch_add(1, Ordering::Relaxed);
-                        break job;
-                    }
-                    st = pool.job_ready.wait(st).expect("pool state poisoned");
-                }
-            };
-            job.run_items();
-            let _st = pool.state.lock().expect("pool state poisoned");
-            job.active.fetch_sub(1, Ordering::Relaxed);
-            pool.job_done.notify_all();
-        }
-    }
-
-    /// Runs `task(0..n)` on up to `threads` workers (the submitting
-    /// thread counts as one), blocking until every index has run. The
-    /// first panic raised by an item is resumed here after the job
-    /// drains.
-    pub(super) fn run(threads: usize, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        if n == 0 {
-            return;
-        }
-        // SAFETY: pure lifetime erasure between identically-laid-out fat
-        // pointers (`*const dyn ... + 'a` → `... + 'static`); the
-        // `TaskPtr` protocol keeps every dereference within `'a`.
-        #[allow(unsafe_code)]
-        let task = TaskPtr(unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(usize) + Sync + '_),
-                *const (dyn Fn(usize) + Sync + 'static),
-            >(std::ptr::from_ref(task))
-        });
-        let job = Arc::new(Job {
-            task,
-            n,
-            next: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            // The submitter always works the job (below).
-            participants: AtomicUsize::new(1),
-        });
-        let pool = pool();
-        let metrics = pool_metrics();
-        {
-            let mut st = pool.state.lock().expect("pool state poisoned");
-            st.queue.push_back(job.clone());
-            metrics.queue_depth_max.set_max(st.queue.len() as u64);
-            let want = threads.min(n).saturating_sub(1).min(worker_cap());
-            while st.workers < want {
-                std::thread::Builder::new()
-                    .name(format!("quasar-par-{}", st.workers))
-                    .spawn(move || worker_loop(pool))
-                    .expect("failed to spawn pool worker");
-                st.workers += 1;
-                pool.spawned_total.fetch_add(1, Ordering::Relaxed);
-            }
-            metrics.live.set(st.workers as u64);
-            metrics
-                .spawned
-                .set(pool.spawned_total.load(Ordering::Relaxed));
-            pool.job_ready.notify_all();
-        }
-        // The submitter works its own job: progress is guaranteed even
-        // with every pooled worker busy (or parked behind a nested call).
-        job.run_items();
-        {
-            // Dequeue first so no further worker can pick the job up,
-            // then wait for the ones already inside it.
-            let mut st = pool.state.lock().expect("pool state poisoned");
-            st.queue.retain(|j| !Arc::ptr_eq(j, &job));
-            while job.active.load(Ordering::Relaxed) > 0 {
-                st = pool.job_done.wait(st).expect("pool state poisoned");
-            }
-        }
-        metrics
-            .job_workers
-            .record(job.participants.load(Ordering::Relaxed) as f64);
-        let payload = job.panic.lock().expect("panic slot poisoned").take();
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -571,6 +280,42 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_panic_reaches_the_submitter_with_its_own_message() {
+        let submitter = std::thread::current().id();
+        let worker_claimed = std::sync::atomic::AtomicBool::new(false);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(4, (0..32).collect::<Vec<u32>>(), |i, x| {
+                if std::thread::current().id() != submitter {
+                    worker_claimed.store(true, Ordering::Relaxed);
+                    panic!("boom at {i} on a worker");
+                }
+                // Hold the submitter in its item until a worker has one.
+                while !worker_claimed.load(Ordering::Relaxed) {
+                    std::thread::yield_now();
+                }
+                x
+            })
+        }));
+        let payload = result.expect_err("panic must propagate");
+        let msg = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.ends_with("on a worker"), "unexpected payload: {msg}");
+    }
+
+    #[test]
+    fn par_map_nested_in_par_map_mut_matches_serial() {
+        let run = |outer: usize, inner: usize| {
+            let mut cells: Vec<u64> = (0..6).collect();
+            let out = par_map_mut(outer, &mut cells, |i, cell| {
+                let axes = par_map(inner, vec![*cell; 5], |j, c| derive_seed(c, (i + j) as u64));
+                *cell = axes.into_iter().fold(0, u64::wrapping_add);
+                *cell
+            });
+            (cells, out)
+        };
+        assert_eq!(run(4, 4), run(1, 1));
+    }
+
+    #[test]
     fn nested_par_map_completes() {
         let out = par_map(4, (0..8u64).collect::<Vec<_>>(), |_, x| {
             par_map(4, (0..8u64).collect::<Vec<_>>(), move |_, y| x * 10 + y)
@@ -581,31 +326,5 @@ mod tests {
             .map(|x| (0..8).map(|y| x * 10 + y).sum())
             .collect();
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn pool_is_reused_across_calls() {
-        // Saturate the pool to its hard cap so neither this test's later
-        // calls nor concurrently-running tests can grow it further.
-        let _ = par_map(64, (0..256u64).collect::<Vec<_>>(), |i, x| {
-            x.wrapping_add(i as u64)
-        });
-        let (workers_before, spawned_before) = pool_status();
-        assert!(
-            workers_before >= 3,
-            "cap saturation spawned {workers_before}"
-        );
-        for round in 0..8u64 {
-            let out = par_map(64, (0..64u64).collect::<Vec<_>>(), move |i, x| {
-                x * 2 + i as u64 + round
-            });
-            assert_eq!(out[3], 9 + round);
-        }
-        let (workers_after, spawned_after) = pool_status();
-        assert_eq!(workers_before, workers_after);
-        assert_eq!(
-            spawned_before, spawned_after,
-            "consecutive par_map calls must reuse pooled workers, not spawn new ones"
-        );
     }
 }

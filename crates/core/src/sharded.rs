@@ -6,8 +6,8 @@
 //! per-job state, not global state. This module reproduces that shape:
 //! cluster state is carved into [`Cell`]s (each a disjoint server slice
 //! with its own world and manager), arrivals are routed serially into
-//! per-cell inboxes, and every admission round fans the cells out on the
-//! persistent worker pool via [`par_map_mut`]. Cells only communicate
+//! per-cell inboxes, and every admission round fans the cells out on
+//! scoped worker threads via [`par_map_mut`]. Cells only communicate
 //! through the [`Seam`] slot table and the serial [`rebalance`] pass
 //! between rounds, so output is byte-identical for every thread count
 //! *and* the placement outcome is identical for every shard count when
@@ -364,8 +364,8 @@ pub struct ShardedOutcome {
 /// `config.shards` cells.
 ///
 /// The coordinator routes every job serially ([`route`]: least-loaded,
-/// lowest-id ties), then loops rounds: fan the cells out on the worker
-/// pool ([`par_map_mut`]), read the seam serially, and [`rebalance`]
+/// lowest-id ties), then loops rounds: fan the cells out on worker
+/// threads ([`par_map_mut`]), read the seam serially, and [`rebalance`]
 /// queued jobs across cells — rebalance stays off the admission fast
 /// path by design (DESIGN.md §5). The loop ends when no cell holds
 /// backlog or `config.max_rounds` is hit.

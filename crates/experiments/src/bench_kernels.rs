@@ -4,7 +4,7 @@
 //! Times each slice kernel against its frozen pre-refactor reference
 //! (`quasar_cf::reference`) — the Jacobi SVD per matrix size and the
 //! fused SGD train per observation density — as the **median of N
-//! serial repetitions** (no worker pool involved; the container is
+//! serial repetitions** (no fan-out involved; the container is
 //! 1-core and the kernels are what's being measured). The v2 schema
 //! adds three observability surfaces for the zero-alloc hot path:
 //!

@@ -168,32 +168,6 @@ fn run_cloud(scale: Scale, which: &str) -> CloudRun {
         };
         normalized.push(score);
     }
-    if std::env::var_os("QUASAR_DEBUG").is_some() {
-        let mut by_kind: std::collections::HashMap<&str, Vec<f64>> = Default::default();
-        for ((_, target), score) in ids.iter().zip(&normalized) {
-            let k = match target {
-                QosTarget::CompletionTime { .. } => "batch",
-                QosTarget::Ips { .. } => "single",
-                QosTarget::Throughput { .. } => "service",
-            };
-            by_kind.entry(k).or_default().push(*score);
-        }
-        for (k, v) in by_kind {
-            eprintln!(
-                "[fig11 {which}] {k}: n={} mean={:.3}",
-                v.len(),
-                v.iter().sum::<f64>() / v.len() as f64
-            );
-        }
-        let never_placed = completions.iter().filter(|r| r.placed_s.is_none()).count();
-        let unfinished = completions
-            .iter()
-            .filter(|r| r.finished_s.is_none())
-            .count();
-        eprintln!(
-            "[fig11 {which}] batch records: never_placed={never_placed} unfinished={unfinished}"
-        );
-    }
     normalized.sort_by(f64::total_cmp);
 
     let samples = world.metrics().samples();

@@ -17,9 +17,12 @@
 //!   reduced outcome block with the shard count on *stderr* — masked
 //!   stdout is then byte-identical across shard counts 1 and 4 (only
 //!   shard-invariant fields are printed), which the CI smoke `cmp`s.
-//! * `QUASAR_SHARDS_OUT` overrides the `BENCH_shards.json` output path;
-//!   the write is best-effort (a read-only working directory downgrades
-//!   it to a skipped artifact, never a failed experiment).
+//! * `QUASAR_SHARDS_OUT` names where the JSON artifact goes. Without
+//!   it only a `--full` run writes one (`BENCH_shards.json` in the
+//!   working directory), so a quick run from the repo root cannot
+//!   replace the committed full-scale record. The write is best-effort
+//!   (a read-only working directory downgrades it to a skipped
+//!   artifact, never a failed experiment).
 
 use std::fmt;
 use std::time::Instant;
@@ -119,8 +122,8 @@ pub fn run(scale: Scale) -> Fig12Result {
 
 /// Runs the fig12 sweep: shard counts 1/2/4/8 (or the single count
 /// pinned by `QUASAR_SHARDS`), fanning each sweep's cells out over up to
-/// `threads` workers. Writes `BENCH_shards.json` (path overridable via
-/// `QUASAR_SHARDS_OUT`) best-effort.
+/// `threads` workers. Writes the JSON artifact best-effort to
+/// `QUASAR_SHARDS_OUT`, or at full scale to `BENCH_shards.json`.
 pub fn run_with(scale: Scale, threads: usize) -> Fig12Result {
     let pinned = std::env::var("QUASAR_SHARDS")
         .ok()
@@ -142,9 +145,12 @@ pub fn run_with(scale: Scale, threads: usize) -> Fig12Result {
         sweeps,
         pinned: pinned.is_some(),
     };
-    let path = std::env::var("QUASAR_SHARDS_OUT").unwrap_or_else(|_| "BENCH_shards.json".into());
-    // Best-effort artifact: the report on stdout is the experiment.
-    let _ = std::fs::write(&path, result.to_json());
+    let path = std::env::var_os("QUASAR_SHARDS_OUT")
+        .or_else(|| (scale == Scale::Full).then(|| "BENCH_shards.json".into()));
+    if let Some(path) = path {
+        // Best-effort artifact: the report on stdout is the experiment.
+        let _ = std::fs::write(path, result.to_json());
+    }
     result
 }
 

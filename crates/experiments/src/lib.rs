@@ -4,8 +4,7 @@
 //! Each module corresponds to one figure/table (see DESIGN.md §4 for the
 //! full index) and exposes `run(scale) -> <result struct>` whose
 //! `Display` prints the same rows/series the paper reports. The
-//! `quasar-experiments` binary dispatches by id; the Criterion benches in
-//! `quasar-bench` call the same entry points at [`Scale::Quick`].
+//! `quasar-experiments` binary dispatches by id.
 //!
 //! Absolute numbers differ from the paper (the substrate is a simulator,
 //! not the authors' testbed); the *shape* — who wins, by what factor,

@@ -48,12 +48,12 @@ pub fn mask_live_timings() -> bool {
 }
 
 /// Renders the per-run telemetry summary from the process-global metric
-/// registry: decision-latency percentiles, worker-pool utilization, and
-/// the logical work counters. Wall-clock and scheduling-dependent values
-/// print `-` under [`mask_live_timings`], so the summary stays
-/// byte-identical across `--threads` values in the CI smoke; the logical
-/// counters (jobs, classifications, journal events, ticks) are
-/// deterministic and always print.
+/// registry: decision-latency percentiles and the logical work
+/// counters. Wall-clock and scheduling-dependent values print `-` under
+/// [`mask_live_timings`], so the summary stays byte-identical across
+/// `--threads` values in the CI smoke; the logical counters (jobs,
+/// classifications, journal events, ticks) are deterministic and always
+/// print.
 pub fn telemetry_summary() -> String {
     let masked = mask_live_timings();
     let reg = quasar_obs::Registry::global();
@@ -62,19 +62,6 @@ pub fn telemetry_summary() -> String {
 
     let decision = reg.histogram_us("quasar.core.classify.decision_us");
     let exhaustive = reg.histogram_us("quasar.core.classify.exhaustive_us");
-    let job_workers = reg.histogram(
-        "quasar.core.par.pool.job_workers",
-        &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-    );
-    let pool_util = if job_workers.count() > 0 {
-        format!(
-            "{:.2} workers/job (p95 <= {:.0})",
-            job_workers.sum() / job_workers.count() as f64,
-            job_workers.percentile(0.95)
-        )
-    } else {
-        "n/a".to_string()
-    };
 
     let mut t = TextTable::new("telemetry summary").header(["metric", "value"]);
     t.row([
@@ -110,11 +97,6 @@ pub fn telemetry_summary() -> String {
         "parallel items".to_string(),
         count("quasar.core.par.items").to_string(),
     ]);
-    t.row([
-        "pool workers live".to_string(),
-        live(reg.gauge("quasar.core.par.pool.live").get().to_string()),
-    ]);
-    t.row(["pool utilization".to_string(), live(pool_util)]);
     t.row([
         "greedy plans".to_string(),
         count("quasar.core.greedy.plans").to_string(),

@@ -8,12 +8,13 @@
 //! itself is only locked at handle-creation and snapshot time.
 //!
 //! Naming convention: `quasar.<crate>.<subsystem>.<name>`, e.g.
-//! `quasar.cf.sgd.epochs`. Metrics under [`LIVE_PREFIXES`] (worker
-//! pool occupancy) and the `sum`/bucket detail of wall-clock histograms
-//! are *scheduling-dependent*: they vary run-to-run and across
-//! `--threads` values. [`Snapshot::deterministic`] strips exactly those,
-//! leaving a view that is byte-identical for every thread count, which
-//! is what the CI determinism smoke diffs.
+//! `quasar.cf.sgd.epochs`. Metrics under [`LIVE_PREFIXES`] (per-thread
+//! arena reuse, shard round timings) and the `sum`/bucket detail of
+//! wall-clock histograms are *scheduling-dependent*: they vary
+//! run-to-run and across `--threads` values.
+//! [`Snapshot::deterministic`] strips exactly those, leaving a view that
+//! is byte-identical for every thread count, which is what the CI
+//! determinism smoke diffs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -22,8 +23,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Metric-name prefixes whose values depend on thread scheduling (and so
 /// are excluded from [`Snapshot::deterministic`]).
-///
-/// Pool occupancy obviously varies run to run.
 ///
 /// The sharded manager's wall-clock round timings
 /// (`quasar.cluster.shard.wall.*`) are live by definition; its *logical*
@@ -34,12 +33,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// The CF scratch-arena counters (`quasar.cf.scratch.*`) are live
 /// because every worker thread owns its own arena: how checkouts split
 /// into reuses vs. grows (and the peak bytes held) depends on how the
-/// classification axes land on pool threads.
-pub const LIVE_PREFIXES: [&str; 3] = [
-    "quasar.core.par.pool.",
-    "quasar.cf.scratch.",
-    "quasar.cluster.shard.wall.",
-];
+/// classification axes land on fan-out threads.
+pub const LIVE_PREFIXES: [&str; 2] = ["quasar.cf.scratch.", "quasar.cluster.shard.wall."];
 
 /// Default histogram bucket upper bounds for latencies in microseconds:
 /// a 1-2-5 ladder from 1 µs to 5 s, with an implicit overflow bucket.
@@ -591,7 +586,6 @@ mod tests {
         r.counter("quasar.cf.sgd.epochs").add(3);
         r.counter("quasar.cf.scratch.grows").add(2);
         r.counter("quasar.core.classify.classifications").add(5);
-        r.gauge("quasar.core.par.pool.live").set(7);
         let h = r.histogram_us("quasar.core.classify.decision_us");
         h.record(123.4);
         r.counter("quasar.cluster.shard.admitted").add(11);
@@ -599,7 +593,6 @@ mod tests {
         r.histogram_us("quasar.cluster.shard.wall.round_us")
             .record(987.6);
         let det = r.snapshot().deterministic();
-        assert!(det.get("quasar.core.par.pool.live").is_none());
         assert!(det.get("quasar.cf.scratch.grows").is_none());
         // Shard wall timings are live; logical shard metrics are kept.
         assert!(det.get("quasar.cluster.shard.wall.round_us").is_none());

@@ -165,6 +165,8 @@ mod tests {
 
     #[test]
     fn timed_returns_result_and_nonnegative_wall() {
+        // Records a span whenever another test has tracing enabled.
+        let _guard = crate::test_lock();
         let (v, us) = timed("quasar.test.timed", || 7 * 6);
         assert_eq!(v, 42);
         assert!(us >= 0.0);

@@ -84,7 +84,9 @@ static COUNT: AtomicUsize = AtomicUsize::new(0);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static EPOCH: Mutex<Option<Instant>> = Mutex::new(None);
 /// Every thread's buffer, in first-record order. Buffers of exited
-/// threads stay registered so their events survive until [`drain`].
+/// threads stay registered so their events survive until the next
+/// [`drain`] or [`enable`], which then drops them: fan-out workers are
+/// short-lived, so the list would otherwise grow with every fan-out.
 static BUFFERS: Mutex<Vec<Arc<ThreadBuffer>>> = Mutex::new(Vec::new());
 
 thread_local! {
@@ -98,6 +100,12 @@ thread_local! {
     };
 }
 
+/// Whether the thread that registered `buf` still holds its
+/// thread-local handle; once it has exited, [`BUFFERS`] has the only one.
+fn thread_alive(buf: &Arc<ThreadBuffer>) -> bool {
+    Arc::strong_count(buf) > 1
+}
+
 /// Whether tracing is currently collecting. One relaxed atomic load —
 /// this is the entire cost of a disabled `span!`.
 #[inline]
@@ -109,9 +117,13 @@ pub fn tracing_enabled() -> bool {
 /// wall-clock epoch and sequence numbering.
 pub fn enable() {
     ENABLED.store(false, Ordering::Relaxed);
-    for buf in BUFFERS.lock().expect("trace buffers poisoned").iter() {
-        buf.events.lock().expect("trace buffer poisoned").clear();
-    }
+    BUFFERS
+        .lock()
+        .expect("trace buffers poisoned")
+        .retain(|buf| {
+            buf.events.lock().expect("trace buffer poisoned").clear();
+            thread_alive(buf)
+        });
     *EPOCH.lock().expect("trace epoch poisoned") = Some(Instant::now());
     COUNT.store(0, Ordering::Relaxed);
     DROPPED.store(0, Ordering::Relaxed);
@@ -131,17 +143,20 @@ pub fn drain() -> Vec<Event> {
     let Some(epoch) = EPOCH.lock().expect("trace epoch poisoned").take() else {
         return Vec::new();
     };
-    let buffers = BUFFERS.lock().expect("trace buffers poisoned");
     let mut events = Vec::with_capacity(COUNT.load(Ordering::Relaxed));
-    for buf in buffers.iter() {
-        for (mut ev, start) in buf.events.lock().expect("trace buffer poisoned").drain(..) {
-            ev.start_us = start
-                .checked_duration_since(epoch)
-                .unwrap_or(Duration::ZERO)
-                .as_micros() as u64;
-            events.push(ev);
-        }
-    }
+    BUFFERS
+        .lock()
+        .expect("trace buffers poisoned")
+        .retain(|buf| {
+            for (mut ev, start) in buf.events.lock().expect("trace buffer poisoned").drain(..) {
+                ev.start_us = start
+                    .checked_duration_since(epoch)
+                    .unwrap_or(Duration::ZERO)
+                    .as_micros() as u64;
+                events.push(ev);
+            }
+            thread_alive(buf)
+        });
     COUNT.store(0, Ordering::Relaxed);
     events
 }
@@ -476,6 +491,29 @@ mod tests {
         assert_eq!(sims, vec![0.0, 1.0, 2.0, 3.0, 9.0]);
         assert_eq!(dropped_events(), 0);
         assert!(drain().is_empty(), "buffers are cleared after drain");
+    }
+
+    #[test]
+    fn buffers_of_exited_threads_are_dropped_once_flushed() {
+        let _guard = crate::test_lock();
+        enable();
+        record_instant("quasar.test.local", String::new(), 0.0);
+        // Upper bound on what may stay registered: other tests' threads
+        // can only exit, not record, while this one holds the lock.
+        let registered = || BUFFERS.lock().unwrap().len();
+        let live = registered();
+        for i in 0..50 {
+            // Joined explicitly: a scope's end alone does not wait for
+            // the thread-local handle to be dropped.
+            std::thread::scope(|scope| {
+                let record =
+                    move || record_instant("quasar.test.short_lived", String::new(), f64::from(i));
+                scope.spawn(record).join().unwrap();
+            });
+        }
+        assert!(registered() > 50, "buffers outlive their threads");
+        assert_eq!(drain().len(), 51, "exited threads' events must survive");
+        assert!(registered() <= live, "flushed buffers of exited threads go");
     }
 
     #[test]

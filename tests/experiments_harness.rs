@@ -12,7 +12,7 @@ fn unknown_ids_are_rejected() {
 #[test]
 fn every_experiment_id_is_dispatched() {
     // Only check dispatch plumbing for the cheap ones here; the full set
-    // runs under `cargo bench` and the per-experiment unit tests.
+    // runs under the per-experiment unit tests and CI's quick `all`.
     for id in ["fig2", "table3", "fig10"] {
         assert!(
             EXPERIMENT_IDS.contains(&"fig2"),
