@@ -205,13 +205,6 @@ impl DenseMatrix {
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
-
-    /// Consumes the matrix, returning its row-major buffer without
-    /// copying — how dropped results hand their allocations back to a
-    /// [`crate::scratch::CfScratch`] recycle slot.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
 }
 
 impl fmt::Display for DenseMatrix {

@@ -53,16 +53,14 @@
 mod dense;
 mod pq;
 mod reconstruct;
-pub mod scratch;
 mod sparse;
 mod svd;
 
 pub use dense::DenseMatrix;
 pub use pq::{PqModel, SgdConfig};
 pub use reconstruct::{ReconstructError, Reconstructor};
-pub use scratch::CfScratch;
 pub use sparse::SparseMatrix;
-pub use svd::{svd, svd_in, Svd};
+pub use svd::{svd, Svd};
 
 /// The order-free elementwise loop kernels of the SVD (see DESIGN.md
 /// §4f for the loop taxonomy that makes them safe to re-block).

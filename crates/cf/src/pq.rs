@@ -16,9 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dense::DenseMatrix;
-use crate::scratch::{self, CfScratch};
 use crate::sparse::SparseMatrix;
-use crate::svd::{svd_in, svd_reference, Svd};
+use crate::svd::{svd, svd_reference, Svd};
 
 /// Registry handle for `quasar.cf.sgd.epochs`. Epochs are a pure
 /// function of the training input, so the counter stays in
@@ -168,9 +167,9 @@ pub struct PqModel {
 }
 
 impl PqModel {
-    /// Computes the per-row biases of `a` against `mu` into the
-    /// checked-out `row_bias` buffer.
-    fn row_biases_into(a: &SparseMatrix, mu: f64, row_bias: &mut [f64]) {
+    /// The per-row biases of `a` against the global mean `mu`.
+    fn row_biases(a: &SparseMatrix, mu: f64) -> Vec<f64> {
+        let mut row_bias = vec![0.0; a.rows()];
         for (r, bias) in row_bias.iter_mut().enumerate() {
             let entries = a.row_entries(r);
             if !entries.is_empty() {
@@ -178,6 +177,7 @@ impl PqModel {
                 *bias = mean - mu;
             }
         }
+        row_bias
     }
 
     /// Trains a model on the observed entries of `a`.
@@ -186,62 +186,22 @@ impl PqModel {
     /// then `Q ← U` and `Pᵀ ← Σ·Vᵀ`, then SGD over the observed entries
     /// until the residual norm becomes marginal.
     ///
-    /// Runs against the calling thread's default workspace arena; see
-    /// [`PqModel::train_in`] for the explicit-arena variant.
-    ///
     /// # Panics
     ///
     /// Panics if `a` has no observed entries.
     pub fn train(a: &SparseMatrix, config: &SgdConfig) -> PqModel {
-        scratch::with(|s| PqModel::train_in(a, config, s))
-    }
-
-    /// [`PqModel::train`] against an explicit workspace arena.
-    ///
-    /// Identical output, but the SVD working set, the residual and
-    /// mean-filled matrices, the SGD visit order, and (when `scratch`
-    /// holds recycled buffers — see [`CfScratch::recycle_model`]) the
-    /// factor and bias buffers all come from `scratch`, so a warmed
-    /// arena makes the whole training run allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` has no observed entries.
-    pub fn train_in(a: &SparseMatrix, config: &SgdConfig, scratch: &mut CfScratch) -> PqModel {
         assert!(!a.is_empty(), "cannot train on an empty matrix");
 
-        let (mut row_bias, mut rf_buf, mut cf_buf) = scratch.model_out.take().unwrap_or_default();
         let mu = a.mean().expect("matrix is non-empty");
-        scratch.stats.checkout(&mut row_bias, a.rows());
-        PqModel::row_biases_into(a, mu, &mut row_bias);
+        let row_bias = PqModel::row_biases(a, mu);
 
         // Residual matrix for initialization: observed minus (μ + b_u),
         // missing cells filled via column means of the residuals.
-        let mut residuals = match scratch.residuals.take() {
-            Some(mut pooled) => {
-                scratch.stats.slot(true);
-                pooled.reset(a.rows(), a.cols());
-                pooled
-            }
-            None => {
-                scratch.stats.slot(false);
-                SparseMatrix::new(a.rows(), a.cols())
-            }
-        };
+        let mut residuals = SparseMatrix::new(a.rows(), a.cols());
         for (r, c, v) in a.iter() {
             residuals.insert(r, c, v - mu - row_bias[r]);
         }
-        let mut filled_buf = scratch.filled.take().unwrap_or_default();
-        scratch.stats.reserve(&mut filled_buf, a.rows() * a.cols());
-        residuals.fill_dense_into(
-            &mut filled_buf,
-            &mut scratch.col_sums,
-            &mut scratch.col_counts,
-        );
-        let filled = DenseMatrix::from_vec(a.rows(), a.cols(), filled_buf);
-        let decomposition: Svd = svd_in(&filled, scratch);
-        scratch.filled = Some(filled.into_vec());
-        scratch.residuals = Some(residuals);
+        let decomposition: Svd = svd(&residuals.to_dense_filled());
         let rank = decomposition
             .rank_for_energy(config.energy)
             .min(config.max_rank)
@@ -251,25 +211,20 @@ impl PqModel {
 
         // Q ← U_r, P ← V_r · Σ_r (so that Q·Pᵀ = U Σ Vᵀ), copied row by
         // row from the factor slices.
-        scratch.stats.checkout(&mut rf_buf, a.rows() * rank);
-        let mut row_factors = DenseMatrix::from_vec(a.rows(), rank, rf_buf);
+        let mut row_factors = DenseMatrix::zeros(a.rows(), rank);
         for r in 0..a.rows() {
             row_factors
                 .row_mut(r)
                 .copy_from_slice(&decomposition.u.row(r)[..rank]);
         }
         let sigma = &decomposition.singular_values[..rank];
-        scratch.stats.checkout(&mut cf_buf, a.cols() * rank);
-        let mut col_factors = DenseMatrix::from_vec(a.cols(), rank, cf_buf);
+        let mut col_factors = DenseMatrix::zeros(a.cols(), rank);
         for c in 0..a.cols() {
             let vrow = &decomposition.v.row(c)[..rank];
             for ((dst, &v), &s) in col_factors.row_mut(c).iter_mut().zip(vrow).zip(sigma) {
                 *dst = v * s;
             }
         }
-        // The warm-start decomposition never escapes: hand its buffers
-        // straight back for the next decomposition.
-        scratch.recycle_svd(decomposition);
 
         let mut model = PqModel {
             mu,
@@ -280,7 +235,7 @@ impl PqModel {
             epochs_run: 0,
             final_residual: f64::INFINITY,
         };
-        model.run_sgd_in(a, config, scratch);
+        model.run_sgd(a, config);
         model
     }
 
@@ -295,65 +250,26 @@ impl PqModel {
     /// Returns `None` when the shapes are incompatible: `init` must
     /// carry one factor row per row of `a` and one per column of `a`.
     ///
-    /// Runs against the calling thread's default workspace arena; see
-    /// [`PqModel::train_warm_in`] for the explicit-arena variant.
-    ///
     /// # Panics
     ///
     /// Panics if `a` has no observed entries.
     pub fn train_warm(a: &SparseMatrix, config: &SgdConfig, init: &PqModel) -> Option<PqModel> {
-        scratch::with(|s| PqModel::train_warm_in(a, config, init, s))
-    }
-
-    /// [`PqModel::train_warm`] against an explicit workspace arena (same
-    /// contract as [`PqModel::train_in`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` has no observed entries.
-    pub fn train_warm_in(
-        a: &SparseMatrix,
-        config: &SgdConfig,
-        init: &PqModel,
-        scratch: &mut CfScratch,
-    ) -> Option<PqModel> {
         assert!(!a.is_empty(), "cannot train on an empty matrix");
         if init.row_factors.rows() != a.rows() || init.col_factors.rows() != a.cols() {
             return None;
         }
-        let (mut row_bias, mut rf_buf, mut cf_buf) = scratch.model_out.take().unwrap_or_default();
         let mu = a.mean().expect("matrix is non-empty");
-        scratch.stats.checkout(&mut row_bias, a.rows());
-        PqModel::row_biases_into(a, mu, &mut row_bias);
-        scratch
-            .stats
-            .reserve(&mut rf_buf, init.row_factors.as_slice().len());
-        rf_buf.extend_from_slice(init.row_factors.as_slice());
-        scratch
-            .stats
-            .reserve(&mut cf_buf, init.col_factors.as_slice().len());
-        cf_buf.extend_from_slice(init.col_factors.as_slice());
         let mut model = PqModel {
             mu,
-            row_bias,
-            row_factors: DenseMatrix::from_vec(a.rows(), init.rank, rf_buf),
-            col_factors: DenseMatrix::from_vec(a.cols(), init.rank, cf_buf),
+            row_bias: PqModel::row_biases(a, mu),
+            row_factors: init.row_factors.clone(),
+            col_factors: init.col_factors.clone(),
             rank: init.rank,
             epochs_run: 0,
             final_residual: f64::INFINITY,
         };
-        model.run_sgd_in(a, config, scratch);
+        model.run_sgd(a, config);
         Some(model)
-    }
-
-    /// Consumes the model, returning its `(row_bias, row_factors,
-    /// col_factors)` buffers for a [`CfScratch`] recycle slot.
-    pub(crate) fn into_buffers(self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        (
-            self.row_bias,
-            self.row_factors.into_vec(),
-            self.col_factors.into_vec(),
-        )
     }
 
     /// Fused SGD: one pass per observed entry over a `(q_u, p_i)` row
@@ -361,11 +277,8 @@ impl PqModel {
     /// monomorphized per latent rank (see [`sgd_entry_pass`]).
     /// Operation order matches [`PqModel::run_sgd_reference`] exactly, so
     /// every intermediate (and hence the trained model) is bit-identical.
-    /// The visit-order buffer is pooled in `scratch`.
-    fn run_sgd_in(&mut self, a: &SparseMatrix, config: &SgdConfig, scratch: &mut CfScratch) {
-        let order = &mut scratch.sgd_order;
-        scratch.stats.reserve(order, a.len());
-        order.extend(a.iter());
+    fn run_sgd(&mut self, a: &SparseMatrix, config: &SgdConfig) {
+        let mut order: Vec<(usize, usize, f64)> = a.iter().collect();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let eta = config.learning_rate;
         let lambda = config.regularization;
@@ -415,7 +328,7 @@ impl PqModel {
                 let j = rng.random_range(0..=i);
                 order.swap(i, j);
             }
-            let sq_err = pass(rank, order, q_all, p_all, row_bias, mu, eta, lambda);
+            let sq_err = pass(rank, &order, q_all, p_all, row_bias, mu, eta, lambda);
             epochs_metric.inc();
             *epochs_run = epoch + 1;
             *final_residual = (sq_err / order.len() as f64).sqrt();
@@ -542,18 +455,9 @@ impl PqModel {
     /// which keeps the left-associated order of [`PqModel::predict`]
     /// (`(μ + b_u) + q_u·p_i`) bit-for-bit.
     pub fn predict_all(&self) -> DenseMatrix {
-        self.predict_all_in(Vec::new())
-    }
-
-    /// [`PqModel::predict_all`] into a caller-supplied buffer (typically
-    /// a [`CfScratch`] recycle slot), avoiding the output allocation
-    /// when `buf` already has capacity. Identical fill loop, so the
-    /// result is bit-identical to [`PqModel::predict_all`].
-    pub(crate) fn predict_all_in(&self, mut data: Vec<f64>) -> DenseMatrix {
         let rows = self.row_factors.rows();
         let cols = self.col_factors.rows();
-        data.clear();
-        data.reserve(rows * cols);
+        let mut data = Vec::with_capacity(rows * cols);
         for u in 0..rows {
             let q = self.row_factors.row(u);
             let base = self.mu + self.row_bias[u];

@@ -5,7 +5,6 @@ use std::fmt;
 
 use crate::dense::DenseMatrix;
 use crate::pq::{PqModel, SgdConfig};
-use crate::scratch::{self, CfScratch};
 use crate::sparse::SparseMatrix;
 
 /// Error returned when a sparse matrix cannot be reconstructed.
@@ -127,41 +126,19 @@ impl Reconstructor {
         if a.is_empty() {
             return Err(ReconstructError::Empty);
         }
-        scratch::with(|s| {
-            let (dense, model) = self.fit_in(a, None, s);
-            // The model never escapes this path; hand its buffers back.
-            s.recycle_model(model);
-            Ok(dense)
-        })
+        Ok(self.fit(a, None).0)
     }
 
     /// Trains a model on `a` — warm-started from `warm` via
-    /// [`PqModel::train_warm_in`] when its factor shapes line up, cold
-    /// (SVD-initialized) otherwise — and predicts every cell: into the
-    /// arena's recycled prediction buffer when one is pooled, with the
+    /// [`PqModel::train_warm`] when its factor shapes line up, cold
+    /// (SVD-initialized) otherwise — and predicts every cell, with the
     /// observed entries restored and the rest clamped to the observed
     /// range.
-    fn fit_in(
-        &self,
-        a: &SparseMatrix,
-        warm: Option<&PqModel>,
-        scratch: &mut CfScratch,
-    ) -> (DenseMatrix, PqModel) {
-        let model = match warm.and_then(|w| PqModel::train_warm_in(a, &self.config, w, scratch)) {
-            Some(m) => m,
-            None => PqModel::train_in(a, &self.config, scratch),
-        };
-        let buf = match scratch.predict.take() {
-            Some(buf) => {
-                scratch.stats.slot(true);
-                buf
-            }
-            None => {
-                scratch.stats.slot(false);
-                Vec::new()
-            }
-        };
-        let mut dense = model.predict_all_in(buf);
+    fn fit(&self, a: &SparseMatrix, warm: Option<&PqModel>) -> (DenseMatrix, PqModel) {
+        let model = warm
+            .and_then(|w| PqModel::train_warm(a, &self.config, w))
+            .unwrap_or_else(|| PqModel::train(a, &self.config));
+        let mut dense = model.predict_all();
         // Observed entries are authoritative; keep the raw measurements.
         for (r, c, v) in a.iter() {
             dense.set(r, c, v);
@@ -182,10 +159,7 @@ impl Reconstructor {
     /// previously-scheduled workloads) plus sparse observations for the
     /// target (the profiling runs).
     ///
-    /// Returns the full predicted row for the target. The trained
-    /// model's buffers go back to the calling thread's arena, so in
-    /// steady state the only allocations on this path are the returned
-    /// row and the target's entry list.
+    /// Returns the full predicted row for the target.
     ///
     /// # Errors
     ///
@@ -199,11 +173,7 @@ impl Reconstructor {
         history: &DenseMatrix,
         target: &[(usize, f64)],
     ) -> Result<Vec<f64>, ReconstructError> {
-        scratch::with(|s| {
-            let (row, model) = self.reconstruct_row_in(history, target, None, s)?;
-            s.recycle_model(model);
-            Ok(row)
-        })
+        self.row(history, target, None).map(|(row, _)| row)
     }
 
     /// [`Reconstructor::reconstruct_row`] that also returns the trained
@@ -219,7 +189,7 @@ impl Reconstructor {
         history: &DenseMatrix,
         target: &[(usize, f64)],
     ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
-        scratch::with(|s| self.reconstruct_row_in(history, target, None, s))
+        self.row(history, target, None)
     }
 
     /// Like [`Reconstructor::reconstruct_row_with_model`], but
@@ -236,20 +206,18 @@ impl Reconstructor {
         target: &[(usize, f64)],
         warm: &PqModel,
     ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
-        scratch::with(|s| self.reconstruct_row_in(history, target, Some(warm), s))
+        self.row(history, target, Some(warm))
     }
 
     /// The one row-reconstruction body behind the three public entry
-    /// points: validate the observations, fill the arena's pooled
-    /// history+target matrix (the fully-observed `history` rows plus
-    /// one sparse target row), fit, and copy the target's predicted row
-    /// out. The model is the caller's to keep or recycle.
-    fn reconstruct_row_in(
+    /// points: validate the observations, build the history+target
+    /// matrix (the fully-observed `history` rows plus one sparse target
+    /// row), fit, and copy the target's predicted row out.
+    fn row(
         &self,
         history: &DenseMatrix,
         target: &[(usize, f64)],
         warm: Option<&PqModel>,
-        scratch: &mut CfScratch,
     ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
         if target.is_empty() {
             return Err(ReconstructError::Empty);
@@ -265,26 +233,13 @@ impl Reconstructor {
         {
             return Err(ReconstructError::InvalidObservation { col });
         }
-        let mut sparse = match scratch.row_sparse.take() {
-            Some(mut pooled) => {
-                scratch.stats.slot(true);
-                pooled.assign_dense_rows(history);
-                pooled
-            }
-            None => {
-                scratch.stats.slot(false);
-                SparseMatrix::from_dense_rows(history)
-            }
-        };
+        let mut sparse = SparseMatrix::from_dense_rows(history);
         let target_row = sparse.push_row();
         for &(c, v) in target {
             sparse.insert(target_row, c, v);
         }
-        let (dense, model) = self.fit_in(&sparse, warm, scratch);
-        scratch.row_sparse = Some(sparse);
-        let row = dense.row(target_row).to_vec();
-        scratch.recycle_predict(dense.into_vec());
-        Ok((row, model))
+        let (dense, model) = self.fit(&sparse, warm);
+        Ok((dense.row(target_row).to_vec(), model))
     }
 }
 
@@ -429,33 +384,6 @@ mod tests {
             .unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(bits(&cold_row), bits(&fallback_row));
-    }
-
-    #[test]
-    fn steady_state_row_reconstruction_stops_growing_the_arena() {
-        // After a short warmup at a fixed shape the thread's arena must
-        // serve every checkout from pooled capacity.
-        // (Each test runs on its own thread, so `thread_stats` observes
-        // only this test's arena.)
-        let history = DenseMatrix::from_fn(4, 3, |r, c| (r as f64 + 1.0) * (c as f64 + 0.5));
-        let rec = Reconstructor::new().with_config(SgdConfig {
-            max_epochs: 2,
-            max_rank: 2,
-            ..SgdConfig::default()
-        });
-        for i in 0..4 {
-            rec.reconstruct_row(&history, &[(0, i as f64 + 0.25)])
-                .unwrap();
-        }
-        let (_, grows_warm, bytes_warm) = crate::scratch::thread_stats();
-        for i in 4..20 {
-            rec.reconstruct_row(&history, &[(0, i as f64 + 0.25)])
-                .unwrap();
-        }
-        let (reuses, grows, bytes) = crate::scratch::thread_stats();
-        assert_eq!(grows, grows_warm, "steady state must not grow the arena");
-        assert_eq!(bytes, bytes_warm, "held bytes are flat in steady state");
-        assert!(reuses > 0);
     }
 
     #[test]

@@ -187,90 +187,6 @@ impl SparseMatrix {
         self.rows += 1;
         self.rows - 1
     }
-
-    /// Resets to an empty `rows × cols` matrix, retaining the entry-list
-    /// allocations — observably identical to [`SparseMatrix::new`] but
-    /// allocation-free once the pooled instance has seen the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn reset(&mut self, rows: usize, cols: usize) {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
-        self.entries.truncate(rows);
-        for row in &mut self.entries {
-            row.clear();
-        }
-        self.entries.resize_with(rows, Vec::new);
-        self.rows = rows;
-        self.cols = cols;
-        self.count = 0;
-    }
-
-    /// In-place [`SparseMatrix::from_dense_rows`]: refills this matrix
-    /// from the rows of `dense`, retaining the entry-list allocations.
-    /// The resulting state is equal to a freshly-built instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any value is not finite.
-    pub fn assign_dense_rows(&mut self, dense: &DenseMatrix) {
-        let rows = dense.rows();
-        let cols = dense.cols();
-        self.entries.truncate(rows);
-        for row in &mut self.entries {
-            row.clear();
-        }
-        self.entries.resize_with(rows, Vec::new);
-        for (r, row) in self.entries.iter_mut().enumerate() {
-            row.extend(dense.row(r).iter().enumerate().map(|(c, &v)| {
-                assert!(v.is_finite(), "observations must be finite");
-                (c, v)
-            }));
-        }
-        self.rows = rows;
-        self.cols = cols;
-        self.count = rows * cols;
-    }
-
-    /// The values of [`SparseMatrix::to_dense_filled`] written into a
-    /// pooled row-major buffer (`out`), with the per-column statistics
-    /// computed in the pooled `sums`/`counts` buffers. Produces exactly
-    /// the bits `to_dense_filled` produces: the column means are summed
-    /// in the same iteration order and each missing cell reads the same
-    /// precomputed mean.
-    pub(crate) fn fill_dense_into(
-        &self,
-        out: &mut Vec<f64>,
-        sums: &mut Vec<f64>,
-        counts: &mut Vec<usize>,
-    ) {
-        let global = self.mean().unwrap_or(0.0);
-        sums.clear();
-        sums.resize(self.cols, 0.0);
-        counts.clear();
-        counts.resize(self.cols, 0);
-        for (_, c, v) in self.iter() {
-            sums[c] += v;
-            counts[c] += 1;
-        }
-        // Reuse the sum buffer as the per-column fill value.
-        for (s, &n) in sums.iter_mut().zip(counts.iter()) {
-            if n > 0 {
-                *s /= n as f64;
-            } else {
-                *s = global;
-            }
-        }
-        out.clear();
-        out.reserve(self.rows * self.cols);
-        for _ in 0..self.rows {
-            out.extend_from_slice(sums);
-        }
-        for (r, c, v) in self.iter() {
-            out[r * self.cols + c] = v;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -351,42 +267,5 @@ mod tests {
     #[should_panic(expected = "observations must be finite")]
     fn non_finite_observation_panics() {
         SparseMatrix::new(1, 1).insert(0, 0, f64::NAN);
-    }
-
-    #[test]
-    fn reset_matches_new() {
-        let mut pooled =
-            SparseMatrix::from_dense_rows(&DenseMatrix::from_fn(5, 4, |r, c| (r * 4 + c) as f64));
-        pooled.reset(3, 6);
-        assert_eq!(pooled, SparseMatrix::new(3, 6));
-        // Growing the row count must also work.
-        pooled.reset(9, 2);
-        assert_eq!(pooled, SparseMatrix::new(9, 2));
-    }
-
-    #[test]
-    fn assign_dense_rows_matches_from_dense_rows() {
-        let dense = DenseMatrix::from_fn(4, 5, |r, c| (r * 5 + c) as f64 * 0.5 - 3.0);
-        let mut pooled = SparseMatrix::new(7, 2);
-        pooled.insert(0, 1, 42.0);
-        pooled.assign_dense_rows(&dense);
-        assert_eq!(pooled, SparseMatrix::from_dense_rows(&dense));
-        // And again from a larger previous shape down to a smaller one.
-        let small = DenseMatrix::from_fn(2, 3, |r, c| (r + c) as f64);
-        pooled.assign_dense_rows(&small);
-        assert_eq!(pooled, SparseMatrix::from_dense_rows(&small));
-    }
-
-    #[test]
-    fn fill_dense_into_is_bit_identical_to_to_dense_filled() {
-        let mut a = SparseMatrix::new(4, 5);
-        for (r, c, v) in [(0, 0, 2.0), (1, 0, 4.0), (0, 1, 10.0), (3, 3, -1.5)] {
-            a.insert(r, c, v);
-        }
-        let reference = a.to_dense_filled();
-        let (mut out, mut sums, mut counts) = (vec![9.0; 3], Vec::new(), vec![7]);
-        a.fill_dense_into(&mut out, &mut sums, &mut counts);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&out), bits(reference.as_slice()));
     }
 }

@@ -14,7 +14,6 @@ use std::sync::OnceLock;
 use quasar_obs::registry::{Counter, Registry};
 
 use crate::dense::DenseMatrix;
-use crate::scratch::{self, CfScratch};
 
 /// Convergence threshold for column orthogonality, relative to column norms.
 const JACOBI_TOL: f64 = 1e-12;
@@ -184,17 +183,6 @@ pub fn rotate_cols(colp: &mut [f64], colq: &mut [f64], c: f64, s: f64) {
 /// assert!(d.reconstruct().max_abs_diff(&a) < 1e-9);
 /// ```
 pub fn svd(a: &DenseMatrix) -> Svd {
-    scratch::with(|s| svd_in(a, s))
-}
-
-/// [`svd`] against an explicit workspace arena.
-///
-/// Identical output, but every working buffer (and the output buffers,
-/// when `scratch` holds recycled ones — see [`CfScratch::recycle_svd`])
-/// comes from `scratch`, so a warmed arena makes the whole decomposition
-/// allocation-free. [`svd`] itself is this function against the calling
-/// thread's default arena.
-pub fn svd_in(a: &DenseMatrix, scratch: &mut CfScratch) -> Svd {
     // The decomposition runs on the tall orientation: M = Aᵀ when A is
     // wide. The column-major layout of Aᵀ is exactly A's row-major
     // buffer, so the wide case needs no transpose pass at all — just a
@@ -205,30 +193,21 @@ pub fn svd_in(a: &DenseMatrix, scratch: &mut CfScratch) -> Svd {
     } else {
         (a.rows(), a.cols())
     };
-    let CfScratch {
-        svd_work: work,
-        svd_v: v,
-        svd_norms: norms,
-        svd_order: order,
-        svd_out,
-        stats,
-        ..
-    } = scratch;
     // Column-major working set: column c occupies work[c·m .. (c+1)·m].
     // Laying the working set out by column is what makes every sweep
     // below contiguous.
-    if wide {
-        stats.reserve(work, m * n);
-        work.extend_from_slice(a.as_slice());
+    let mut work = if wide {
+        a.as_slice().to_vec()
     } else {
-        stats.checkout(work, m * n);
+        let mut work = vec![0.0; m * n];
         for r in 0..m {
             for (c, &value) in a.row(r).iter().enumerate() {
                 work[c * m + r] = value;
             }
         }
-    }
-    stats.checkout(v, n * n);
+        work
+    };
+    let mut v = vec![0.0; n * n];
     for i in 0..n {
         v[i * n + i] = 1.0;
     }
@@ -239,7 +218,7 @@ pub fn svd_in(a: &DenseMatrix, scratch: &mut CfScratch) -> Svd {
         let mut off_diagonal = false;
         for p in 0..n {
             for q in (p + 1)..n {
-                let (wp, wq) = col_pair_mut(work, m, p, q);
+                let (wp, wq) = col_pair_mut(&mut work, m, p, q);
                 // Fused Gram accumulation: α = ‖a_p‖², β = ‖a_q‖²,
                 // γ = a_p·a_q in one pass, each sum in ascending row
                 // order exactly as the reference loops.
@@ -262,7 +241,7 @@ pub fn svd_in(a: &DenseMatrix, scratch: &mut CfScratch) -> Svd {
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
                 rotate_cols(wp, wq, c, s);
-                let (vp, vq) = col_pair_mut(v, n, p, q);
+                let (vp, vq) = col_pair_mut(&mut v, n, p, q);
                 rotate_cols(vp, vq, c, s);
             }
         }
@@ -277,26 +256,16 @@ pub fn svd_in(a: &DenseMatrix, scratch: &mut CfScratch) -> Svd {
     rotations.add(rotation_count);
 
     // Column norms are the singular values; sort them descending.
-    stats.reserve(norms, n);
-    norms.extend(
-        work.chunks_exact(m)
-            .map(|col| col.iter().map(|x| x.powi(2)).sum::<f64>().sqrt()),
-    );
-    stats.reserve(order, n);
-    order.extend(0..n);
-    sort_desc_by_norm(order, norms);
+    let mut order: Vec<usize> = (0..n).collect();
+    let norms: Vec<f64> = work
+        .chunks_exact(m)
+        .map(|col| col.iter().map(|x| x.powi(2)).sum::<f64>().sqrt())
+        .collect();
+    order.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]));
 
-    let (mut u_data, mut v_data, mut singular_values) = svd_out.take().unwrap_or_default();
-    // The wide case returns the factors swapped, so a recycled pair
-    // comes back with the big (m·n) buffer in the small (n·n) slot and
-    // vice versa. Route the larger capacity to the larger target (m ≥ n
-    // here) — contents don't matter, checkout overwrites them.
-    if u_data.capacity() < v_data.capacity() {
-        std::mem::swap(&mut u_data, &mut v_data);
-    }
-    stats.checkout(&mut u_data, m * n);
-    stats.checkout(&mut v_data, n * n);
-    stats.reserve(&mut singular_values, n);
+    let mut u_data = vec![0.0; m * n];
+    let mut v_data = vec![0.0; n * n];
+    let mut singular_values = Vec::with_capacity(n);
     for (k, &c) in order.iter().enumerate() {
         let norm = norms[c];
         singular_values.push(norm);
@@ -323,25 +292,6 @@ pub fn svd_in(a: &DenseMatrix, scratch: &mut CfScratch) -> Svd {
             u,
             singular_values,
             v,
-        }
-    }
-}
-
-/// Stable insertion sort of `order` by descending `norms` value.
-///
-/// Replaces the standard library's stable `sort_by` in [`svd_in`]'s norm
-/// ordering: any stable sort yields the identical permutation (ties keep
-/// their index order), and — unlike the standard sort, which heap-buffers
-/// merge runs — this one allocates nothing. `n ≤ 81` here, so the O(n²)
-/// worst case is noise next to the Jacobi sweeps.
-fn sort_desc_by_norm(order: &mut [usize], norms: &[f64]) {
-    for i in 1..order.len() {
-        let mut j = i;
-        while j > 0
-            && norms[order[j]].total_cmp(&norms[order[j - 1]]) == std::cmp::Ordering::Greater
-        {
-            order.swap(j, j - 1);
-            j -= 1;
         }
     }
 }
@@ -581,24 +531,6 @@ mod tests {
             assert_eq!(bits(&bp), bits(&sp), "len {len}");
             assert_eq!(bits(&bq), bits(&sq), "len {len}");
         }
-    }
-
-    #[test]
-    fn svd_in_with_recycled_buffers_is_bit_identical() {
-        let a = DenseMatrix::from_fn(9, 6, |r, c| ((r * 5 + c * 3) % 13) as f64 * 0.5 - 3.0);
-        let baseline = svd_reference(&a);
-        let mut s = CfScratch::new();
-        let first = svd_in(&a, &mut s);
-        s.recycle_svd(first);
-        // Second run through the warmed arena with recycled outputs.
-        let again = svd_in(&a, &mut s);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(
-            bits(&again.singular_values),
-            bits(&baseline.singular_values)
-        );
-        assert_eq!(bits(again.u.as_slice()), bits(baseline.u.as_slice()));
-        assert_eq!(bits(again.v.as_slice()), bits(baseline.v.as_slice()));
     }
 
     #[test]

@@ -4,9 +4,7 @@ use proptest::prelude::*;
 
 use quasar_cf::kernel::{rotate_cols, rotate_cols_scalar};
 use quasar_cf::reference::{svd_reference, train_reference};
-use quasar_cf::{
-    svd, svd_in, CfScratch, DenseMatrix, PqModel, Reconstructor, SgdConfig, SparseMatrix,
-};
+use quasar_cf::{svd, DenseMatrix, PqModel, Reconstructor, SgdConfig, SparseMatrix};
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -219,59 +217,9 @@ proptest! {
         prop_assert_eq!(bits(&q_blocked), bits(&q_scalar));
     }
 
-    /// An arena warmed (and dirtied) by a decomposition of one matrix
-    /// must decompose the next matrix to exactly the bits a fresh arena
-    /// produces: scratch contents can never leak into results.
-    #[test]
-    fn scratch_reuse_never_changes_svd_bits(warm in dense_matrix(8), a in dense_matrix(8)) {
-        let mut warmed = CfScratch::new();
-        let first = svd_in(&warm, &mut warmed);
-        warmed.recycle_svd(first);
-        let reused = svd_in(&a, &mut warmed);
-        let fresh = svd_in(&a, &mut CfScratch::new());
-        prop_assert_eq!(bits(&reused.singular_values), bits(&fresh.singular_values));
-        prop_assert_eq!(bits(reused.u.as_slice()), bits(fresh.u.as_slice()));
-        prop_assert_eq!(bits(reused.v.as_slice()), bits(fresh.v.as_slice()));
-    }
-
-    /// Same contract for full training: a recycled arena (model and SVD
-    /// buffers included) trains a bit-identical model.
-    #[test]
-    fn scratch_reuse_never_changes_training_bits(
-        warm_entries in proptest::collection::vec((0usize..6, 0usize..5, -5.0..5.0f64), 4..20),
-        entries in proptest::collection::vec((0usize..7, 0usize..6, -5.0..5.0f64), 5..30),
-        max_rank in 1usize..6,
-    ) {
-        let mut warm = SparseMatrix::new(6, 5);
-        for (r, c, v) in warm_entries {
-            warm.insert(r, c, v);
-        }
-        let mut a = SparseMatrix::new(7, 6);
-        for (r, c, v) in entries {
-            a.insert(r, c, v);
-        }
-        prop_assume!(!warm.is_empty() && !a.is_empty());
-        let config = SgdConfig { max_epochs: 40, max_rank, ..SgdConfig::default() };
-        let mut warmed = CfScratch::new();
-        let first = PqModel::train_in(&warm, &config, &mut warmed);
-        warmed.recycle_model(first);
-        let reused = PqModel::train_in(&a, &config, &mut warmed);
-        let fresh = PqModel::train_in(&a, &config, &mut CfScratch::new());
-        prop_assert_eq!(reused.rank(), fresh.rank());
-        prop_assert_eq!(reused.epochs_run(), fresh.epochs_run());
-        prop_assert_eq!(
-            reused.final_residual().to_bits(),
-            fresh.final_residual().to_bits()
-        );
-        prop_assert_eq!(
-            bits(reused.predict_all().as_slice()),
-            bits(fresh.predict_all().as_slice())
-        );
-    }
-
-    /// End-to-end: a `reconstruct_row` on a thread whose default arena
-    /// has already served unrelated reconstructions returns exactly the
-    /// bits a pristine thread (fresh arena) returns.
+    /// End-to-end: a `reconstruct_row` on a thread that has already
+    /// served unrelated reconstructions returns exactly the bits a
+    /// pristine thread returns — the kernels keep no per-thread state.
     #[test]
     fn reconstruct_row_bits_do_not_depend_on_arena_state(
         warm_h in dense_matrix(6),
@@ -281,7 +229,7 @@ proptest! {
     ) {
         let config = SgdConfig { max_epochs: 30, ..SgdConfig::default() };
         let target = [(0usize, t0), (h.cols() - 1, t1)];
-        // Dirty this thread's arena at an unrelated shape.
+        // An unrelated reconstruction at another shape on this thread.
         let _ = Reconstructor::new()
             .with_config(config)
             .reconstruct_row(&warm_h, &[(0, 1.25)]);

@@ -81,15 +81,15 @@ impl Classification {
 /// the SVD initialization again.
 ///
 /// Axes that were not reconstructed carry `None`: scale-out/params when
-/// the workload lacks them, and the interference axes when profiling
-/// produced no pressure observations (those fall back to a uniform
-/// estimate without training anything).
+/// the workload lacks them, and any axis profiling left without a finite
+/// observation (those take a fallback estimate without training
+/// anything).
 #[derive(Debug, Clone)]
 pub struct AxisModels {
     /// Scale-up axis model.
-    pub scale_up: PqModel,
+    pub scale_up: Option<PqModel>,
     /// Heterogeneity axis model.
-    pub hetero: PqModel,
+    pub hetero: Option<PqModel>,
     /// Scale-out axis model.
     pub scale_out: Option<PqModel>,
     /// Framework-parameter axis model.
@@ -101,7 +101,7 @@ pub struct AxisModels {
 }
 
 /// One reconstructed axis in its own units, plus the trained model when
-/// the caller keeps it (otherwise its buffers went back to the arena).
+/// the caller keeps it.
 type AxisRow<T> = (T, Option<PqModel>);
 
 /// The output of one axis task: a speed axis (`None` when the workload
@@ -207,7 +207,7 @@ impl Classifier {
     /// The one classification driver: the five-task fan-out, the
     /// decision-latency model, and the metrics. With `keep_models` the
     /// per-axis models come back as [`AxisModels`]; without, each task
-    /// recycles its model into the arena of the thread it ran on.
+    /// drops its model.
     fn classify_inner(
         &self,
         history: &HistorySet,
@@ -226,13 +226,13 @@ impl Classifier {
                 "core.classify.scale_up",
                 Some(&k.scale_up),
                 &data.scale_up,
-                warm.map(|w| &w.scale_up),
+                warm.and_then(|w| w.scale_up.as_ref()),
             ),
             (
                 "core.classify.hetero",
                 Some(&k.hetero),
                 &data.hetero,
-                warm.map(|w| &w.hetero),
+                warm.and_then(|w| w.hetero.as_ref()),
             ),
             (
                 "core.classify.scale_out",
@@ -258,9 +258,9 @@ impl Classifier {
             tasks.push(Box::new(move || {
                 timed(span, || {
                     AxisOut::Speed(
-                        axis_history
-                            .filter(|_| !observed.is_empty())
-                            .map(|m| self.speed_axis(kind, m, observed, axis_warm, keep_models)),
+                        axis_history.and_then(|m| {
+                            self.speed_axis(kind, m, observed, axis_warm, keep_models)
+                        }),
                     )
                 })
             }));
@@ -310,18 +310,18 @@ impl Classifier {
         (
             Classification {
                 kind,
-                scale_up_speed: scale_up.0.expect("scale-up is always profiled"),
+                scale_up_speed: scale_up.0.unwrap_or_else(|| unobserved_speeds(&k.scale_up)),
                 scale_out_speed: scale_out.0,
-                hetero_speed: hetero.0.expect("heterogeneity is always profiled"),
+                hetero_speed: hetero.0.unwrap_or_else(|| unobserved_speeds(&k.hetero)),
                 params_speed: params.0,
                 tolerated,
                 caused,
                 runtime_calibration: 1.0,
             },
             wall_us,
-            keep_models.then(|| AxisModels {
-                scale_up: scale_up.1.expect("kept models are returned"),
-                hetero: hetero.1.expect("kept models are returned"),
+            keep_models.then_some(AxisModels {
+                scale_up: scale_up.1,
+                hetero: hetero.1,
                 scale_out: scale_out.1,
                 params: params.1,
                 tolerated: tolerated_model,
@@ -349,11 +349,14 @@ impl Classifier {
                 .map(|(row, m)| (row, Some(m))),
             (None, false) => r.reconstruct_row(history, target).map(|row| (row, None)),
         }
-        .expect("history is dense and target non-empty")
+        .expect("history is dense; target is non-empty, finite and in range")
     }
 
     /// Reconstructs one speed axis: goal-value observations → ln-speed
-    /// row → CF against history → linear speeds.
+    /// row → CF against history → linear speeds. Profiling measurements
+    /// come from outside this crate, so non-finite ones (a NaN or `inf`
+    /// goal value, or one whose ln-speed overflows) are dropped; `None`
+    /// when nothing usable is left.
     fn speed_axis(
         &self,
         kind: GoalKind,
@@ -361,19 +364,25 @@ impl Classifier {
         observed: &[(usize, f64)],
         warm: Option<&PqModel>,
         keep_model: bool,
-    ) -> AxisRow<Vec<f64>> {
+    ) -> Option<AxisRow<Vec<f64>>> {
         let target: Vec<(usize, f64)> = observed
             .iter()
+            .filter(|(_, v)| v.is_finite())
             .map(|&(c, v)| (c, ln_speed(kind, v)))
+            .filter(|(_, s)| s.is_finite())
             .collect();
+        if target.is_empty() {
+            return None;
+        }
         let (row, model) = self.reconstruct_axis(history, &target, warm, keep_model);
-        (row.into_iter().map(f64::exp).collect(), model)
+        Some((row.into_iter().map(f64::exp).collect(), model))
     }
 
     /// Reconstructs one interference axis. Pressure values live on a
     /// 0–100 scale; they are normalized into [0, 1] for the SGD pass
     /// (whose learning rate is tuned for unit-scale data) and scaled back.
-    /// No observations fall back to a uniform estimate and train nothing.
+    /// Non-finite observations are dropped; an axis left with none falls
+    /// back to a uniform estimate and trains nothing.
     fn pressure_axis(
         &self,
         history: &DenseMatrix,
@@ -381,16 +390,17 @@ impl Classifier {
         warm: Option<&PqModel>,
         keep_model: bool,
     ) -> AxisRow<PressureVector> {
-        if observed.is_empty() {
+        let scaled_observed: Vec<(usize, f64)> = observed
+            .iter()
+            .filter(|(_, v)| v.is_finite())
+            .map(|&(c, v)| (c, v / PressureVector::MAX))
+            .collect();
+        if scaled_observed.is_empty() {
             return (PressureVector::uniform(PressureVector::MAX / 2.0), None);
         }
         let scaled_history = DenseMatrix::from_fn(history.rows(), history.cols(), |r, c| {
             history.get(r, c) / PressureVector::MAX
         });
-        let scaled_observed: Vec<(usize, f64)> = observed
-            .iter()
-            .map(|&(c, v)| (c, v / PressureVector::MAX))
-            .collect();
         let (row, model) =
             self.reconstruct_axis(&scaled_history, &scaled_observed, warm, keep_model);
         let mut v = PressureVector::zero();
@@ -402,6 +412,13 @@ impl Classifier {
         }
         (v, model)
     }
+}
+
+/// The estimate for a scale-up or heterogeneity axis left without a
+/// usable observation: the column means of the kind's (ln-speed)
+/// history, exponentiated.
+fn unobserved_speeds(history: &DenseMatrix) -> Vec<f64> {
+    history.col_means().into_iter().map(f64::exp).collect()
 }
 
 /// The single exhaustive classification the paper compares against
@@ -589,48 +606,6 @@ mod tests {
         }
     }
 
-    /// Adoption smoke for the CF scratch arenas: classification drives
-    /// `reconstruct_row` hard enough that buffer checkouts must be
-    /// served from pooled capacity, visible as the global
-    /// `quasar.cf.scratch.reuses` counter advancing.
-    #[test]
-    fn classification_reuses_cf_scratch_arenas() {
-        let catalog = PlatformCatalog::local();
-        let history = HistorySet::bootstrap(&catalog, 8, 41);
-        let axes = history.axes().clone();
-
-        let mut sim = Simulation::new(
-            ClusterSpec::uniform(catalog.clone(), 1),
-            Box::new(NullManager),
-            SimConfig::default(),
-        );
-        let mut generator = Generator::new(catalog.clone(), 7);
-        let job = generator.analytics_job(
-            WorkloadClass::Hadoop,
-            "scratch-probe",
-            Dataset::new("d", 12.0, 1.0),
-            2,
-            600.0,
-            Priority::Guaranteed,
-        );
-        let id = job.id();
-        sim.submit_at(job, 0.0);
-        sim.run_until(5.0);
-        let data = Profiler::new(2, 9).profile(sim.world_mut(), &axes, id);
-
-        let reuses = Registry::global().counter("quasar.cf.scratch.reuses");
-        let before = reuses.get();
-        // Two serial classifications: the axis reconstructions within
-        // each one (and the second run entirely) hit warmed arenas.
-        let classifier = Classifier::new().with_threads(1);
-        classifier.classify(&history, &data);
-        classifier.classify(&history, &data);
-        assert!(
-            reuses.get() > before,
-            "classification must reuse pooled scratch buffers"
-        );
-    }
-
     #[test]
     fn empty_interference_observations_fall_back() {
         let catalog = PlatformCatalog::local();
@@ -653,6 +628,50 @@ mod tests {
                 .get(quasar_interference::SharedResource::Cpu)
                 > 0.0
         );
+    }
+
+    /// Regression: a NaN pressure point or an `inf` rate used to reach
+    /// the reconstructor and panic on its `InvalidObservation` error.
+    /// Non-finite observations are dropped; the finite rest classifies
+    /// exactly as if they had never been reported.
+    #[test]
+    fn non_finite_observations_are_dropped() {
+        let catalog = PlatformCatalog::local();
+        let history = HistorySet::bootstrap(&catalog, 3, 5);
+        let clean = ProfilingData {
+            kind: GoalKind::Rate,
+            scale_up: vec![(0, 100.0), (2, 140.0)],
+            scale_out: vec![],
+            hetero: vec![(0, 90.0)],
+            params: vec![],
+            tolerated: vec![(0, 40.0)],
+            caused: vec![],
+            wall_seconds: 1.0,
+            total_seconds: 1.0,
+        };
+        let dirty = ProfilingData {
+            scale_up: vec![(0, 100.0), (1, f64::INFINITY), (2, 140.0)],
+            hetero: vec![(0, f64::NAN), (1, f64::INFINITY)],
+            tolerated: vec![(0, 40.0), (1, f64::NAN)],
+            caused: vec![(0, f64::NAN)],
+            ..clean.clone()
+        };
+        let classifier = Classifier::new();
+        let expected = classifier.classify(&history, &clean);
+        let class = classifier.classify(&history, &dirty);
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&class.scale_up_speed), bits(&expected.scale_up_speed));
+        assert_eq!(class.tolerated, expected.tolerated);
+        // Nothing finite left: the unobserved fallbacks.
+        assert_eq!(class.caused, expected.caused);
+        let k = history.kind(GoalKind::Rate);
+        assert_eq!(class.hetero_speed, unobserved_speeds(&k.hetero));
+        assert!(class.hetero_speed.iter().all(|s| s.is_finite() && *s > 0.0));
+        // The models-keeping entry point takes the same fallbacks.
+        let (with_models, _, models) = classifier.classify_with_models(&history, &dirty);
+        assert_eq!(with_models, class);
+        assert!(models.scale_up.is_some() && models.hetero.is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::{Rng, SeedableRng};
 
-use quasar_cluster::{Manager, NodeAlloc, Observation, PlaceError, Server, ServerId, World};
+use quasar_cluster::{Manager, NodeAlloc, Observation, Server, ServerId, World};
 use quasar_interference::{penalty_for, PressureVector};
 use quasar_workloads::{FrameworkParams, NodeResources, PlatformCatalog, QosTarget, WorkloadId};
 
@@ -429,7 +429,6 @@ impl QuasarManager {
                 }
                 true
             }
-            Err(PlaceError::InsufficientCapacity(_)) | Err(PlaceError::NoSuchServer(_)) => false,
             Err(_) => false,
         }
     }
@@ -625,13 +624,7 @@ impl QuasarManager {
             .map(|p| {
                 p.nodes
                     .iter()
-                    .map(|n| {
-                        let platform = world.platform_of(n.server);
-                        platform.price_per_hour()
-                            * (n.resources.cores as f64 / platform.cores as f64)
-                                .max(n.resources.memory_gb / platform.memory_gb)
-                                .min(1.0)
-                    })
+                    .map(|n| Self::slice_price(world, n.server, n.resources))
                     .sum()
             })
             .unwrap_or(0.0)

@@ -1,27 +1,20 @@
-//! `bench-kernels`: machine-readable before/after timings and
-//! allocation counts for the flat-slice CF math kernels.
+//! `bench-kernels`: machine-readable before/after timings for the
+//! flat-slice CF math kernels.
 //!
 //! Times each slice kernel against its frozen pre-refactor reference
 //! (`quasar_cf::reference`) — the Jacobi SVD per matrix size and the
 //! fused SGD train per observation density — as the **median of N
 //! serial repetitions** (no fan-out involved; the container is
-//! 1-core and the kernels are what's being measured). The v2 schema
-//! adds three observability surfaces for the zero-alloc hot path:
+//! 1-core and the kernels are what's being measured), plus a
+//! **blocked-vs-scalar rotation** delta for the 4-lane `rotate_cols`
+//! kernel at classifier and cache-resident lengths. This is the one
+//! thing the end-to-end `benchmark/` cannot gate: the kernels' ratio to
+//! an oracle that never runs in production.
 //!
-//! * per-kernel **allocation counts** for a fresh workspace vs. a
-//!   reused [`CfScratch`] arena (scratch-path steady state must be 0);
-//! * a **blocked-vs-scalar rotation** delta for the 4-lane
-//!   `rotate_cols` kernel at classifier and cache-resident lengths;
-//! * end-to-end **classification allocations per decision** through the
-//!   real `Classifier` on distinct profiling rows.
-//!
-//! Allocation counts come from the counting global allocator the
-//! `quasar-experiments` binary installs (see [`crate::alloc_track`]);
-//! harnesses without it report `alloc_tracking: false` and zeros. The
-//! `quasar-experiments bench-kernels --json` CLI writes the result as
+//! The `quasar-experiments bench-kernels --json` CLI writes the result as
 //! `BENCH_kernels.json` so the perf trajectory is diffable from PR to
 //! PR; CI runs the quick scale and `jq`-gates the output (schema shape,
-//! zero steady-state scratch allocations, SVD speedup ratchet).
+//! SVD speedup ratchet).
 
 use std::fmt;
 use std::hint::black_box;
@@ -29,13 +22,9 @@ use std::time::Instant;
 
 use quasar_cf::kernel::{rotate_cols, rotate_cols_scalar};
 use quasar_cf::reference::{svd_reference, train_reference};
-use quasar_cf::{svd, svd_in, CfScratch, DenseMatrix, PqModel, SgdConfig, SparseMatrix};
-use quasar_core::par::derive_seed;
-use quasar_core::Classifier;
+use quasar_cf::{svd, DenseMatrix, PqModel, SgdConfig, SparseMatrix};
 
-use crate::alloc_track;
 use crate::report::TextTable;
-use crate::validate::{AppClass, Validator};
 use crate::Scale;
 
 /// One kernel-vs-reference comparison.
@@ -47,12 +36,6 @@ pub struct KernelBench {
     pub kernel_us: f64,
     /// Median per-call time of the frozen reference loops, µs.
     pub reference_us: f64,
-    /// Mean heap allocations per call with a fresh workspace arena
-    /// (zero when allocation tracking is inactive).
-    pub fresh_allocs: f64,
-    /// Mean heap allocations per call against a warmed, recycled
-    /// [`CfScratch`] arena — the steady state, expected to be 0.
-    pub scratch_allocs: f64,
 }
 
 impl KernelBench {
@@ -80,35 +63,17 @@ impl RotationBench {
     }
 }
 
-/// Allocations per end-to-end classification decision.
-#[derive(Debug, Clone)]
-pub struct ClassifyAllocBench {
-    /// Decisions measured (each on a distinct profiling row, after
-    /// arena warmup).
-    pub calls: usize,
-    /// Mean heap allocations per decision (zero when tracking is
-    /// inactive). Not expected to reach 0: the escaping result rows and
-    /// per-axis bookkeeping allocate; the scratch arenas remove the
-    /// kernel working sets from this number.
-    pub allocs_per_op: f64,
-}
-
-/// The full `bench-kernels` result set (`quasar.bench_kernels.v2`).
+/// The full `bench-kernels` result set (`quasar.bench_kernels.v3`).
 #[derive(Debug, Clone)]
 pub struct KernelBenchReport {
     /// Scale the benches ran at (`quick` shrinks reps and SGD epochs).
     pub scale: Scale,
     /// Repetitions per timing (median taken).
     pub reps: usize,
-    /// Whether the counting global allocator was live (false under test
-    /// harnesses, where the allocation columns are all zero).
-    pub alloc_tracking: bool,
     /// All comparisons, SVD sizes then SGD densities.
     pub benches: Vec<KernelBench>,
     /// Blocked-vs-scalar rotation deltas.
     pub rotations: Vec<RotationBench>,
-    /// End-to-end classification allocation count.
-    pub classify: ClassifyAllocBench,
 }
 
 /// Medians over `reps` timed repetitions of `iters` calls each, as
@@ -145,21 +110,6 @@ fn median_pair_us(
     (median(&mut kernel_times), median(&mut reference_times))
 }
 
-/// Mean heap allocations per call of `f` over `calls` counted calls,
-/// after one uncounted warmup call (which also warms any pooled arena
-/// the closure carries). Returns 0 when allocation tracking is off.
-fn allocs_per_call(tracking: bool, calls: usize, mut f: impl FnMut()) -> f64 {
-    if !tracking {
-        return 0.0;
-    }
-    f();
-    let before = alloc_track::allocations();
-    for _ in 0..calls {
-        f();
-    }
-    (alloc_track::allocations() - before) as f64 / calls as f64
-}
-
 /// Deterministic cell noise in `[0, 1)`: the SplitMix64 finalizer over
 /// the cell index.
 ///
@@ -179,7 +129,7 @@ fn cell_noise(r: usize, c: usize) -> f64 {
 
 /// The dense matrix the SVD benches decompose: full-rank structured
 /// noise (see [`cell_noise`]) at the given shape.
-pub fn svd_input(rows: usize, cols: usize) -> DenseMatrix {
+pub fn svd_matrix(rows: usize, cols: usize) -> DenseMatrix {
     DenseMatrix::from_fn(rows, cols, |r, c| cell_noise(r, c) * 4.0 - 2.0)
 }
 
@@ -230,55 +180,19 @@ fn rotation_bench(reps: usize, len: usize, iters: usize) -> RotationBench {
     }
 }
 
-/// Measures heap allocations per end-to-end classification decision:
-/// profiles a handful of distinct workloads through the validation
-/// harness, warms the (serial-path) classifier on two of them, then
-/// counts allocations across decisions on the rest, each of which runs
-/// the full SVD + SGD pipeline against the warmed thread arena.
-fn classify_alloc_bench(tracking: bool) -> ClassifyAllocBench {
-    const SEED: u64 = 0xA110C;
-    let validator = Validator::new(crate::local_history(), SEED);
-    let datas: Vec<_> = (0..6)
-        .map(|i| {
-            let workload = validator.generate(AppClass::Hadoop, i);
-            validator.profile_item(derive_seed(SEED, i as u64), workload, 2)
-        })
-        .collect();
-    let classifier = Classifier::new().with_threads(1);
-    let history = validator.history();
-    for data in &datas[..2] {
-        black_box(classifier.classify(history, data));
-    }
-    let measured = &datas[2..];
-    let allocs_per_op = if tracking {
-        let before = alloc_track::allocations();
-        for data in measured {
-            black_box(classifier.classify(history, data));
-        }
-        (alloc_track::allocations() - before) as f64 / measured.len() as f64
-    } else {
-        0.0
-    };
-    ClassifyAllocBench {
-        calls: measured.len(),
-        allocs_per_op,
-    }
-}
-
 /// Runs every kernel-vs-reference comparison at `scale`.
 pub fn run(scale: Scale) -> KernelBenchReport {
     let (reps, sgd_epochs) = match scale {
         Scale::Quick => (3, 20),
         Scale::Full => (15, 800),
     };
-    let tracking = alloc_track::active();
     let mut benches = Vec::new();
 
     // SVD per size: the two 25-row shapes bracket the history matrix
     // (25×81 is the one the classifier decomposes on every arrival);
     // the square one isolates the rotation-dominated regime.
     for (rows, cols, iters) in [(25usize, 16usize, 8usize), (25, 81, 6), (64, 64, 2)] {
-        let a = svd_input(rows, cols);
+        let a = svd_matrix(rows, cols);
         let (kernel_us, reference_us) = median_pair_us(
             reps,
             iters,
@@ -289,20 +203,10 @@ pub fn run(scale: Scale) -> KernelBenchReport {
                 black_box(svd_reference(black_box(&a)));
             },
         );
-        let fresh_allocs = allocs_per_call(tracking, 8, || {
-            black_box(svd_in(black_box(&a), &mut CfScratch::new()));
-        });
-        let mut arena = CfScratch::new();
-        let scratch_allocs = allocs_per_call(tracking, 8, || {
-            let out = svd_in(black_box(&a), &mut arena);
-            arena.recycle_svd(out);
-        });
         benches.push(KernelBench {
             name: format!("svd_{rows}x{cols}"),
             kernel_us,
             reference_us,
-            fresh_allocs,
-            scratch_allocs,
         });
     }
 
@@ -325,32 +229,10 @@ pub fn run(scale: Scale) -> KernelBenchReport {
                 black_box(train_reference(black_box(&sparse), &config));
             },
         );
-        // Allocation counts use the quick epoch budget regardless of
-        // scale: steady-state allocations per call are epoch-invariant
-        // (the SGD loop allocates nothing), and 800-epoch counted calls
-        // would only slow the full run down.
-        let alloc_config = SgdConfig {
-            max_epochs: 20,
-            ..config
-        };
-        let fresh_allocs = allocs_per_call(tracking, 4, || {
-            black_box(PqModel::train_in(
-                black_box(&sparse),
-                &alloc_config,
-                &mut CfScratch::new(),
-            ));
-        });
-        let mut arena = CfScratch::new();
-        let scratch_allocs = allocs_per_call(tracking, 4, || {
-            let model = PqModel::train_in(black_box(&sparse), &alloc_config, &mut arena);
-            arena.recycle_model(model);
-        });
         benches.push(KernelBench {
             name: format!("sgd_25x81_d{density_pct}"),
             kernel_us,
             reference_us,
-            fresh_allocs,
-            scratch_allocs,
         });
     }
 
@@ -363,21 +245,17 @@ pub fn run(scale: Scale) -> KernelBenchReport {
         rotation_bench(reps, 4096, 128),
     ];
 
-    let classify = classify_alloc_bench(tracking);
-
     KernelBenchReport {
         scale,
         reps,
-        alloc_tracking: tracking,
         benches,
         rotations,
-        classify,
     }
 }
 
 impl KernelBenchReport {
     /// Renders the result set as one JSON object
-    /// (`quasar.bench_kernels.v2` schema).
+    /// (`quasar.bench_kernels.v3` schema).
     pub fn to_json(&self) -> String {
         let scale = match self.scale {
             Scale::Quick => "quick",
@@ -385,23 +263,20 @@ impl KernelBenchReport {
         };
         let num = |v: f64| quasar_obs::json::number((v * 1e3).round() / 1e3);
         let mut out = format!(
-            "{{\"schema\":\"quasar.bench_kernels.v2\",\"scale\":\"{scale}\",\"reps\":{},\
-             \"alloc_tracking\":{},\"benches\":[",
-            self.reps, self.alloc_tracking
+            "{{\"schema\":\"quasar.bench_kernels.v3\",\"scale\":\"{scale}\",\"reps\":{},\
+             \"benches\":[",
+            self.reps
         );
         for (i, b) in self.benches.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n{{\"name\":\"{}\",\"kernel_us\":{},\"reference_us\":{},\"speedup\":{},\
-                 \"fresh_allocs\":{},\"scratch_allocs\":{}}}",
+                "\n{{\"name\":\"{}\",\"kernel_us\":{},\"reference_us\":{},\"speedup\":{}}}",
                 quasar_obs::json::escape(&b.name),
                 num(b.kernel_us),
                 num(b.reference_us),
                 num(b.speedup()),
-                num(b.fresh_allocs),
-                num(b.scratch_allocs),
             ));
         }
         out.push_str("\n],\"rotations\":[");
@@ -417,11 +292,7 @@ impl KernelBenchReport {
                 num(r.speedup()),
             ));
         }
-        out.push_str(&format!(
-            "\n],\"classify\":{{\"calls\":{},\"allocs_per_op\":{}}}}}\n",
-            self.classify.calls,
-            num(self.classify.allocs_per_op),
-        ));
+        out.push_str("\n]}\n");
         out
     }
 }
@@ -429,27 +300,16 @@ impl KernelBenchReport {
 impl fmt::Display for KernelBenchReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut t = TextTable::new(format!(
-            "CF kernel benches ({:?}, median of {} serial reps, alloc tracking {})",
-            self.scale,
-            self.reps,
-            if self.alloc_tracking { "on" } else { "off" }
+            "CF kernel benches ({:?}, median of {} serial reps)",
+            self.scale, self.reps
         ))
-        .header([
-            "bench",
-            "kernel (us)",
-            "reference (us)",
-            "speedup",
-            "fresh allocs",
-            "scratch allocs",
-        ]);
+        .header(["bench", "kernel (us)", "reference (us)", "speedup"]);
         for b in &self.benches {
             t.row([
                 b.name.clone(),
                 format!("{:.1}", b.kernel_us),
                 format!("{:.1}", b.reference_us),
                 format!("{:.2}x", b.speedup()),
-                format!("{:.1}", b.fresh_allocs),
-                format!("{:.1}", b.scratch_allocs),
             ]);
         }
         writeln!(f, "{}", t.render())?;
@@ -467,12 +327,7 @@ impl fmt::Display for KernelBenchReport {
                 format!("{:.2}x", b.speedup()),
             ]);
         }
-        writeln!(f, "{}", r.render())?;
-        write!(
-            f,
-            "classify: {:.1} allocs/decision over {} decisions",
-            self.classify.allocs_per_op, self.classify.calls
-        )
+        write!(f, "{}", r.render())
     }
 }
 
@@ -495,23 +350,13 @@ mod tests {
         for r in &report.rotations {
             assert!(r.blocked_us > 0.0 && r.scalar_us > 0.0, "len {}", r.len);
         }
-        assert!(report.classify.calls > 0);
-        // The test harness never installs the counting allocator, so the
-        // alloc columns must be explicitly marked untracked, not claimed
-        // as a measured zero.
-        assert!(!report.alloc_tracking);
-        for b in &report.benches {
-            assert_eq!((b.fresh_allocs, b.scratch_allocs), (0.0, 0.0));
-        }
         let json = report.to_json();
         quasar_obs::json::validate(&json)
             .unwrap_or_else(|at| panic!("invalid bench JSON at byte {at}: {json}"));
-        assert!(json.contains("\"schema\":\"quasar.bench_kernels.v2\""));
-        assert!(json.contains("\"alloc_tracking\":false"));
+        assert!(json.contains("\"schema\":\"quasar.bench_kernels.v3\""));
         let rendered = report.to_string();
         assert!(rendered.contains("svd_25x81"));
         assert!(rendered.contains("speedup"));
         assert!(rendered.contains("rotate_cols"));
-        assert!(rendered.contains("allocs/decision"));
     }
 }

@@ -58,47 +58,10 @@
 //! records by logical keys, so the files are byte-identical across
 //! `--threads` values.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::Ordering;
-
 use quasar_core::par::available_threads;
-use quasar_experiments::alloc_track::ALLOCATIONS;
 use quasar_experiments::report::{mask_live_timings, telemetry_summary};
 use quasar_experiments::{run_experiment_with, Scale, EXPERIMENT_IDS};
 use quasar_obs::trace::{export_chrome, export_jsonl};
-
-/// System-allocator wrapper that counts every allocation into
-/// [`quasar_experiments::alloc_track`], powering the
-/// `fresh_allocs`/`scratch_allocs` columns of `bench-kernels`. The
-/// count is a relaxed atomic add — cheap enough to leave on for every
-/// subcommand.
-struct CountingAlloc;
-
-// SAFETY: every operation delegates verbatim to `System`; the counter
-// bump has no other side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn usage() -> ! {
     eprintln!(

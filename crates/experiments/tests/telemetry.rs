@@ -161,8 +161,8 @@ fn counters_left_at_zero_by_a_manager_run_are_allowlisted() {
     trace::disable();
     Registry::global().reset();
     run_experiment_with("fig9", Scale::Quick, 2);
-    // Live (scheduling-dependent) counters are stripped: whether a
-    // scratch arena grows depends on which worker served which axis.
+    // Live (scheduling-dependent) metrics are stripped: wall-clock
+    // timings say nothing about whether a tier is dead.
     let snapshot = Registry::global().snapshot().deterministic();
     let zero: Vec<&str> = snapshot
         .entries

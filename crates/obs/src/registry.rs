@@ -8,8 +8,8 @@
 //! itself is only locked at handle-creation and snapshot time.
 //!
 //! Naming convention: `quasar.<crate>.<subsystem>.<name>`, e.g.
-//! `quasar.cf.sgd.epochs`. Metrics under [`LIVE_PREFIXES`] (per-thread
-//! arena reuse, shard round timings) and the `sum`/bucket detail of
+//! `quasar.cf.sgd.epochs`. Metrics under [`LIVE_PREFIXES`] (shard
+//! round timings) and the `sum`/bucket detail of
 //! wall-clock histograms are *scheduling-dependent*: they vary
 //! run-to-run and across `--threads` values.
 //! [`Snapshot::deterministic`] strips exactly those, leaving a view that
@@ -29,12 +29,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// shard metrics (`quasar.cluster.shard.admitted`, `.rebalanced`,
 /// `.queue_depth_max`, ...) are driven by deterministic routing and stay
 /// in the deterministic view.
-///
-/// The CF scratch-arena counters (`quasar.cf.scratch.*`) are live
-/// because every worker thread owns its own arena: how checkouts split
-/// into reuses vs. grows (and the peak bytes held) depends on how the
-/// classification axes land on fan-out threads.
-pub const LIVE_PREFIXES: [&str; 2] = ["quasar.cf.scratch.", "quasar.cluster.shard.wall."];
+pub const LIVE_PREFIXES: [&str; 1] = ["quasar.cluster.shard.wall."];
 
 /// Default histogram bucket upper bounds for latencies in microseconds:
 /// a 1-2-5 ladder from 1 µs to 5 s, with an implicit overflow bucket.
@@ -584,7 +579,6 @@ mod tests {
     fn snapshot_deterministic_strips_live_metrics() {
         let r = Registry::new();
         r.counter("quasar.cf.sgd.epochs").add(3);
-        r.counter("quasar.cf.scratch.grows").add(2);
         r.counter("quasar.core.classify.classifications").add(5);
         let h = r.histogram_us("quasar.core.classify.decision_us");
         h.record(123.4);
@@ -593,7 +587,6 @@ mod tests {
         r.histogram_us("quasar.cluster.shard.wall.round_us")
             .record(987.6);
         let det = r.snapshot().deterministic();
-        assert!(det.get("quasar.cf.scratch.grows").is_none());
         // Shard wall timings are live; logical shard metrics are kept.
         assert!(det.get("quasar.cluster.shard.wall.round_us").is_none());
         assert_eq!(
