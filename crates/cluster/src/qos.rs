@@ -22,8 +22,7 @@
 //! the ±window of [`FlightRecorder`] events around the episode, the
 //! placement snapshot at close time, and the attribution evidence.
 //! Everything in this module is driven by logical simulation state only,
-//! so ledgers and incident dumps are byte-identical across `--threads`
-//! and `QUASAR_SHARDS`.
+//! so ledgers and incident dumps are byte-identical across `--threads`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;

@@ -24,8 +24,7 @@
 //! enabled, every decision is a pure function of the arrival sequence —
 //! query order, candidate order (band order, then insertion order), and
 //! tie-breaks are all deterministic — so outcomes are byte-identical
-//! across `--threads` values; per-cell ownership (one index per sharded
-//! cell) keeps them byte-identical across `QUASAR_SHARDS` too.
+//! across `--threads` values.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -39,9 +38,8 @@ use crate::profile::ProfilingData;
 
 /// Registry handles for the similarity-index metrics
 /// (`quasar.core.similarity.*`). All of the counters are driven by the
-/// deterministic arrival order (and, sharded, by per-cell arrival
-/// streams whose totals are interleaving-independent), so they stay in
-/// deterministic snapshots; `query_us` is wall-clock, but deterministic
+/// deterministic arrival order, so they stay in deterministic
+/// snapshots; `query_us` is wall-clock, but deterministic
 /// snapshots already reduce histograms to their (deterministic) counts.
 struct SimilarityMetrics {
     hits: Counter,
@@ -128,7 +126,7 @@ impl SimilarityConfig {
     /// starts are off, and anything short of feature-set equality is a
     /// full cold classification. In this mode classifications are
     /// bit-identical to the index-off path unless a true duplicate
-    /// arrives (the CI smoke compares fig3 stdout across on/off).
+    /// arrives.
     pub fn exact_only() -> SimilarityConfig {
         SimilarityConfig {
             enabled: true,
@@ -205,22 +203,6 @@ impl Signature {
             }
         }
         Signature::of_tokens(features, config)
-    }
-
-    /// A signature over caller-supplied `(tag, column, bucket)` feature
-    /// coordinates, for indexing keys that are not profiling rows (the
-    /// sharded cells key their admission templates by QoS class).
-    pub fn of_features(
-        coords: impl IntoIterator<Item = (u64, usize, i64)>,
-        config: &SimilarityConfig,
-    ) -> Signature {
-        Signature::of_tokens(
-            coords
-                .into_iter()
-                .map(|(tag, col, bucket)| feature_token(tag, col, bucket))
-                .collect(),
-            config,
-        )
     }
 
     fn of_tokens(mut features: Vec<u64>, config: &SimilarityConfig) -> Signature {
@@ -300,10 +282,8 @@ struct IndexEntry {
     models: Option<AxisModels>,
 }
 
-/// The banded MinHash workload-similarity index. One instance per
-/// manager (and per sharded cell): entries are never shared across
-/// cells, which is what keeps sharded digests independent of cell
-/// interleaving.
+/// The banded MinHash workload-similarity index, one instance per
+/// manager.
 #[derive(Debug, Clone)]
 pub struct SimilarityIndex {
     config: SimilarityConfig,
@@ -389,30 +369,6 @@ impl SimilarityIndex {
                 (class, query_us + wall_us, SimilarityOutcome::Miss)
             }
         }
-    }
-
-    /// Cache-or-compute for callers that build their classification some
-    /// other way (the sharded cells reuse a batch-admission template):
-    /// on a duplicate hit returns the cached classification
-    /// (calibration reset); otherwise runs `make`, inserts the result
-    /// under `sig`, and returns it. No warm tier — there are no models.
-    pub fn reuse_or_insert(
-        &mut self,
-        sig: Signature,
-        make: impl FnOnce() -> Classification,
-    ) -> (Classification, SimilarityOutcome) {
-        let m = similarity_metrics();
-        if let Decision::Hit(slot) = self.decide(&sig) {
-            m.hits.inc();
-            let entry = self.entries[slot].as_ref().expect("hit slot is live");
-            let mut class = entry.class.clone();
-            class.runtime_calibration = 1.0;
-            return (class, SimilarityOutcome::Hit);
-        }
-        m.misses.inc();
-        let class = make();
-        self.insert(sig, class.clone(), None);
-        (class, SimilarityOutcome::Miss)
     }
 
     /// Inserts an entry, evicting the oldest once at capacity.
@@ -699,17 +655,16 @@ mod tests {
             caused: quasar_interference::PressureVector::uniform(10.0),
             runtime_calibration: 1.0,
         };
-        let sig = |i: i64| Signature::of_features([(TAG_SCALE_UP, 0, i)], &config);
+        let sig = |i: i64| Signature::of_tokens(vec![feature_token(TAG_SCALE_UP, 0, i)], &config);
         index.insert(sig(0), class.clone(), None);
         index.insert(sig(1), class.clone(), None);
         assert_eq!(index.len(), 2);
         index.insert(sig(2), class.clone(), None);
         assert_eq!(index.len(), 2, "capacity bound holds");
         // The oldest entry (0) was evicted; 1 and 2 still hit.
-        let (_, o0) = index.reuse_or_insert(sig(0), || class.clone());
-        assert_eq!(o0, SimilarityOutcome::Miss);
-        let (_, o2) = index.reuse_or_insert(sig(2), || class.clone());
-        assert_eq!(o2, SimilarityOutcome::Hit);
+        assert!(matches!(index.decide(&sig(0)), Decision::Miss));
+        assert!(matches!(index.decide(&sig(1)), Decision::Hit(_)));
+        assert!(matches!(index.decide(&sig(2)), Decision::Hit(_)));
     }
 
     #[test]
@@ -738,8 +693,8 @@ mod tests {
         let axes = axes();
         assert!(axes.scale_out.len() > 2);
         let config = SimilarityConfig::default();
-        let a = Signature::of_features([(TAG_SCALE_OUT, 0, 5)], &config);
-        let b = Signature::of_features([(TAG_SCALE_OUT, 1, 5)], &config);
+        let a = Signature::of_tokens(vec![feature_token(TAG_SCALE_OUT, 0, 5)], &config);
+        let b = Signature::of_tokens(vec![feature_token(TAG_SCALE_OUT, 1, 5)], &config);
         assert!(!a.is_duplicate_of(&b));
         assert!(a.similarity(&b) < 1.0);
     }

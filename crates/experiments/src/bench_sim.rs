@@ -1,5 +1,7 @@
-//! `bench-sim`: throughput benchmark for the event-driven simulator
-//! core, with chunked journal persistence and mid-run resumability.
+//! `bench-sim`: one deterministic run of the event-driven simulator
+//! core, with chunked journal persistence and mid-run resumability
+//! (throughput is `benchmark/`'s `sim_stream` workload, which drives the
+//! same job stream, manager and chunk store).
 //!
 //! Streams `N` batch jobs through a [`FifoGreedy`] manager on the
 //! paper's 40-server local cluster, with the journal flushed through a
@@ -12,11 +14,9 @@
 //!
 //! Everything except wall-clock time is deterministic: the outcome
 //! block (completion digest, journal stream digest, metrics count,
-//! final clock) is byte-identical across runs, across `--threads`
-//! settings (the simulator is serial), and across a
+//! final clock) is byte-identical across runs and across a
 //! halt → snapshot → resume boundary. CI compares those outcome blocks
-//! with wall-time fields masked; the committed `BENCH_sim.json` keeps
-//! the real events/sec numbers.
+//! with wall-time fields masked.
 //!
 //! Time-grid discipline makes the resume equality exact: arrivals land
 //! on multiples of [`ARRIVAL_INTERVAL_S`] (= the tick), submission-wave
@@ -38,8 +38,7 @@ use quasar_cluster::{
 use quasar_workloads::generate::bench_job;
 use quasar_workloads::{PlatformCatalog, Workload, WorkloadId};
 
-use crate::report::{mask_live_timings, TextTable};
-use crate::Scale;
+use crate::report::mask_live_timings;
 
 /// Simulation tick (seconds). Arrivals, wave boundaries, drain
 /// checkpoints, and `--halt-at-s` all sit on multiples of this.
@@ -134,8 +133,8 @@ impl SimBenchRun {
         self.events as f64 / self.wall_s.max(1e-9)
     }
 
-    /// The deterministic fields only — everything CI compares across
-    /// drivers, thread counts, and a snapshot/resume boundary.
+    /// The deterministic fields only — everything compared across a
+    /// snapshot/resume boundary.
     pub fn outcome_key(&self) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
         (
             self.jobs,
@@ -345,114 +344,6 @@ pub fn run_resumed(snapshot_path: &Path, chunk_dir: &Path) -> io::Result<RunOutc
     )))
 }
 
-/// The full `bench-sim` result set across scales.
-#[derive(Debug, Clone)]
-pub struct SimBenchReport {
-    /// Scale the benches ran at.
-    pub scale: Scale,
-    /// One finished run per job count.
-    pub runs: Vec<SimBenchRun>,
-}
-
-/// Job counts benched at each scale.
-pub fn job_counts(scale: Scale) -> &'static [u64] {
-    match scale {
-        Scale::Quick => &[2_000, 10_000],
-        Scale::Full => &[10_000, 100_000, 1_000_000],
-    }
-}
-
-/// Runs the bench at every job count for `scale`, each with a private
-/// temp chunk directory (removed afterwards).
-pub fn run(scale: Scale) -> io::Result<SimBenchReport> {
-    let mut runs = Vec::new();
-    for &jobs in job_counts(scale) {
-        let dir =
-            std::env::temp_dir().join(format!("quasar-bench-sim-{}-{jobs}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let result = run_fresh(jobs, &dir, None)?;
-        let _ = std::fs::remove_dir_all(&dir);
-        match result {
-            RunOutcome::Done(run) => runs.push(run),
-            RunOutcome::Halted { .. } => unreachable!("no halt requested"),
-        }
-    }
-    Ok(SimBenchReport { scale, runs })
-}
-
-impl SimBenchReport {
-    /// Renders the result set as one JSON object
-    /// (`quasar.bench_sim.v1` schema).
-    pub fn to_json(&self) -> String {
-        let scale = match self.scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        };
-        let mut out =
-            format!("{{\"schema\":\"quasar.bench_sim.v1\",\"scale\":\"{scale}\",\"runs\":[");
-        for (i, r) in self.runs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{{\"jobs\":{},\"events\":{},\"sim_s\":{},\"completed\":{},\"digest\":\"{:016x}\",\
-                 \"journal_events\":{},\"journal_digest\":\"{:016x}\",\"chunks\":{},\
-                 \"metrics_samples\":{},\"wall_s\":{},\"events_per_sec\":{}}}",
-                r.jobs,
-                r.events,
-                quasar_obs::json::number(r.sim_s),
-                r.completed,
-                r.digest,
-                r.journal_events,
-                r.journal_digest,
-                r.chunks,
-                r.metrics_samples,
-                quasar_obs::json::number((r.wall_s * 1e3).round() / 1e3),
-                quasar_obs::json::number(r.events_per_sec().round()),
-            ));
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-}
-
-impl fmt::Display for SimBenchReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut t = TextTable::new(format!("Simulator throughput benches ({:?})", self.scale))
-            .header([
-                "jobs",
-                "events",
-                "sim span (s)",
-                "completed",
-                "digest",
-                "chunks",
-                "wall (s)",
-                "events/s",
-            ]);
-        for r in &self.runs {
-            let (wall, eps) = if mask_live_timings() {
-                ("-".into(), "-".into())
-            } else {
-                (
-                    format!("{:.3}", r.wall_s),
-                    format!("{:.0}", r.events_per_sec()),
-                )
-            };
-            t.row([
-                r.jobs.to_string(),
-                r.events.to_string(),
-                format!("{}", r.sim_s),
-                r.completed.to_string(),
-                format!("{:016x}", r.digest),
-                r.chunks.to_string(),
-                wall,
-                eps,
-            ]);
-        }
-        write!(f, "{}", t.render())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,23 +409,5 @@ mod tests {
         let snap = temp("offgrid-snap.txt");
         assert!(run_fresh(10, &dir, Some((7.5, &snap))).is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn report_renders_valid_json() {
-        let dir = temp("json");
-        let _ = std::fs::remove_dir_all(&dir);
-        let run = done(run_fresh(40, &dir, None).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-        let report = SimBenchReport {
-            scale: Scale::Quick,
-            runs: vec![run],
-        };
-        let json = report.to_json();
-        quasar_obs::json::validate(&json)
-            .unwrap_or_else(|at| panic!("invalid bench JSON at byte {at}: {json}"));
-        assert!(json.contains("\"schema\":\"quasar.bench_sim.v1\""));
-        let rendered = report.to_string();
-        assert!(rendered.contains("digest"));
     }
 }

@@ -4,10 +4,15 @@
 
 use std::fmt;
 
+use quasar_core::history::ln_speed;
 use quasar_core::par::{derive_seed, par_map_seeded};
-use quasar_core::{Classifier, SimilarityConfig, SimilarityIndex, SimilarityOutcome};
+use quasar_core::{
+    Classifier, ProfilingData, SimilarityConfig, SimilarityIndex, SimilarityOutcome,
+};
 
-use crate::bench_classify::jitter_within_buckets;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
 use crate::report::{mean, percentile, write_csv, TextTable};
 use crate::validate::{AppClass, ErrorSamples, Validator};
 use crate::{local_history, Scale};
@@ -220,6 +225,43 @@ pub fn run_with(scale: Scale, threads: usize) -> Fig3Result {
     }
 }
 
+/// Returns `data` with every raw measurement nudged *within* its
+/// quantization bucket: speeds move by up to ±20% of `ln_bucket` around
+/// the bucket center, pressures by up to ±20% of `pressure_bucket`
+/// (clamped to the 0–100 scale). The returned profile has different
+/// bits from `data` but an identical [`quasar_core::Signature`], so the
+/// similarity index sees a quantization-level duplicate. Deterministic
+/// in `(data, config, salt)`.
+fn jitter_within_buckets(
+    data: &ProfilingData,
+    config: &SimilarityConfig,
+    salt: u64,
+) -> ProfilingData {
+    let mut rng = StdRng::seed_from_u64(salt);
+    let mut u = move || rng.random::<f64>() * 2.0 - 1.0;
+    let mut out = data.clone();
+    let kind = out.kind;
+    for entries in [
+        &mut out.scale_up,
+        &mut out.scale_out,
+        &mut out.hetero,
+        &mut out.params,
+    ] {
+        for (_, v) in entries.iter_mut() {
+            let s = ln_speed(kind, *v);
+            let center = (s / config.ln_bucket).round() * config.ln_bucket;
+            *v = kind.from_speed((center + 0.2 * config.ln_bucket * u()).exp());
+        }
+    }
+    for entries in [&mut out.tolerated, &mut out.caused] {
+        for (_, v) in entries.iter_mut() {
+            let center = (*v / config.pressure_bucket).round() * config.pressure_bucket;
+            *v = (center + 0.2 * config.pressure_bucket * u()).clamp(0.0, 100.0);
+        }
+    }
+    out
+}
+
 /// Classifies one app class's repeat-heavy arrival stream twice — plain
 /// classifier vs the similarity index at its default enabled config —
 /// and reports how far the index's reused/warm-started estimates drift
@@ -237,7 +279,7 @@ fn compare_index(validator: &Validator, app: AppClass, scale: Scale) -> IndexCom
     // The stream: each base profiled once for real, then re-arrivals
     // whose raw measurements are jittered within the quantization
     // buckets (profiling noise on a repeat submission of the same
-    // workload — see `bench_classify::jitter_within_buckets`).
+    // workload — see `jitter_within_buckets`).
     let mut arrivals = Vec::with_capacity(bases * repeats);
     for b in 0..bases {
         let workload = validator.generate(app, b);
@@ -366,6 +408,7 @@ impl fmt::Display for Fig3Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quasar_core::Signature;
 
     #[test]
     fn sweep_has_expected_shape() {
@@ -377,6 +420,19 @@ mod tests {
             assert!(points.last().unwrap().profile_s >= points.first().unwrap().profile_s);
         }
         assert!(r.density_two_improves());
+    }
+
+    #[test]
+    fn jitter_preserves_the_signature_but_not_the_bits() {
+        let config = SimilarityConfig::enabled();
+        let validator = Validator::new(local_history(), 0x1);
+        let workload = validator.generate(AppClass::Hadoop, 0);
+        let data = validator.profile_item(3, workload, 2);
+        let jittered = jitter_within_buckets(&data, &config, 99);
+        assert_ne!(data, jittered, "raw bits must move");
+        let a = Signature::of_profile(&data, &config);
+        let b = Signature::of_profile(&jittered, &config);
+        assert!(a.is_duplicate_of(&b), "signature must not move");
     }
 
     #[test]

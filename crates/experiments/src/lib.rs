@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptation;
-pub mod bench_classify;
 pub mod bench_kernels;
 pub mod bench_sim;
 pub mod fig1;

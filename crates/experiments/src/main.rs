@@ -6,8 +6,6 @@
 //! quasar-experiments trace <id> [--full] [--threads N]
 //!                    [--trace-out PATH] [--jsonl-out PATH]
 //! quasar-experiments bench-kernels [--full] [--json] [--out PATH]
-//! quasar-experiments bench-classify [--full] [--json] [--out PATH]
-//! quasar-experiments bench-sim [--full] [--json] [--out PATH]
 //! quasar-experiments bench-sim --jobs N [--halt-at-s T --snapshot-out PATH]
 //!                    [--chunk-dir PATH]
 //! quasar-experiments bench-sim --resume PATH [--chunk-dir PATH]
@@ -25,29 +23,20 @@
 //! additionally writes the machine-readable result to `--out PATH`
 //! (default `BENCH_kernels.json`).
 //!
-//! `bench-classify` streams repeat-heavy arrivals through the
-//! workload-similarity index and reports hit/skip rates plus median
-//! per-decision latency against the index-off cold path at 1k/10k/100k
-//! arrivals; `--json` writes the result to `--out PATH` (default
-//! `BENCH_classify.json`, schema `quasar.bench_classify.v1`).
-//!
-//! `bench-sim` measures event-driven simulator throughput (logical
-//! events per wall second) across job counts, journaling through a
-//! file-backed chunk store; `--json` writes the result to `--out PATH`
-//! (default `BENCH_sim.json`). With `--jobs N` it runs a single job
-//! count and prints a deterministic outcome block instead; add
-//! `--halt-at-s T --snapshot-out PATH` to stop mid-run and persist a
-//! resumable snapshot, and `--resume PATH` to continue one (reusing the
-//! same `--chunk-dir`). The outcome block is byte-identical across
-//! thread counts and across a halt/resume boundary (the simulator core
-//! is serial; `--threads` is accepted and ignored for this mode).
+//! `bench-sim --jobs N` streams N jobs through the event-driven
+//! simulator, journaling through a file-backed chunk store, and prints
+//! a deterministic outcome block; add `--halt-at-s T --snapshot-out
+//! PATH` to stop mid-run and persist a resumable snapshot, and
+//! `--resume PATH` to continue one (reusing the same `--chunk-dir`).
+//! The outcome block is byte-identical across a halt/resume boundary.
+//! Throughput and latency numbers come from `benchmark/`, not from here.
 //!
 //! `qos-report <fig>` reruns one figure's scenario (fig6/fig7/fig9/
 //! fig10) with the QoS violation ledger enabled and prints the
 //! per-cause episode breakdown for every manager run, writing the
 //! breakdown CSV and the `quasar.qos.incident.v1` incident JSONL under
 //! `target/experiment-results/qos/`. The table is byte-identical across
-//! `--threads` values and `QUASAR_SHARDS` settings.
+//! `--threads` values.
 //!
 //! `trace <id>` runs one experiment with span collection enabled and
 //! exports the telemetry: a Chrome `trace_event` JSON (load it in
@@ -69,8 +58,6 @@ fn usage() -> ! {
          \x20      quasar-experiments trace <id> [--full] [--threads N] \
          [--trace-out PATH] [--jsonl-out PATH]\n\
          \x20      quasar-experiments bench-kernels [--full] [--json] [--out PATH]\n\
-         \x20      quasar-experiments bench-classify [--full] [--json] [--out PATH]\n\
-         \x20      quasar-experiments bench-sim [--full] [--json] [--out PATH]\n\
          \x20      quasar-experiments bench-sim --jobs N [--halt-at-s T \
          --snapshot-out PATH] [--chunk-dir PATH]\n\
          \x20      quasar-experiments bench-sim --resume PATH [--chunk-dir PATH]\n\
@@ -90,7 +77,6 @@ struct Options {
     bench_mode: bool,
     bench_json: bool,
     bench_out: Option<String>,
-    bench_classify_mode: bool,
     bench_sim_mode: bool,
     qos_report_mode: bool,
     sim_jobs: Option<u64>,
@@ -111,7 +97,6 @@ fn parse_args(args: &[String]) -> Options {
         bench_mode: false,
         bench_json: false,
         bench_out: None,
-        bench_classify_mode: false,
         bench_sim_mode: false,
         qos_report_mode: false,
         sim_jobs: None,
@@ -170,9 +155,6 @@ fn parse_args(args: &[String]) -> Options {
             }
             "trace" if opts.ids.is_empty() && !opts.trace_mode => opts.trace_mode = true,
             "bench-kernels" if opts.ids.is_empty() && !opts.bench_mode => opts.bench_mode = true,
-            "bench-classify" if opts.ids.is_empty() && !opts.bench_classify_mode => {
-                opts.bench_classify_mode = true
-            }
             "bench-sim" if opts.ids.is_empty() && !opts.bench_sim_mode => {
                 opts.bench_sim_mode = true
             }
@@ -183,8 +165,7 @@ fn parse_args(args: &[String]) -> Options {
         }
         i += 1;
     }
-    if opts.ids.is_empty() && !opts.bench_mode && !opts.bench_classify_mode && !opts.bench_sim_mode
-    {
+    if opts.ids.is_empty() && !opts.bench_mode && !opts.bench_sim_mode {
         usage();
     }
     opts
@@ -208,7 +189,7 @@ fn run_one(id: &str, scale: Scale, threads: usize) {
         }
         None => {
             eprintln!("unknown experiment id: {id}");
-            std::process::exit(2);
+            usage();
         }
     }
 }
@@ -268,23 +249,8 @@ fn run_bench_kernels(opts: &Options) {
     }
 }
 
-fn run_bench_classify(opts: &Options) {
-    if !opts.ids.is_empty() {
-        eprintln!("bench-classify takes no experiment ids");
-        usage();
-    }
-    let report = quasar_experiments::bench_classify::run(opts.scale);
-    println!("{report}");
-    if opts.bench_json {
-        let path = opts.bench_out.as_deref().unwrap_or("BENCH_classify.json");
-        write_or_fail(path, &report.to_json(), "classification bench results");
-    }
-}
-
-/// `bench-sim` dispatch: the scales table (optionally as JSON), or a
-/// single deterministic run with optional halt/snapshot/resume. The
-/// simulator core is serial, so `--threads` is ignored here and the
-/// printed outcome is identical for every value.
+/// `bench-sim` dispatch: a single deterministic run (`--jobs N`) with
+/// optional halt/snapshot, or the resumption of one (`--resume PATH`).
 fn run_bench_sim(opts: &Options) {
     use quasar_experiments::bench_sim::{self, RunOutcome};
 
@@ -317,54 +283,43 @@ fn run_bench_sim(opts: &Options) {
         return;
     }
 
-    if let Some(jobs) = opts.sim_jobs {
-        // Single-run mode: fresh run, optionally halting mid-way.
-        let halt = match (&opts.sim_halt_at_s, &opts.sim_snapshot_out) {
-            (Some(at_s), Some(path)) => Some((*at_s, path.clone())),
-            (None, None) => None,
-            _ => {
-                eprintln!("--halt-at-s and --snapshot-out go together");
-                usage();
-            }
-        };
-        let (chunk_dir, temp) = match (&opts.sim_chunk_dir, &opts.sim_snapshot_out) {
-            (Some(dir), _) => (dir.clone(), false),
-            (None, Some(snapshot)) => (format!("{snapshot}.chunks"), false),
-            (None, None) => {
-                let dir = std::env::temp_dir()
-                    .join(format!("quasar-bench-sim-cli-{}", std::process::id()));
-                let _ = std::fs::remove_dir_all(&dir);
-                (dir.to_string_lossy().into_owned(), true)
-            }
-        };
-        let halt_ref = halt.as_ref().map(|(t, p)| (*t, std::path::Path::new(p)));
-        let result = bench_sim::run_fresh(jobs, chunk_dir.as_ref(), halt_ref);
-        if temp {
-            let _ = std::fs::remove_dir_all(&chunk_dir);
+    let Some(jobs) = opts.sim_jobs else {
+        eprintln!("bench-sim needs --jobs N or --resume PATH");
+        usage();
+    };
+    // Fresh run, optionally halting mid-way.
+    let halt = match (&opts.sim_halt_at_s, &opts.sim_snapshot_out) {
+        (Some(at_s), Some(path)) => Some((*at_s, path.clone())),
+        (None, None) => None,
+        _ => {
+            eprintln!("--halt-at-s and --snapshot-out go together");
+            usage();
         }
-        match result {
-            Ok(RunOutcome::Halted { at_s }) => {
-                eprintln!(
-                    "[halted at {at_s}s; snapshot written to {}]",
-                    opts.sim_snapshot_out.as_deref().unwrap_or("?"),
-                );
-            }
-            Ok(outcome) => print_done(outcome, "run"),
-            Err(e) => fail("run", e),
+    };
+    let (chunk_dir, temp) = match (&opts.sim_chunk_dir, &opts.sim_snapshot_out) {
+        (Some(dir), _) => (dir.clone(), false),
+        (None, Some(snapshot)) => (format!("{snapshot}.chunks"), false),
+        (None, None) => {
+            let dir =
+                std::env::temp_dir().join(format!("quasar-bench-sim-cli-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            (dir.to_string_lossy().into_owned(), true)
         }
-        return;
+    };
+    let halt_ref = halt.as_ref().map(|(t, p)| (*t, std::path::Path::new(p)));
+    let result = bench_sim::run_fresh(jobs, chunk_dir.as_ref(), halt_ref);
+    if temp {
+        let _ = std::fs::remove_dir_all(&chunk_dir);
     }
-
-    // Scales table (the BENCH_sim.json producer).
-    match bench_sim::run(opts.scale) {
-        Ok(report) => {
-            println!("{report}");
-            if opts.bench_json {
-                let path = opts.bench_out.as_deref().unwrap_or("BENCH_sim.json");
-                write_or_fail(path, &report.to_json(), "simulator bench results");
-            }
+    match result {
+        Ok(RunOutcome::Halted { at_s }) => {
+            eprintln!(
+                "[halted at {at_s}s; snapshot written to {}]",
+                opts.sim_snapshot_out.as_deref().unwrap_or("?"),
+            );
         }
-        Err(e) => fail("scales run", e),
+        Ok(outcome) => print_done(outcome, "run"),
+        Err(e) => fail("run", e),
     }
 }
 
@@ -415,10 +370,6 @@ fn main() {
     }
     if opts.bench_mode {
         run_bench_kernels(&opts);
-        return;
-    }
-    if opts.bench_classify_mode {
-        run_bench_classify(&opts);
         return;
     }
     if opts.trace_mode {

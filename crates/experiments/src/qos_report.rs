@@ -6,7 +6,7 @@
 //! The breakdown is a pure function of the seeds: the tracker consumes
 //! the same deterministic observations the managers see, so the table
 //! (and the masked incident JSONL) is byte-identical across `--threads`
-//! values and `QUASAR_SHARDS` settings.
+//! values.
 
 use std::fmt;
 use std::fs;

@@ -20,7 +20,7 @@ use quasar_cf::DenseMatrix;
 use quasar_cluster::{managers::NullManager, ClusterSpec, ProfileConfig, SimConfig, Simulation};
 use quasar_core::{
     history::ln_speed, par::derive_seed, Axes, Classifier, ExhaustiveClassifier, GoalKind,
-    HistorySet, Profiler, ProfilingData, SimilarityConfig, SimilarityIndex,
+    HistorySet, Profiler, ProfilingData,
 };
 use quasar_workloads::generate::Generator;
 use quasar_workloads::{
@@ -262,21 +262,7 @@ impl Validator {
         let mut profiler = Profiler::new(d, derive_seed(item_seed, 4));
         let data = profiler.profile(worlds.noisy.world_mut(), &axes, id);
         out.profile_wall_s.push(data.wall_seconds);
-        let (class, wall_us) = if fig3_through_index() {
-            // `QUASAR_FIG3_INDEX=1` routes this classification through a
-            // fresh, per-item, exact-only similarity index. The probe is
-            // always a miss (the index is empty), and the exact-only
-            // miss path is bit-identical to `classify_timed`, so every
-            // printed column matches the plain path — the CI smoke cmp's
-            // masked fig3 stdout across the two settings. A per-item
-            // index also keeps items order- and thread-independent.
-            let mut index = SimilarityIndex::new(SimilarityConfig::exact_only());
-            let (class, decide_us, _) =
-                index.classify_or_insert(&self.classifier, self.history, &data);
-            (class, decide_us)
-        } else {
-            self.classifier.classify_timed(self.history, &data)
-        };
+        let (class, wall_us) = self.classifier.classify_timed(self.history, &data);
         out.decide_us_parallel.push(wall_us);
 
         // Ground truth per axis from the noiseless twin.
@@ -370,9 +356,8 @@ impl Validator {
 
     /// Profiles one workload at density `d` in a private noisy world and
     /// returns the raw profiling row, for experiments that classify
-    /// outside the validation loop (the fig3 index comparison and the
-    /// `bench-classify` arrival stream). Pure in `(item_seed, workload,
-    /// d)`, like [`Validator::validate_item`].
+    /// outside the validation loop (the fig3 index comparison). Pure in
+    /// `(item_seed, workload, d)`, like [`Validator::validate_item`].
     pub fn profile_item(&self, item_seed: u64, workload: Workload, d: usize) -> ProfilingData {
         let mut worlds = ItemWorlds::new(item_seed);
         let id = worlds.submit_twin(workload);
@@ -437,13 +422,6 @@ impl Validator {
             }
         }
     }
-}
-
-/// Whether `QUASAR_FIG3_INDEX=1` asks the fig3 density sweep to route
-/// its classifications through a similarity index (see
-/// [`Validator::validate_item`]).
-fn fig3_through_index() -> bool {
-    std::env::var("QUASAR_FIG3_INDEX").is_ok_and(|v| v == "1")
 }
 
 /// Workload ids must be unique per world; re-key a generated workload.

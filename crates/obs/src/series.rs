@@ -9,8 +9,8 @@
 //! point is dropped. The surviving set depends only on the *sequence*
 //! of recorded points (index `i` survives iff `i % stride == 0`), never
 //! on timing or thread interleaving, so snapshots are byte-identical
-//! across `--threads` and `QUASAR_SHARDS` for logically-identical runs
-//! — the same contract as the masked trace exporters.
+//! across `--threads` for logically-identical runs — the same contract
+//! as the masked trace exporters.
 //!
 //! # Examples
 //!
