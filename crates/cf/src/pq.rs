@@ -9,7 +9,8 @@
 //! [`PqModel::train_reference`], the frozen pre-refactor implementation
 //! kept for property tests and the kernel benchmarks.
 
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use quasar_obs::registry::{Counter, Registry};
 use rand::rngs::StdRng;
@@ -27,7 +28,230 @@ fn sgd_metrics() -> &'static Counter {
     METRICS.get_or_init(|| Registry::global().counter("quasar.cf.sgd.epochs"))
 }
 
-/// One SGD pass over `order`, returning the accumulated squared error.
+/// Registry handles for `quasar.cf.sgd.schedule.*`. Unlike the epoch
+/// count these depend on process history (a second experiment in one
+/// process hits where the first built; racing threads may both build),
+/// so the prefix is listed in `quasar_obs::registry::LIVE_PREFIXES`.
+struct ScheduleMetrics {
+    hits: Counter,
+    builds: Counter,
+    evictions: Counter,
+    streamed: Counter,
+}
+
+fn schedule_metrics() -> &'static ScheduleMetrics {
+    static METRICS: OnceLock<ScheduleMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let counter = |name: &str| Registry::global().counter(name);
+        ScheduleMetrics {
+            hits: counter("quasar.cf.sgd.schedule.hits"),
+            builds: counter("quasar.cf.sgd.schedule.builds"),
+            evictions: counter("quasar.cf.sgd.schedule.evictions"),
+            streamed: counter("quasar.cf.sgd.schedule.streamed"),
+        }
+    })
+}
+
+/// The per-epoch Fisher–Yates reshuffle of [`PqModel::run_sgd_reference`]
+/// with the data taken out: the same draws from the same generator, the
+/// stream continuing across epochs, applied to the identity permutation
+/// of `0..n` instead of to the entries. The reference's visit order
+/// after any epoch is then `base[perm[k]]` over its starting order
+/// `base` — a function of `(seed, n, epoch)` alone.
+#[derive(Debug, Clone)]
+struct Shuffle {
+    rng: StdRng,
+    perm: Vec<u32>,
+}
+
+impl Shuffle {
+    fn new(seed: u64, n: usize) -> Shuffle {
+        let n = u32::try_from(n).expect("observed entries are indexed by u32");
+        Shuffle {
+            rng: StdRng::seed_from_u64(seed),
+            perm: (0..n).collect(),
+        }
+    }
+
+    /// Applies the next epoch's swaps and returns the cumulative
+    /// permutation.
+    fn next_epoch(&mut self) -> &[u32] {
+        for i in (1..self.perm.len()).rev() {
+            let j = self.rng.random_range(0..=i);
+            self.perm.swap(i, j);
+        }
+        &self.perm
+    }
+}
+
+/// The first `epochs` permutations of one `(seed, n)` [`Shuffle`] as
+/// flat rows of `n`, with the generator parked after the last row so a
+/// request for more epochs extends the table instead of replaying it.
+#[derive(Debug)]
+struct Schedule {
+    rows: Vec<u32>,
+    epochs: usize,
+    shuffle: Shuffle,
+}
+
+impl Schedule {
+    /// A table of `epochs` rows, continuing from `prefix` (a shorter
+    /// table of the same key) when there is one.
+    fn build(prefix: Option<&Schedule>, seed: u64, n: usize, epochs: usize) -> Schedule {
+        let mut rows = Vec::with_capacity(epochs * n);
+        let (mut shuffle, have) = match prefix {
+            Some(p) => {
+                rows.extend_from_slice(&p.rows);
+                (p.shuffle.clone(), p.epochs)
+            }
+            None => (Shuffle::new(seed, n), 0),
+        };
+        for _ in have..epochs {
+            rows.extend_from_slice(shuffle.next_epoch());
+        }
+        Schedule {
+            rows,
+            epochs,
+            shuffle,
+        }
+    }
+
+    fn row(&self, epoch: usize) -> &[u32] {
+        let n = self.shuffle.perm.len();
+        &self.rows[epoch * n..(epoch + 1) * n]
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.rows.as_slice())
+    }
+}
+
+/// Where one training run reads its visit orders from.
+enum Visits {
+    /// Rows of a memoised table.
+    Memoised(Arc<Schedule>),
+    /// A key too large to retain: the generator itself, one reused row.
+    Streamed(Shuffle),
+}
+
+impl Visits {
+    /// The visit order of `epoch`. Called with `epoch = 0, 1, 2, …` in
+    /// order (the streamed generator cannot seek).
+    fn epoch(&mut self, epoch: usize) -> &[u32] {
+        match self {
+            Visits::Memoised(schedule) => schedule.row(epoch),
+            Visits::Streamed(shuffle) => shuffle.next_epoch(),
+        }
+    }
+}
+
+/// Total bytes of visit schedules [`SCHEDULES`] keeps resident. The four
+/// live shapes (n = 242 / 338 / 602 / 770 at 800 epochs) need 6.2 MB;
+/// fig3's density sweep mints dozens of distinct `n` and would otherwise
+/// grow the process by hundreds of MB.
+const SCHEDULE_BUDGET_BYTES: usize = 32 << 20;
+/// Largest table retained for one key; a request beyond it (the
+/// exhaustive classifier's n in the tens of thousands) is streamed.
+const SCHEDULE_KEY_BYTES: usize = SCHEDULE_BUDGET_BYTES / 4;
+
+/// Process-wide memo of [`Schedule`]s keyed by `(seed, n)`, filled on
+/// first use and evicted least-recently-used to stay within `budget`.
+struct ScheduleMemo {
+    budget: usize,
+    per_key: usize,
+    state: Mutex<MemoState>,
+}
+
+struct MemoState {
+    clock: u64,
+    bytes: usize,
+    /// Per key: the clock of its last use, and the table.
+    tables: BTreeMap<(u64, usize), (u64, Arc<Schedule>)>,
+}
+
+static SCHEDULES: ScheduleMemo = ScheduleMemo::new(SCHEDULE_BUDGET_BYTES, SCHEDULE_KEY_BYTES);
+
+impl ScheduleMemo {
+    const fn new(budget: usize, per_key: usize) -> ScheduleMemo {
+        assert!(per_key <= budget);
+        ScheduleMemo {
+            budget,
+            per_key,
+            state: Mutex::new(MemoState {
+                clock: 0,
+                bytes: 0,
+                tables: BTreeMap::new(),
+            }),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        self.state
+            .lock()
+            .expect("a thread panicked while updating the schedule memo")
+    }
+
+    /// The visit orders of the first `epochs` epochs of `(seed, n)`.
+    fn visits(&self, seed: u64, n: usize, epochs: usize) -> Visits {
+        let metrics = schedule_metrics();
+        let bytes = epochs
+            .saturating_mul(n)
+            .saturating_mul(std::mem::size_of::<u32>());
+        if bytes > self.per_key {
+            metrics.streamed.inc();
+            return Visits::Streamed(Shuffle::new(seed, n));
+        }
+        let key = (seed, n);
+        let prefix = {
+            let mut state = self.lock();
+            state.clock += 1;
+            let now = state.clock;
+            match state.tables.get_mut(&key) {
+                Some((used, table)) if table.epochs >= epochs => {
+                    *used = now;
+                    metrics.hits.inc();
+                    return Visits::Memoised(Arc::clone(table));
+                }
+                shorter => shorter.map(|(_, table)| Arc::clone(table)),
+            }
+        };
+        // Built outside the lock, so threads cold on different keys (the
+        // four axes of a first arrival) do not queue behind one another;
+        // two threads cold on the same key both build the same rows.
+        let table = Arc::new(Schedule::build(prefix.as_deref(), seed, n, epochs));
+        metrics.builds.inc();
+
+        let mut state = self.lock();
+        state.clock += 1;
+        let now = state.clock;
+        let raced = state
+            .tables
+            .get(&key)
+            .is_some_and(|(_, theirs)| theirs.epochs >= epochs);
+        if !raced {
+            let old = state.tables.insert(key, (now, Arc::clone(&table)));
+            state.bytes += table.bytes();
+            state.bytes -= old.map_or(0, |(_, old)| old.bytes());
+        }
+        while state.bytes > self.budget {
+            // `per_key <= budget`, so the table just stamped `now` is
+            // never the one to go.
+            let lru = state
+                .tables
+                .iter()
+                .min_by_key(|(_, (used, _))| *used)
+                .map(|(key, _)| *key)
+                .expect("a non-zero byte count has a table behind it");
+            let (_, evicted) = state.tables.remove(&lru).expect("key was just found");
+            state.bytes -= evicted.bytes();
+            metrics.evictions.inc();
+        }
+        Visits::Memoised(table)
+    }
+}
+
+/// One SGD pass over the entries `base` in the order `visits` (indices
+/// into `base`), returning the accumulated squared error.
 ///
 /// Monomorphized per latent rank: `RANK > 0` turns the factor slices
 /// into `&mut [f64; RANK]` so the dot product and the update loop fully
@@ -42,7 +266,8 @@ fn sgd_metrics() -> &'static Counter {
 #[inline(always)]
 fn sgd_entry_pass<const RANK: usize>(
     rank: usize,
-    order: &[(usize, usize, f64)],
+    base: &[(usize, usize, f64)],
+    visits: &[u32],
     q_all: &mut [f64],
     p_all: &mut [f64],
     row_bias: &mut [f64],
@@ -52,7 +277,8 @@ fn sgd_entry_pass<const RANK: usize>(
 ) -> f64 {
     debug_assert!(RANK == 0 || RANK == rank);
     let mut sq_err = 0.0;
-    for &(u, i, r_ui) in order {
+    for &k in visits {
+        let (u, i, r_ui) = base[k as usize];
         if RANK > 0 {
             let q: &mut [f64; RANK] = (&mut q_all[u * RANK..u * RANK + RANK])
                 .try_into()
@@ -274,12 +500,15 @@ impl PqModel {
 
     /// Fused SGD: one pass per observed entry over a `(q_u, p_i)` row
     /// slice pair — predict, bias update, and factor update together,
-    /// monomorphized per latent rank (see [`sgd_entry_pass`]).
-    /// Operation order matches [`PqModel::run_sgd_reference`] exactly, so
-    /// every intermediate (and hence the trained model) is bit-identical.
+    /// monomorphized per latent rank (see [`sgd_entry_pass`]). The
+    /// entries stay in `a.iter()` order and each epoch visits them
+    /// through a memoised permutation (see [`Shuffle`]), which is the
+    /// order [`PqModel::run_sgd_reference`] reaches by reshuffling them;
+    /// operation order matches it exactly, so every intermediate (and
+    /// hence the trained model) is bit-identical.
     fn run_sgd(&mut self, a: &SparseMatrix, config: &SgdConfig) {
-        let mut order: Vec<(usize, usize, f64)> = a.iter().collect();
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let base: Vec<(usize, usize, f64)> = a.iter().collect();
+        let mut visits = SCHEDULES.visits(config.seed, base.len(), config.max_epochs);
         let eta = config.learning_rate;
         let lambda = config.regularization;
         let epochs_metric = sgd_metrics();
@@ -303,6 +532,7 @@ impl PqModel {
         type Pass = fn(
             usize,
             &[(usize, usize, f64)],
+            &[u32],
             &mut [f64],
             &mut [f64],
             &mut [f64],
@@ -323,15 +553,11 @@ impl PqModel {
         };
 
         for epoch in 0..config.max_epochs {
-            // Fisher-Yates shuffle of the visit order each epoch.
-            for i in (1..order.len()).rev() {
-                let j = rng.random_range(0..=i);
-                order.swap(i, j);
-            }
-            let sq_err = pass(rank, &order, q_all, p_all, row_bias, mu, eta, lambda);
+            let order = visits.epoch(epoch);
+            let sq_err = pass(rank, &base, order, q_all, p_all, row_bias, mu, eta, lambda);
             epochs_metric.inc();
             *epochs_run = epoch + 1;
-            *final_residual = (sq_err / order.len() as f64).sqrt();
+            *final_residual = (sq_err / base.len() as f64).sqrt();
             if *final_residual < config.tolerance {
                 break;
             }
@@ -593,6 +819,88 @@ mod tests {
         assert_eq!(bits(&fast.col_factors), bits(&slow.col_factors));
         let bias_bits = |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bias_bits(&fast.row_bias), bias_bits(&slow.row_bias));
+    }
+
+    /// `train_warm` shares `run_sgd` with `train`; its oracle is the
+    /// frozen loop run from the same warm initialization.
+    #[test]
+    fn warm_training_is_bit_identical_to_reference_order() {
+        let (sparse, _) = low_rank_sparse(9, 7, 2, 3);
+        let init = PqModel::train(&sparse, &SgdConfig::default());
+        let mut nudged = SparseMatrix::new(9, 7);
+        for (r, c, v) in sparse.iter() {
+            nudged.insert(r, c, v * (1.0 + 0.004 * ((r + 2 * c) % 5) as f64));
+        }
+        for (seed, max_epochs, tolerance) in [(0x5eed, 800, 1e-4), (7, 33, 1e-4), (7, 90, 0.05)] {
+            let config = SgdConfig {
+                seed,
+                max_epochs,
+                tolerance,
+                ..SgdConfig::default()
+            };
+            let fast = PqModel::train_warm(&nudged, &config, &init).expect("shapes match");
+            let mu = nudged.mean().expect("non-empty");
+            let mut slow = PqModel {
+                mu,
+                row_bias: PqModel::row_biases(&nudged, mu),
+                epochs_run: 0,
+                final_residual: f64::INFINITY,
+                ..init.clone()
+            };
+            slow.run_sgd_reference(&nudged, &config);
+            assert_eq!(fast.epochs_run(), slow.epochs_run());
+            assert_eq!(
+                fast.final_residual().to_bits(),
+                slow.final_residual().to_bits()
+            );
+            let bits =
+                |m: &DenseMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast.predict_all()), bits(&slow.predict_all()));
+        }
+    }
+
+    /// Drives a private small-budget memo through build → hit → extend →
+    /// evict → rebuild → oversized; every row served on the way must be
+    /// the row a straight run of the generator produces.
+    #[test]
+    fn schedule_memo_serves_generator_rows_in_every_state() {
+        // Ten epochs of n = 8 are 320 bytes: two such tables fit, three do not.
+        let memo = ScheduleMemo::new(700, 320);
+        let serve = |seed: u64, n: usize, epochs: usize| {
+            let mut visits = memo.visits(seed, n, epochs);
+            let mut straight = Shuffle::new(seed, n);
+            for epoch in 0..epochs {
+                assert_eq!(
+                    visits.epoch(epoch),
+                    straight.next_epoch(),
+                    "seed {seed} n {n} epoch {epoch}"
+                );
+            }
+            matches!(visits, Visits::Memoised(_))
+        };
+        let resident = || memo.lock().tables.keys().copied().collect::<Vec<_>>();
+        let table = |key: (u64, usize)| Arc::clone(&memo.lock().tables[&key].1);
+
+        assert!(serve(1, 8, 5), "build");
+        let built = table((1, 8));
+        assert!(serve(1, 8, 3), "hit on a prefix");
+        assert!(Arc::ptr_eq(&built, &table((1, 8))), "a hit builds nothing");
+        assert!(serve(1, 8, 10), "extend");
+        assert_eq!(table((1, 8)).epochs, 10);
+        assert_eq!(table((1, 8)).rows[..5 * 8], built.rows[..]);
+
+        assert!(serve(2, 8, 10));
+        assert!(serve(1, 8, 10), "touch (1, 8): (2, 8) is now the oldest");
+        assert!(serve(1, 9, 8), "a third key evicts");
+        assert_eq!(resident(), [(1, 8), (1, 9)]);
+        assert!(memo.lock().bytes <= 700);
+        assert!(serve(2, 8, 10), "rebuild after eviction");
+        assert_eq!(resident(), [(1, 9), (2, 8)]);
+
+        assert!(!serve(1, 8, 11), "352 bytes > per-key budget: streamed");
+        assert!(!serve(3, 81, 1), "one row too large to keep");
+        assert_eq!(resident(), [(1, 9), (2, 8)], "streaming retains nothing");
+        assert!(serve(4, 1, 20), "n = 1 draws nothing");
     }
 
     #[test]

@@ -151,20 +151,30 @@ proptest! {
 
     /// The fused SGD kernel must train to a bit-identical model across
     /// densities: same rank, same epoch count, same residual bits, and
-    /// bit-identical predictions everywhere.
+    /// bit-identical predictions everywhere. The seed, epoch cap and
+    /// entry count vary from case to case within this one process, so
+    /// the visit-schedule memo is read cold, extended and prefix-read;
+    /// the tolerance is loose enough that some cases stop early.
     #[test]
     fn sgd_training_is_bit_identical_to_reference(
         entries in proptest::collection::vec((0usize..7, 0usize..9, -5.0..5.0f64), 5..63),
         max_rank in 1usize..6,
+        seed in 0usize..3,
+        max_epochs in 1usize..=80,
+        tolerance in 0.0..2.0f64,
     ) {
         let mut a = SparseMatrix::new(7, 9);
         for (r, c, v) in entries {
             a.insert(r, c, v);
         }
         prop_assume!(!a.is_empty());
-        // Cap epochs to keep 64 proptest cases fast; op order per epoch
-        // is what the contract is about.
-        let config = SgdConfig { max_epochs: 60, max_rank, ..SgdConfig::default() };
+        let config = SgdConfig {
+            seed: [0x5eed, 1, u64::MAX][seed],
+            max_epochs,
+            tolerance,
+            max_rank,
+            ..SgdConfig::default()
+        };
         let fast = PqModel::train(&a, &config);
         let slow = train_reference(&a, &config);
         prop_assert_eq!(fast.rank(), slow.rank());
@@ -217,38 +227,31 @@ proptest! {
         prop_assert_eq!(bits(&q_blocked), bits(&q_scalar));
     }
 
-    /// End-to-end: a `reconstruct_row` on a thread that has already
-    /// served unrelated reconstructions returns exactly the bits a
-    /// pristine thread returns — the kernels keep no per-thread state.
+    /// End-to-end: `reconstruct_row` returns the same bits whether the
+    /// process-wide visit-schedule memo has never seen the shape (cold:
+    /// each case draws a seed no earlier case used), has just served it
+    /// (warm), or is read from another thread. The memo is the only
+    /// state the kernels keep between calls.
     #[test]
-    fn reconstruct_row_bits_do_not_depend_on_arena_state(
-        warm_h in dense_matrix(6),
+    fn reconstruct_row_bits_do_not_depend_on_schedule_memo_state(
         h in dense_matrix(6),
         t0 in -5.0..5.0f64,
         t1 in -5.0..5.0f64,
+        seed in any::<u64>(),
     ) {
-        let config = SgdConfig { max_epochs: 30, ..SgdConfig::default() };
+        let config = SgdConfig { max_epochs: 30, seed, ..SgdConfig::default() };
         let target = [(0usize, t0), (h.cols() - 1, t1)];
-        // An unrelated reconstruction at another shape on this thread.
-        let _ = Reconstructor::new()
-            .with_config(config)
-            .reconstruct_row(&warm_h, &[(0, 1.25)]);
-        let on_warm_arena = Reconstructor::new()
-            .with_config(config)
-            .reconstruct_row(&h, &target)
-            .unwrap();
-        let on_fresh_thread = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    Reconstructor::new()
-                        .with_config(config)
-                        .reconstruct_row(&h, &target)
-                        .unwrap()
-                })
-                .join()
+        let run = || {
+            Reconstructor::new()
+                .with_config(config)
+                .reconstruct_row(&h, &target)
                 .unwrap()
-        });
-        prop_assert_eq!(bits(&on_warm_arena), bits(&on_fresh_thread));
+        };
+        let on_cold_memo = run();
+        let on_warm_memo = run();
+        let on_fresh_thread = std::thread::scope(|scope| scope.spawn(run).join().unwrap());
+        prop_assert_eq!(bits(&on_cold_memo), bits(&on_warm_memo));
+        prop_assert_eq!(bits(&on_cold_memo), bits(&on_fresh_thread));
     }
 
     /// Sparse-matrix bookkeeping: density matches unique cells.
@@ -265,4 +268,23 @@ proptest! {
         prop_assert_eq!(a.len(), unique.len());
         prop_assert!((a.density() - unique.len() as f64 / 25.0).abs() < 1e-12);
     }
+}
+
+/// A single observed entry: the shuffle has nothing to draw, and the
+/// schedule is one row holding index 0.
+#[test]
+fn single_entry_training_is_bit_identical_to_reference() {
+    let mut a = SparseMatrix::new(3, 4);
+    a.insert(1, 2, 2.5);
+    let config = SgdConfig {
+        max_epochs: 12,
+        ..SgdConfig::default()
+    };
+    let fast = PqModel::train(&a, &config);
+    let slow = train_reference(&a, &config);
+    assert_eq!(fast.epochs_run(), slow.epochs_run());
+    assert_eq!(
+        bits(fast.predict_all().as_slice()),
+        bits(slow.predict_all().as_slice())
+    );
 }

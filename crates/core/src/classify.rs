@@ -604,6 +604,25 @@ mod tests {
             assert_eq!(bits(&serial.scale_up_speed), bits(&parallel.scale_up_speed));
             assert_eq!(bits(&serial.hetero_speed), bits(&parallel.hetero_speed));
         }
+
+        // The runs above read SGD visit schedules the serial run had
+        // already memoised. With an SGD seed nothing else in this test
+        // process trains with, the four threads go first and race to
+        // build theirs; the serial run then reads what they left.
+        for seed in [0xc01d_0001_u64, 0xc01d_0002] {
+            let seeded = |threads: usize| Classifier {
+                reconstructor: Reconstructor::new()
+                    .with_config(quasar_cf::SgdConfig {
+                        seed,
+                        ..quasar_cf::SgdConfig::default()
+                    })
+                    .with_clamping(false),
+                threads,
+            };
+            let raced = seeded(4).classify(&history, &data);
+            let serial = seeded(1).classify(&history, &data);
+            assert_eq!(raced, serial, "cold-memo classification diverged");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Times each slice kernel against its frozen pre-refactor reference
 //! (`quasar_cf::reference`) — the Jacobi SVD per matrix size and the
-//! fused SGD train per observation density — as the **median of N
+//! fused SGD train per observation density of a 25×81 matrix and at
+//! two of the shapes live arrivals train — as the **median of N
 //! serial repetitions** (no fan-out involved; the container is
 //! 1-core and the kernels are what's being measured), plus a
 //! **blocked-vs-scalar rotation** delta for the 4-lane `rotate_cols`
@@ -30,7 +31,7 @@ use crate::Scale;
 /// One kernel-vs-reference comparison.
 #[derive(Debug, Clone)]
 pub struct KernelBench {
-    /// Bench id, e.g. `svd_25x81` or `sgd_25x81_d60`.
+    /// Bench id, e.g. `svd_25x81`, `sgd_25x81_d60` or `sgd_live_25x25`.
     pub name: String,
     /// Median per-call time of the slice kernel, µs.
     pub kernel_us: f64,
@@ -63,14 +64,14 @@ impl RotationBench {
     }
 }
 
-/// The full `bench-kernels` result set (`quasar.bench_kernels.v3`).
+/// The full `bench-kernels` result set (`quasar.bench_kernels.v4`).
 #[derive(Debug, Clone)]
 pub struct KernelBenchReport {
     /// Scale the benches ran at (`quick` shrinks reps and SGD epochs).
     pub scale: Scale,
     /// Repetitions per timing (median taken).
     pub reps: usize,
-    /// All comparisons, SVD sizes then SGD densities.
+    /// All comparisons: SVD sizes, SGD densities, live SGD shapes.
     pub benches: Vec<KernelBench>,
     /// Blocked-vs-scalar rotation deltas.
     pub rotations: Vec<RotationBench>,
@@ -133,11 +134,14 @@ pub fn svd_matrix(rows: usize, cols: usize) -> DenseMatrix {
     DenseMatrix::from_fn(rows, cols, |r, c| cell_noise(r, c) * 4.0 - 2.0)
 }
 
-/// The history-shaped sparse matrix used by the SGD benches, filled to
+/// The 25×81 sparse matrix of the SGD density benches, filled to
 /// roughly `density_pct` percent (column 0 stays fully observed so every
 /// row is anchored). A weak rank-1 trend plus zero-mean noise keeps the
-/// spectrum spread out, so training runs at the production rank cap
+/// spectrum spread out, so training runs at the rank cap
 /// (`max_rank = 8`) — the regime the fused factor loops are built for.
+/// No live arrival trains this shape, density or rank (see
+/// `sgd_live_input`); these rows stress the entry pass, not the
+/// admission path.
 pub fn sgd_input(density_pct: usize) -> SparseMatrix {
     let mut sparse = SparseMatrix::new(25, 81);
     for r in 0..25 {
@@ -147,6 +151,30 @@ pub fn sgd_input(density_pct: usize) -> SparseMatrix {
                 sparse.insert(r, col, trend + cell_noise(r, col) * 4.0 - 2.0);
             }
         }
+    }
+    sparse
+}
+
+/// What a live arrival trains on one axis: 24 fully observed history
+/// rows plus the arrival's own row with its two profiling observations,
+/// `cols` wide (the live axes are 10, 14, 25 and 32 columns). A rank-2
+/// signal under light noise puts `rank_for_energy(0.95)` in the live
+/// range of 1–4.
+fn sgd_live_input(cols: usize) -> SparseMatrix {
+    let mut sparse = SparseMatrix::new(25, cols);
+    let cell = |r: usize, col: usize| {
+        let scale = (r + 1) as f64 / 8.0;
+        let bend = ((r * 7) % 5) as f64 / 5.0;
+        let x = (col + 1) as f64 / cols as f64;
+        3.0 + scale * x + bend * x * x + cell_noise(r, col) * 0.1
+    };
+    for r in 0..24 {
+        for col in 0..cols {
+            sparse.insert(r, col, cell(r, col));
+        }
+    }
+    for col in [0, cols - 1] {
+        sparse.insert(24, col, cell(24, col));
     }
     sparse
 }
@@ -188,9 +216,10 @@ pub fn run(scale: Scale) -> KernelBenchReport {
     };
     let mut benches = Vec::new();
 
-    // SVD per size: the two 25-row shapes bracket the history matrix
-    // (25×81 is the one the classifier decomposes on every arrival);
-    // the square one isolates the rotation-dominated regime.
+    // SVD per size: live arrivals decompose 25×{10, 14, 25, 32}
+    // matrices, so 25×16 sits inside the live range and 25×81 (the
+    // CI-ratcheted shape) is 2.5× wider than any of them; the square
+    // one isolates the rotation-dominated regime.
     for (rows, cols, iters) in [(25usize, 16usize, 8usize), (25, 81, 6), (64, 64, 2)] {
         let a = svd_matrix(rows, cols);
         let (kernel_us, reference_us) = median_pair_us(
@@ -210,15 +239,21 @@ pub fn run(scale: Scale) -> KernelBenchReport {
         });
     }
 
-    // SGD train per density of the history-sized matrix. Full scale uses
-    // the production epoch cap; quick shrinks it so the CI smoke stays
-    // fast (the per-epoch inner loop is identical either way).
+    // SGD train per density of a 25×81 matrix, then at the narrowest
+    // and a wide live shape. Full scale uses the production epoch cap;
+    // quick shrinks it so the CI smoke stays fast (the per-epoch inner
+    // loop is identical either way). The untimed warmup call leaves the
+    // kernel side's visit schedule memoised, as it is for every live
+    // arrival after a process's first.
     let config = SgdConfig {
         max_epochs: sgd_epochs,
         ..SgdConfig::default()
     };
-    for density_pct in [30usize, 60, 95] {
-        let sparse = sgd_input(density_pct);
+    let sgd_inputs = [30usize, 60, 95]
+        .into_iter()
+        .map(|density_pct| (format!("sgd_25x81_d{density_pct}"), sgd_input(density_pct)))
+        .chain([25usize, 10].map(|cols| (format!("sgd_live_25x{cols}"), sgd_live_input(cols))));
+    for (name, sparse) in sgd_inputs {
         let (kernel_us, reference_us) = median_pair_us(
             reps,
             1,
@@ -230,16 +265,16 @@ pub fn run(scale: Scale) -> KernelBenchReport {
             },
         );
         benches.push(KernelBench {
-            name: format!("sgd_25x81_d{density_pct}"),
+            name,
             kernel_us,
             reference_us,
         });
     }
 
-    // Rotation delta: 81 is the classifier's history column length (the
-    // working set of the 25×81 decomposition after the wide-input
-    // transpose); 4096 is a cache-resident length where lane throughput,
-    // not loop overhead, dominates.
+    // Rotation delta: 81 is the column length of the 25×81 bench
+    // decomposition after the wide-input transpose; 4096 is a
+    // cache-resident length where lane throughput, not loop overhead,
+    // dominates.
     let rotations = vec![
         rotation_bench(reps, 81, 2048),
         rotation_bench(reps, 4096, 128),
@@ -255,7 +290,7 @@ pub fn run(scale: Scale) -> KernelBenchReport {
 
 impl KernelBenchReport {
     /// Renders the result set as one JSON object
-    /// (`quasar.bench_kernels.v3` schema).
+    /// (`quasar.bench_kernels.v4` schema).
     pub fn to_json(&self) -> String {
         let scale = match self.scale {
             Scale::Quick => "quick",
@@ -263,7 +298,7 @@ impl KernelBenchReport {
         };
         let num = |v: f64| quasar_obs::json::number((v * 1e3).round() / 1e3);
         let mut out = format!(
-            "{{\"schema\":\"quasar.bench_kernels.v3\",\"scale\":\"{scale}\",\"reps\":{},\
+            "{{\"schema\":\"quasar.bench_kernels.v4\",\"scale\":\"{scale}\",\"reps\":{},\
              \"benches\":[",
             self.reps
         );
@@ -338,10 +373,11 @@ mod tests {
     #[test]
     fn quick_report_is_complete_and_valid_json() {
         let report = run(Scale::Quick);
-        assert_eq!(report.benches.len(), 6);
+        assert_eq!(report.benches.len(), 8);
         let names: Vec<&str> = report.benches.iter().map(|b| b.name.as_str()).collect();
         assert!(names.contains(&"svd_25x81"), "history-sized SVD present");
         assert!(names.contains(&"sgd_25x81_d60"));
+        assert!(names.contains(&"sgd_live_25x25") && names.contains(&"sgd_live_25x10"));
         for b in &report.benches {
             assert!(b.kernel_us > 0.0 && b.reference_us > 0.0, "{}", b.name);
             assert!(b.speedup().is_finite());
@@ -353,10 +389,20 @@ mod tests {
         let json = report.to_json();
         quasar_obs::json::validate(&json)
             .unwrap_or_else(|at| panic!("invalid bench JSON at byte {at}: {json}"));
-        assert!(json.contains("\"schema\":\"quasar.bench_kernels.v3\""));
+        assert!(json.contains("\"schema\":\"quasar.bench_kernels.v4\""));
         let rendered = report.to_string();
         assert!(rendered.contains("svd_25x81"));
         assert!(rendered.contains("speedup"));
         assert!(rendered.contains("rotate_cols"));
+    }
+
+    #[test]
+    fn live_inputs_have_the_live_shape_and_rank() {
+        for (cols, entries) in [(10, 242), (25, 602)] {
+            let sparse = sgd_live_input(cols);
+            assert_eq!(sparse.len(), entries);
+            let rank = PqModel::train(&sparse, &SgdConfig::default()).rank();
+            assert!((1..=4).contains(&rank), "25x{cols} trained at rank {rank}");
+        }
     }
 }

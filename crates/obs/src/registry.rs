@@ -9,9 +9,10 @@
 //!
 //! Naming convention: `quasar.<crate>.<subsystem>.<name>`, e.g.
 //! `quasar.cf.sgd.epochs`. Metrics under [`LIVE_PREFIXES`] (shard
-//! round timings) and the `sum`/bucket detail of
-//! wall-clock histograms are *scheduling-dependent*: they vary
-//! run-to-run and across `--threads` values.
+//! round timings, the SGD schedule memo's counters) and the
+//! `sum`/bucket detail of wall-clock histograms are *scheduling- or
+//! history-dependent*: they vary run-to-run and across `--threads`
+//! values.
 //! [`Snapshot::deterministic`] strips exactly those, leaving a view that
 //! is byte-identical for every thread count, which is what the CI
 //! determinism smoke diffs.
@@ -29,7 +30,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// shard metrics (`quasar.cluster.shard.admitted`, `.rebalanced`,
 /// `.queue_depth_max`, ...) are driven by deterministic routing and stay
 /// in the deterministic view.
-pub const LIVE_PREFIXES: [&str; 1] = ["quasar.cluster.shard.wall."];
+///
+/// The SGD visit-schedule memo's counters (`quasar.cf.sgd.schedule.*`)
+/// depend on process history instead: a second experiment in one process
+/// hits where the first built, and threads racing on a cold key may both
+/// build. `quasar.cf.sgd.epochs` counts epochs trained, memoised or not,
+/// and stays deterministic.
+pub const LIVE_PREFIXES: [&str; 2] = ["quasar.cluster.shard.wall.", "quasar.cf.sgd.schedule."];
 
 /// Default histogram bucket upper bounds for latencies in microseconds:
 /// a 1-2-5 ladder from 1 µs to 5 s, with an implicit overflow bucket.
