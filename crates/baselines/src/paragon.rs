@@ -122,7 +122,7 @@ impl ParagonEngine {
     ) -> PressureVector {
         let total_cores = world.server(server).total_cores() as f64;
         let mut pressure = PressureVector::zero();
-        for wid in world.workloads_on(server) {
+        for &wid in world.workloads_on(server) {
             if Some(wid) == exclude {
                 continue;
             }
@@ -166,7 +166,7 @@ impl ParagonEngine {
                 // would push past their classified tolerance.
                 let added = class.caused.scaled(0.5);
                 let mut victim_factor = 1.0_f64;
-                for tenant in world.workloads_on(s.id()) {
+                for &tenant in world.workloads_on(s.id()) {
                     if tenant == id {
                         continue;
                     }

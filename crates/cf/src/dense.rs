@@ -124,11 +124,6 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// Copies column `col` into a new vector.
-    pub fn col_vec(&self, col: usize) -> Vec<f64> {
-        (0..self.rows).map(|r| self.get(r, col)).collect()
-    }
-
     /// The transpose of this matrix.
     ///
     /// Reads each row as a contiguous slice and scatters it into the
@@ -179,11 +174,6 @@ impl DenseMatrix {
             *m /= self.rows as f64;
         }
         means
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Largest absolute difference to `other`.

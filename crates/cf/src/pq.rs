@@ -713,11 +713,6 @@ impl PqModel {
         self.final_residual
     }
 
-    /// Global mean `μ`.
-    pub fn global_mean(&self) -> f64 {
-        self.mu
-    }
-
     /// Row bias `b_u`.
     pub fn row_bias(&self, u: usize) -> f64 {
         self.row_bias[u]

@@ -646,7 +646,7 @@ mod tests {
         for (i, (t, e)) in events.iter().enumerate() {
             many.store(&SealedChunk {
                 index: i as u64,
-                events: vec![(*t, e.clone())],
+                events: vec![(*t, *e)],
             })
             .unwrap();
         }

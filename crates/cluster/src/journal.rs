@@ -62,7 +62,7 @@ fn journal_metrics() -> &'static JournalMetrics {
 }
 
 /// One recorded manager action.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JournalEvent {
     /// A placement was committed.
     Placed {
@@ -326,9 +326,9 @@ impl Journal {
             self.stream_digest =
                 chunk::fold_line(self.stream_digest, &chunk::serialize_event(at_s, &event));
             self.streamed += 1;
-            self.open_chunk.push((at_s, event.clone()));
+            self.open_chunk.push((at_s, event));
             if self.open_chunk.len() >= self.chunk_cap {
-                self.flush_open_chunk();
+                self.seal_open_chunk();
             }
         }
         if self.entries.len() == self.capacity {
@@ -343,10 +343,6 @@ impl Journal {
     /// Chunk boundaries do not affect the stream digest, so a run that
     /// sealed early and one that didn't still fold to the same digest.
     pub fn seal_open_chunk(&mut self) {
-        self.flush_open_chunk();
-    }
-
-    fn flush_open_chunk(&mut self) {
         let Some(provider) = self.provider.as_mut() else {
             return;
         };
@@ -422,6 +418,12 @@ impl Journal {
     /// Iterates over `(time, event)` pairs, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &(f64, JournalEvent)> {
         self.entries.iter()
+    }
+
+    /// The last `n` retained `(time, event)` pairs, oldest first (all of
+    /// them when fewer are retained).
+    pub(crate) fn tail(&self, n: usize) -> impl Iterator<Item = &(f64, JournalEvent)> {
+        self.entries.range(self.entries.len().saturating_sub(n)..)
     }
 
     /// Events affecting one workload, oldest first.

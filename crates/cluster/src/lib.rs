@@ -57,10 +57,7 @@ pub use metrics::{HeatmapSample, MetricsRecorder, UtilizationSummary};
 pub use observe::Observation;
 pub use placement::{NodeAlloc, Placement};
 pub use profile::{ProfileConfig, ProfileResult};
-pub use qos::{
-    EpisodeRecord, FlightEntry, FlightRecorder, Incident, QosCause, QosEvidence, SloConfig,
-    SloTracker,
-};
+pub use qos::{EpisodeRecord, Incident, QosCause, QosEvidence, SloTracker};
 pub use server::{Server, ServerId};
 pub use shard::{Cell, CellReport, Seam};
 pub use sim::{PhaseChange, SimConfig, Simulation};

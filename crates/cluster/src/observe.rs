@@ -70,14 +70,6 @@ impl Observation {
             }
         }
     }
-
-    /// The service observation, if this is a service.
-    pub fn as_service(&self) -> Option<&ServiceObservation> {
-        match self {
-            Observation::Service(o) => Some(o),
-            Observation::Batch { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! The QoS violation ledger: violation *episodes* with cause
-//! attribution, plus a bounded flight recorder that turns severe
-//! episodes into deterministic incident reports.
+//! attribution, and deterministic incident reports for the severe ones.
 //!
 //! [`crate::observe::Observation::on_track`] can say whether one tick
 //! met its target; this module says *when* a workload fell out of QoS,
@@ -13,26 +12,26 @@
 //! accumulates evidence while the violation lasts, and attributes a
 //! [`QosCause`] when the episode closes. Every closed episode is
 //! journalled ([`crate::journal::JournalEvent::QosEpisode`]), counted
-//! under `quasar.cluster.qos.*`, binned into a per-cause duration
-//! histogram, and traced into a per-workload depth series
-//! ([`quasar_obs::series::SeriesStore`]).
+//! under `quasar.cluster.qos.*`, and binned into a per-cause duration
+//! histogram.
 //!
 //! Episodes whose peak depth crosses the severity threshold become
 //! [`Incident`] reports: one `quasar.qos.incident.v1` JSON line carrying
-//! the ±window of [`FlightRecorder`] events around the episode, the
-//! placement snapshot at close time, and the attribution evidence.
+//! the ±window of journal events around the episode (copied from the
+//! tail of the world's [`crate::journal::Journal`], rendered at export),
+//! the placement snapshot at close time, and the attribution evidence.
 //! Everything in this module is driven by logical simulation state only,
 //! so ledgers and incident dumps are byte-identical across `--threads`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
 use quasar_interference::PressureVector;
 use quasar_obs::registry::{Counter, Histogram, Registry};
-use quasar_obs::series::SeriesStore;
 use quasar_workloads::{QosTarget, WorkloadId};
 
+use crate::journal::JournalEvent;
 use crate::observe::Observation;
 
 /// Episode-duration histogram bounds in seconds: one tick to a day.
@@ -147,21 +146,11 @@ impl EpisodeRecord {
     }
 }
 
-struct OpenEpisode {
-    start_s: f64,
-    ticks: u64,
-    peak_depth: f64,
-    interference_sum: f64,
-    rate_dev_sum: f64,
-    util_sum: f64,
-    queue_wait_s: f64,
-}
-
-/// Serializable state of one open episode, carried across a
+/// State of one open episode. Plain data, carried as is across a
 /// snapshot/resume boundary so the resumed run closes the episode with
 /// exactly the record the uninterrupted run would have journalled.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OpenEpisodeState {
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct OpenEpisode {
     pub(crate) start_s: f64,
     pub(crate) ticks: u64,
     pub(crate) peak_depth: f64,
@@ -203,49 +192,29 @@ fn qos_metrics() -> &'static QosMetrics {
     })
 }
 
-/// Attribution thresholds and severity configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloConfig {
-    /// Slack tolerance for on-track checks (matches the manager's
-    /// `qos_slack`).
-    pub slack: f64,
-    /// Mean rate deviation above this is straggler-grade.
-    pub straggler_deviation: f64,
-    /// Mean rate deviation above this attributes to calibration drift.
-    pub drift_deviation: f64,
-    /// Mean normalized interference above this attributes to
-    /// interference.
-    pub interference_floor: f64,
-    /// Queue wait beyond this many ticks attributes to admission wait.
-    pub queue_wait_ticks: f64,
-    /// Mean cluster utilization above this attributes to capacity.
-    pub capacity_floor: f64,
-    /// Peak depth at or above this makes a closed episode an incident.
-    pub incident_depth: f64,
-}
-
-impl Default for SloConfig {
-    fn default() -> SloConfig {
-        SloConfig {
-            slack: 0.05,
-            straggler_deviation: 0.6,
-            drift_deviation: 0.15,
-            interference_floor: 0.25,
-            queue_wait_ticks: 2.0,
-            capacity_floor: 0.9,
-            incident_depth: 0.5,
-        }
-    }
-}
+/// Slack tolerance for on-track checks (matches the manager's
+/// `qos_slack`).
+const SLACK: f64 = 0.05;
+/// Mean rate deviation above this is straggler-grade.
+const STRAGGLER_DEVIATION: f64 = 0.6;
+/// Mean rate deviation above this attributes to calibration drift.
+const DRIFT_DEVIATION: f64 = 0.15;
+/// Mean normalized interference at or above this attributes to
+/// interference.
+const INTERFERENCE_FLOOR: f64 = 0.25;
+/// Queue wait of at least this many ticks attributes to admission wait.
+const QUEUE_WAIT_TICKS: f64 = 2.0;
+/// Mean cluster utilization at or above this attributes to capacity.
+const CAPACITY_FLOOR: f64 = 0.9;
+/// Peak depth at or above this makes a closed episode an incident.
+const INCIDENT_DEPTH: f64 = 0.5;
 
 /// Tracks per-workload violation episodes across ticks and closes them
 /// into an append-only ledger.
 pub struct SloTracker {
-    config: SloConfig,
     tick_s: f64,
     open: BTreeMap<WorkloadId, OpenEpisode>,
     closed: Vec<EpisodeRecord>,
-    series: SeriesStore,
 }
 
 impl fmt::Debug for SloTracker {
@@ -259,19 +228,12 @@ impl fmt::Debug for SloTracker {
 
 impl SloTracker {
     /// A tracker for a world ticking every `tick_s` seconds.
-    pub fn new(config: SloConfig, tick_s: f64) -> SloTracker {
+    pub fn new(tick_s: f64) -> SloTracker {
         SloTracker {
-            config,
             tick_s,
             open: BTreeMap::new(),
             closed: Vec::new(),
-            series: SeriesStore::new(64),
         }
-    }
-
-    /// The tracker's configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.config
     }
 
     /// How far `obs` violates `target`, as a fraction past the (slacked)
@@ -279,7 +241,6 @@ impl SloTracker {
     /// mismatch itself is counted by
     /// [`Observation::on_track`]).
     pub fn violation_depth(&self, obs: &Observation, target: &QosTarget) -> Option<f64> {
-        let slack = self.config.slack;
         match (obs, target) {
             (
                 Observation::Batch {
@@ -287,7 +248,7 @@ impl SloTracker {
                 },
                 QosTarget::CompletionTime { seconds },
             ) => {
-                let bound = seconds * (1.0 + slack);
+                let bound = seconds * (1.0 + SLACK);
                 (*projected_total_s > bound).then(|| {
                     if projected_total_s.is_finite() {
                         projected_total_s / bound - 1.0
@@ -333,15 +294,10 @@ impl SloTracker {
         match self.violation_depth(obs, target) {
             Some(depth) => {
                 qos_metrics().violating_ticks.inc();
-                self.series.record("quasar.qos.depth", id.0, now_s, depth);
                 let open = self.open.entry(id).or_insert(OpenEpisode {
                     start_s: now_s,
-                    ticks: 0,
-                    peak_depth: 0.0,
-                    interference_sum: 0.0,
-                    rate_dev_sum: 0.0,
-                    util_sum: 0.0,
                     queue_wait_s: evidence.queue_wait_s,
+                    ..OpenEpisode::default()
                 });
                 open.ticks += 1;
                 if depth > open.peak_depth {
@@ -406,16 +362,15 @@ impl SloTracker {
     /// [`QosCause::ALL`] priority order (most specific signal wins; the
     /// exact rules are documented in DESIGN.md).
     fn attribute(&self, e: &QosEvidence) -> QosCause {
-        let c = &self.config;
-        if e.rate_deviation > c.straggler_deviation {
+        if e.rate_deviation > STRAGGLER_DEVIATION {
             QosCause::Straggler
-        } else if e.rate_deviation > c.drift_deviation {
+        } else if e.rate_deviation > DRIFT_DEVIATION {
             QosCause::CalibrationDrift
-        } else if e.interference >= c.interference_floor {
+        } else if e.interference >= INTERFERENCE_FLOOR {
             QosCause::Interference
-        } else if e.queue_wait_s >= c.queue_wait_ticks * self.tick_s {
+        } else if e.queue_wait_s >= QUEUE_WAIT_TICKS * self.tick_s {
             QosCause::QueueWait
-        } else if e.utilization >= c.capacity_floor {
+        } else if e.utilization >= CAPACITY_FLOOR {
             QosCause::CapacityShortfall
         } else {
             QosCause::Unknown
@@ -424,7 +379,7 @@ impl SloTracker {
 
     /// Whether a closed episode is severe enough for an incident dump.
     pub fn is_incident(&self, episode: &EpisodeRecord) -> bool {
-        episode.peak_depth >= self.config.incident_depth
+        episode.peak_depth >= INCIDENT_DEPTH
     }
 
     /// All closed episodes, in close order.
@@ -432,119 +387,16 @@ impl SloTracker {
         &self.closed
     }
 
-    /// Currently-open episodes as `(workload, start_s, ticks)`.
-    pub fn open_episodes(&self) -> Vec<(WorkloadId, f64, u64)> {
-        self.open
-            .iter()
-            .map(|(id, ep)| (*id, ep.start_s, ep.ticks))
-            .collect()
+    /// Open episodes in workload-id order, for run snapshots.
+    pub(crate) fn export_open(&self) -> &BTreeMap<WorkloadId, OpenEpisode> {
+        &self.open
     }
 
-    /// The per-workload violation-depth series store.
-    pub fn series(&self) -> &SeriesStore {
-        &self.series
-    }
-
-    /// Open-episode state in workload-id order, for run snapshots.
-    pub(crate) fn export_open(&self) -> Vec<(WorkloadId, OpenEpisodeState)> {
-        self.open
-            .iter()
-            .map(|(id, ep)| {
-                (
-                    *id,
-                    OpenEpisodeState {
-                        start_s: ep.start_s,
-                        ticks: ep.ticks,
-                        peak_depth: ep.peak_depth,
-                        interference_sum: ep.interference_sum,
-                        rate_dev_sum: ep.rate_dev_sum,
-                        util_sum: ep.util_sum,
-                        queue_wait_s: ep.queue_wait_s,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Re-opens an episode from a snapshot. The closed ledger and depth
-    /// series are *not* restored — closed episodes live in the journal
-    /// stream; only open state affects future journal output.
-    pub(crate) fn restore_open(&mut self, id: WorkloadId, s: OpenEpisodeState) {
-        self.open.insert(
-            id,
-            OpenEpisode {
-                start_s: s.start_s,
-                ticks: s.ticks,
-                peak_depth: s.peak_depth,
-                interference_sum: s.interference_sum,
-                rate_dev_sum: s.rate_dev_sum,
-                util_sum: s.util_sum,
-                queue_wait_s: s.queue_wait_s,
-            },
-        );
-    }
-}
-
-/// One entry in the flight recorder ring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightEntry {
-    /// Sim-time of the event.
-    pub t_s: f64,
-    /// Event kind tag (journal kind or `qos_*`).
-    pub kind: &'static str,
-    /// Rendered event detail.
-    pub detail: String,
-}
-
-/// A bounded ring of recent journal/trace events, kept per cell so an
-/// incident can dump the ±window of context around an episode without
-/// retaining the full journal.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    capacity: usize,
-    ring: VecDeque<FlightEntry>,
-}
-
-impl FlightRecorder {
-    /// A recorder keeping the last `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> FlightRecorder {
-        assert!(capacity > 0, "flight recorder capacity must be positive");
-        FlightRecorder {
-            capacity,
-            ring: VecDeque::with_capacity(capacity.min(1024)),
-        }
-    }
-
-    /// Appends one event, evicting the oldest past capacity.
-    pub fn push(&mut self, t_s: f64, kind: &'static str, detail: String) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(FlightEntry { t_s, kind, detail });
-    }
-
-    /// Retained events whose time falls in `[start_s - margin_s, end_s +
-    /// margin_s]`, oldest first.
-    pub fn window(&self, start_s: f64, end_s: f64, margin_s: f64) -> Vec<FlightEntry> {
-        self.ring
-            .iter()
-            .filter(|e| e.t_s >= start_s - margin_s && e.t_s <= end_s + margin_s)
-            .cloned()
-            .collect()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+    /// Re-opens an episode from a snapshot. The closed ledger is *not*
+    /// restored — closed episodes live in the journal stream; only open
+    /// state affects future journal output.
+    pub(crate) fn restore_open(&mut self, id: WorkloadId, episode: OpenEpisode) {
+        self.open.insert(id, episode);
     }
 }
 
@@ -558,14 +410,14 @@ pub(crate) fn count_incident() {
 pub const INCIDENT_SCHEMA: &str = "quasar.qos.incident.v1";
 
 /// A deterministic incident report for one severe episode: the episode,
-/// the attribution evidence, the flight-recorder window around it, and
-/// the placement snapshot at close time.
+/// the attribution evidence, the journal window around it, and the
+/// placement snapshot at close time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
     /// The severe episode.
     pub episode: EpisodeRecord,
-    /// Flight-recorder events in the ±window.
-    pub events: Vec<FlightEntry>,
+    /// Journal events in the ±window, as `(sim-time, event)`.
+    pub events: Vec<(f64, JournalEvent)>,
     /// Placements at close time: `(workload, [(server, cores)])`, sorted
     /// by workload id.
     pub placements: Vec<(WorkloadId, Vec<(usize, u32)>)>,
@@ -598,16 +450,16 @@ impl Incident {
             num(e.evidence.utilization)
         );
         out.push_str(",\"events\":[");
-        for (i, ev) in self.events.iter().enumerate() {
+        for (i, (t_s, event)) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(
                 out,
                 "{{\"t_s\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                num(ev.t_s),
-                quasar_obs::json::escape(ev.kind),
-                quasar_obs::json::escape(&ev.detail)
+                num(*t_s),
+                quasar_obs::json::escape(event.kind()),
+                quasar_obs::json::escape(&event.to_string())
             );
         }
         out.push_str("],\"placements\":[");
@@ -643,7 +495,7 @@ mod tests {
     }
 
     fn tracker() -> SloTracker {
-        SloTracker::new(SloConfig::default(), 5.0)
+        SloTracker::new(5.0)
     }
 
     #[test]
@@ -667,7 +519,7 @@ mod tests {
         assert_eq!(closed.ticks, 2);
         assert!(closed.peak_depth > 0.2 && closed.peak_depth < 0.3);
         assert_eq!(t.episodes().len(), 1);
-        assert!(t.open_episodes().is_empty());
+        assert!(t.open.is_empty());
     }
 
     #[test]
@@ -730,21 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_window_and_bound() {
-        let mut r = FlightRecorder::new(4);
-        for i in 0..10 {
-            r.push(i as f64 * 10.0, "placed", format!("event {i}"));
-        }
-        assert_eq!(r.len(), 4, "ring stays bounded");
-        let w = r.window(70.0, 80.0, 10.0);
-        assert_eq!(w.len(), 4, "60..=90 retained window");
-        assert_eq!(w[0].detail, "event 6");
-        let tight = r.window(70.0, 80.0, 5.0);
-        assert_eq!(tight.len(), 2, "65..=85 retained window");
-        assert_eq!(tight[0].detail, "event 7");
-    }
-
-    #[test]
     fn incident_json_is_valid_and_schema_tagged() {
         let incident = Incident {
             episode: EpisodeRecord {
@@ -761,17 +598,27 @@ mod tests {
                     utilization: 0.6,
                 },
             },
-            events: vec![FlightEntry {
-                t_s: 95.0,
-                kind: "placed",
-                detail: "w7 placed on 1 nodes (4 cores)".to_string(),
-            }],
+            events: vec![(
+                95.0,
+                JournalEvent::Placed {
+                    workload: WorkloadId(7),
+                    nodes: 1,
+                    cores: 4,
+                    delay_s: 0.0,
+                },
+            )],
             placements: vec![(WorkloadId(7), vec![(0, 4), (1, 2)])],
         };
         let line = incident.to_json_line();
         assert!(line.starts_with("{\"schema\":\"quasar.qos.incident.v1\""));
         quasar_obs::json::validate(&line).expect("incident line must be valid JSON");
         assert!(line.contains("\"cause\":\"interference\""));
+        // Events are rendered from the journal event itself at export.
+        let event = incident.events[0].1;
+        assert!(line.contains(&format!(
+            "\"events\":[{{\"t_s\":95,\"kind\":\"{}\",\"detail\":\"{event}\"}}]",
+            event.kind()
+        )));
         assert!(line.contains("\"servers\":[[0,4],[1,2]]"));
     }
 

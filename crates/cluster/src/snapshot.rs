@@ -180,7 +180,7 @@ pub fn snapshot(sim: &mut Simulation) -> io::Result<String> {
     // chunk stream's `qos_episode` events.
     let qos_open = world.qos().export_open();
     let _ = writeln!(out, "qos {}", qos_open.len());
-    for (id, ep) in &qos_open {
+    for (id, ep) in qos_open {
         let _ = writeln!(
             out,
             "{} {} {} {} {} {} {} {}",
@@ -421,23 +421,17 @@ pub fn resume(
         let mut f = line.split(' ');
         let mut take = |what: &str| f.next().ok_or_else(|| bad(format!("missing {what}")));
         let id = WorkloadId(parse_num(take("qos workload")?, "qos workload")?);
-        let start_s = parse_bits(take("qos start")?)?;
-        let ticks: u64 = parse_num(take("qos ticks")?, "qos ticks")?;
-        let peak_depth = parse_bits(take("qos peak")?)?;
-        let interference_sum = parse_bits(take("qos interference")?)?;
-        let rate_dev_sum = parse_bits(take("qos rate dev")?)?;
-        let util_sum = parse_bits(take("qos util")?)?;
-        let queue_wait_s = parse_bits(take("qos queue wait")?)?;
+        // Struct literals evaluate in source order, which is line order.
         qos_open.push((
             id,
-            crate::qos::OpenEpisodeState {
-                start_s,
-                ticks,
-                peak_depth,
-                interference_sum,
-                rate_dev_sum,
-                util_sum,
-                queue_wait_s,
+            crate::qos::OpenEpisode {
+                start_s: parse_bits(take("qos start")?)?,
+                ticks: parse_num(take("qos ticks")?, "qos ticks")?,
+                peak_depth: parse_bits(take("qos peak")?)?,
+                interference_sum: parse_bits(take("qos interference")?)?,
+                rate_dev_sum: parse_bits(take("qos rate dev")?)?,
+                util_sum: parse_bits(take("qos util")?)?,
+                queue_wait_s: parse_bits(take("qos queue wait")?)?,
             },
         ));
     }

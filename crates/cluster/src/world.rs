@@ -19,9 +19,7 @@ use crate::metrics::{HeatmapSample, MetricsRecorder};
 use crate::observe::Observation;
 use crate::placement::{NodeAlloc, Placement};
 use crate::profile::{ProfileConfig, ProfileResult};
-use crate::qos::{
-    self, EpisodeRecord, FlightRecorder, Incident, QosEvidence, SloConfig, SloTracker,
-};
+use crate::qos::{self, EpisodeRecord, Incident, QosEvidence, SloTracker};
 use crate::server::{Server, ServerId};
 
 /// How much of its neighbours' (and its own outgoing) pressure a
@@ -33,12 +31,11 @@ const ISOLATION_PRESSURE_FACTOR: f64 = 0.5;
 /// free).
 const ISOLATION_OVERHEAD_FACTOR: f64 = 0.93;
 
-/// Events retained in the per-world flight recorder ring. Sized so an
-/// incident window (a few minutes of decisions) is always covered
-/// without retaining the full journal.
-const FLIGHT_RECORDER_CAPACITY: usize = 512;
+/// How far back in the journal an incident looks for its window: the
+/// most recent retained events, a few minutes of decisions.
+const INCIDENT_WINDOW_EVENTS: usize = 512;
 
-/// Flight-recorder margin around an episode, in ticks: the incident
+/// Incident window margin around an episode, in ticks: the incident
 /// carries the events shortly before the violation opened and shortly
 /// after it closed.
 const INCIDENT_MARGIN_TICKS: f64 = 2.0;
@@ -134,16 +131,6 @@ impl CompletionRecord {
     pub fn execution_s(&self) -> Option<f64> {
         self.finished_s.map(|f| f - self.submitted_s)
     }
-
-    /// Performance normalized to the target (1.0 = exactly on target,
-    /// higher = better). For completion targets this is `target /
-    /// execution`; unfinished jobs score 0.
-    pub fn normalized_performance(&self) -> f64 {
-        match (self.target, self.execution_s()) {
-            (QosTarget::CompletionTime { seconds }, Some(exec)) if exec > 0.0 => seconds / exec,
-            _ => 0.0,
-        }
-    }
 }
 
 /// Final accounting for a latency-critical service.
@@ -192,12 +179,6 @@ impl QosRecord {
         } else {
             self.served_queries / self.offered_queries
         }
-    }
-
-    /// Performance normalized to target: served QPS fraction capped by
-    /// latency compliance.
-    pub fn normalized_performance(&self) -> f64 {
-        self.qos_fraction()
     }
 }
 
@@ -327,9 +308,6 @@ pub struct World {
     /// The QoS violation ledger: per-workload episodes with cause
     /// attribution, fed one observation per tick.
     qos: SloTracker,
-    /// Bounded ring of recent journal events; incident dumps replay the
-    /// ±window of decisions around a severe episode from here.
-    recorder: FlightRecorder,
     /// Incident reports dumped so far (severe closed episodes).
     incidents: Vec<Incident>,
 }
@@ -357,8 +335,7 @@ impl World {
             retention: Retention::KeepAll,
             completion_digest: FNV_OFFSET,
             retired: 0,
-            qos: SloTracker::new(SloConfig::default(), tick_s),
-            recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
+            qos: SloTracker::new(tick_s),
             incidents: Vec::new(),
         }
     }
@@ -403,7 +380,7 @@ impl World {
     }
 
     /// Workloads holding a slice on a server.
-    pub fn workloads_on(&self, server: ServerId) -> Vec<WorkloadId> {
+    pub fn workloads_on(&self, server: ServerId) -> &[WorkloadId] {
         self.cluster.workloads_on(server)
     }
 
@@ -519,7 +496,7 @@ impl World {
             .max(0.0);
         self.cluster.place(Placement::new(id, nodes, params))?;
         let now = self.now;
-        self.record_event(
+        self.journal.record(
             now,
             JournalEvent::Placed {
                 workload: id,
@@ -541,7 +518,7 @@ impl World {
     /// best-effort jobs are treated, §5); otherwise it is killed.
     pub fn evict(&mut self, id: WorkloadId, requeue: bool) {
         self.cluster.release(id);
-        self.record_event(
+        self.journal.record(
             self.now,
             JournalEvent::Evicted {
                 workload: id,
@@ -576,7 +553,7 @@ impl World {
     /// See [`ClusterState::add_node`].
     pub fn add_node(&mut self, id: WorkloadId, node: NodeAlloc) -> Result<(), PlaceError> {
         self.cluster.add_node(id, node)?;
-        self.record_event(
+        self.journal.record(
             self.now,
             JournalEvent::NodeAdded {
                 workload: id,
@@ -594,7 +571,7 @@ impl World {
     /// See [`ClusterState::remove_node`].
     pub fn remove_node(&mut self, id: WorkloadId, server: ServerId) -> Result<(), PlaceError> {
         self.cluster.remove_node(id, server)?;
-        self.record_event(
+        self.journal.record(
             self.now,
             JournalEvent::NodeRemoved {
                 workload: id,
@@ -616,7 +593,7 @@ impl World {
         resources: NodeResources,
     ) -> Result<(), PlaceError> {
         self.cluster.resize_node(id, server, resources)?;
-        self.record_event(
+        self.journal.record(
             self.now,
             JournalEvent::NodeResized {
                 workload: id,
@@ -638,7 +615,8 @@ impl World {
         params: FrameworkParams,
     ) -> Result<(), PlaceError> {
         self.cluster.set_params(id, params)?;
-        self.record_event(self.now, JournalEvent::ParamsSet { workload: id });
+        self.journal
+            .record(self.now, JournalEvent::ParamsSet { workload: id });
         Ok(())
     }
 
@@ -651,7 +629,7 @@ impl World {
     /// Fails if the workload has no placement.
     pub fn set_isolation(&mut self, id: WorkloadId, isolated: bool) -> Result<(), PlaceError> {
         self.cluster.set_isolation(id, isolated)?;
-        self.record_event(
+        self.journal.record(
             self.now,
             JournalEvent::IsolationSet {
                 workload: id,
@@ -665,11 +643,6 @@ impl World {
     /// workload; only used for the used-vs-reserved metrics (Figs. 1, 11d).
     pub fn report_reservation(&mut self, id: WorkloadId, cores: u32, memory_gb: f64) {
         self.entry_mut(id).reserved = Some((cores, memory_gb));
-    }
-
-    /// The reservation reported for a workload, if any.
-    pub fn reservation_of(&self, id: WorkloadId) -> Option<(u32, f64)> {
-        self.entry(id).reserved
     }
 
     // ------------------------------------------------------------------
@@ -855,24 +828,10 @@ impl World {
         &mut self.journal
     }
 
-    /// Journals an event and mirrors it into the flight recorder ring,
-    /// so incident dumps can replay the ±window of decisions around an
-    /// episode without retaining the full journal.
-    fn record_event(&mut self, at_s: f64, event: JournalEvent) {
-        self.recorder.push(at_s, event.kind(), event.to_string());
-        self.journal.record(at_s, event);
-    }
-
-    /// The QoS violation ledger: closed episodes with cause attribution,
-    /// open episodes, and the per-workload violation-depth series.
+    /// The QoS violation ledger: closed episodes with cause attribution
+    /// and open episodes.
     pub fn qos(&self) -> &SloTracker {
         &self.qos
-    }
-
-    /// Replaces the SLO tracker's attribution thresholds. Call before a
-    /// run starts: the ledger restarts empty.
-    pub fn set_slo_config(&mut self, config: SloConfig) {
-        self.qos = SloTracker::new(config, self.tick_s);
     }
 
     /// Incident reports dumped so far (severe closed episodes), in close
@@ -885,11 +844,6 @@ impl World {
     /// buffer empty.
     pub fn take_incidents(&mut self) -> Vec<Incident> {
         std::mem::take(&mut self.incidents)
-    }
-
-    /// The flight recorder ring feeding incident dumps.
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.recorder
     }
 
     /// Closes every open violation episode at the current instant (end
@@ -906,9 +860,9 @@ impl World {
 
     /// Journals a closed episode and, when its peak depth crosses the
     /// severity threshold, dumps an incident report carrying the
-    /// flight-recorder window and the placement snapshot at close time.
+    /// journal window and the placement snapshot at close time.
     fn finish_episode(&mut self, episode: EpisodeRecord) {
-        self.record_event(
+        self.journal.record(
             self.now,
             JournalEvent::QosEpisode {
                 workload: episode.workload,
@@ -921,7 +875,12 @@ impl World {
         if self.qos.is_incident(&episode) {
             qos::count_incident();
             let margin = INCIDENT_MARGIN_TICKS * self.tick_s;
-            let events = self.recorder.window(episode.start_s, episode.end_s, margin);
+            let events = self
+                .journal
+                .tail(INCIDENT_WINDOW_EVENTS)
+                .filter(|(t, _)| *t >= episode.start_s - margin && *t <= episode.end_s + margin)
+                .copied()
+                .collect();
             let placements = self
                 .snapshot_placements()
                 .iter()
@@ -943,51 +902,28 @@ impl World {
         }
     }
 
-    /// Feeds this tick's observations into the SLO tracker. Best-effort
-    /// workloads are exempt (they have no QoS contract to violate); jobs
-    /// without a fresh observation contribute nothing.
-    fn track_qos(&mut self, running: &[WorkloadId]) {
-        let total_cores = self.cluster.total_cores();
-        let utilization = if total_cores > 0 {
-            self.cluster.used_cores() as f64 / total_cores as f64
-        } else {
-            0.0
+    /// Feeds one running workload's observation of this tick into the
+    /// SLO tracker, with `interference` the mean normalized pressure on
+    /// its active nodes. Best-effort workloads are exempt (they have no
+    /// QoS contract to violate); a job without a fresh observation
+    /// contributes nothing.
+    fn track_qos(&mut self, id: WorkloadId, interference: f64, utilization: f64) {
+        let entry = &self.entries[&id];
+        if entry.workload.spec().is_best_effort() {
+            return;
+        }
+        let Some(obs) = entry.last_obs else {
+            return;
         };
-        for &id in running {
-            let entry = &self.entries[&id];
-            if entry.workload.spec().is_best_effort() {
-                continue;
-            }
-            let obs = match entry.last_obs {
-                Some(obs) => obs,
-                None => continue,
-            };
-            let target = entry.workload.spec().target;
-            let queue_wait_s = entry.placed_s.unwrap_or(self.now) - entry.submitted_s;
-            let rate_deviation = (entry.rate_factor - 1.0).abs();
-            let mut pressure = 0.0;
-            let mut nodes = 0u32;
-            if let Some(placement) = self.cluster.placement(id) {
-                for node in placement.active_nodes(self.now) {
-                    pressure += QosEvidence::normalize_pressure(
-                        &self.server_pressure(node.server, Some(id)),
-                    );
-                    nodes += 1;
-                }
-            }
-            let evidence = QosEvidence {
-                interference: if nodes > 0 {
-                    pressure / nodes as f64
-                } else {
-                    0.0
-                },
-                queue_wait_s,
-                rate_deviation,
-                utilization,
-            };
-            if let Some(episode) = self.qos.observe(self.now, id, &obs, &target, evidence) {
-                self.finish_episode(episode);
-            }
+        let target = entry.workload.spec().target;
+        let evidence = QosEvidence {
+            interference,
+            queue_wait_s: entry.placed_s.unwrap_or(self.now) - entry.submitted_s,
+            rate_deviation: (entry.rate_factor - 1.0).abs(),
+            utilization,
+        };
+        if let Some(episode) = self.qos.observe(self.now, id, &obs, &target, evidence) {
+            self.finish_episode(episode);
         }
     }
 
@@ -1186,7 +1122,7 @@ impl World {
     ) -> PressureVector {
         let total_cores = self.cluster.server(server).total_cores() as f64;
         let mut pressure = PressureVector::zero();
-        for id in self.cluster.workloads_on(server) {
+        for &id in self.cluster.workloads_on(server) {
             if Some(id) == exclude {
                 continue;
             }
@@ -1215,45 +1151,6 @@ impl World {
         pressure
     }
 
-    /// The active allocation of a workload as physics inputs (platforms
-    /// cloned so the result does not borrow the world). A partitioned
-    /// placement sees only a fraction of the ambient pressure.
-    fn physics_allocs(&self, id: WorkloadId) -> Vec<(Platform, NodeResources, PressureVector)> {
-        let placement = match self.cluster.placement(id) {
-            Some(p) => p,
-            None => return Vec::new(),
-        };
-        let incoming = if placement.isolated {
-            ISOLATION_PRESSURE_FACTOR
-        } else {
-            1.0
-        };
-        placement
-            .active_nodes(self.now)
-            .map(|node| {
-                (
-                    self.cluster.platform_of(node.server).clone(),
-                    node.resources,
-                    self.server_pressure(node.server, Some(id)).scaled(incoming),
-                )
-            })
-            .collect()
-    }
-
-    /// Capacity multiplier from partitioning overhead.
-    fn isolation_factor(&self, id: WorkloadId) -> f64 {
-        if self
-            .cluster
-            .placement(id)
-            .map(|p| p.isolated)
-            .unwrap_or(false)
-        {
-            ISOLATION_OVERHEAD_FACTOR
-        } else {
-            1.0
-        }
-    }
-
     /// Advances physics by one tick: batch progress, service windows, QoS
     /// accounting. Returns the ids of batch jobs that completed.
     ///
@@ -1279,29 +1176,52 @@ impl World {
         world_metrics().ticks.inc();
         self.injections.retain(|inj| inj.until_s > self.now);
 
-        let running: Vec<WorkloadId> = self.running.iter().copied().collect();
+        let total_cores = self.cluster.total_cores();
+        let utilization = if total_cores > 0 {
+            self.cluster.used_cores() as f64 / total_cores as f64
+        } else {
+            0.0
+        };
+        // Moved out for the loop, whose body borrows the rest of the world
+        // mutably and never reads the running index.
+        let running = std::mem::take(&mut self.running);
         let mut completed = Vec::new();
 
         for &id in &running {
-            let owned_allocs = self.physics_allocs(id);
-            let iso = self.isolation_factor(id);
-            let allocs: Vec<(&Platform, NodeResources, PressureVector)> =
-                owned_allocs.iter().map(|(p, r, pr)| (p, *r, *pr)).collect();
-            let held_cores: u32 = self
-                .cluster
-                .placement(id)
-                .map(|p| p.total_cores())
-                .unwrap_or(0);
             let noise = self.sample_noise();
+            let placement = self.cluster.placement(id);
+            // A partitioned placement sees only a fraction of the ambient
+            // pressure, at a small capacity overhead.
+            let (incoming, iso) = if placement.is_some_and(|p| p.isolated) {
+                (ISOLATION_PRESSURE_FACTOR, ISOLATION_OVERHEAD_FACTOR)
+            } else {
+                (1.0, 1.0)
+            };
+            let held_cores = placement.map_or(0, Placement::total_cores);
+            let params = placement.map(|p| p.params).unwrap_or_default();
+            // One ground-truth pressure per active node: scaled for the
+            // physics, normalized for the QoS evidence.
+            let mut allocs: Vec<(&Platform, NodeResources, PressureVector)> =
+                Vec::with_capacity(placement.map_or(0, Placement::node_count));
+            let mut pressure = 0.0;
+            for node in placement.into_iter().flat_map(|p| p.active_nodes(self.now)) {
+                let raw = self.server_pressure(node.server, Some(id));
+                pressure += QosEvidence::normalize_pressure(&raw);
+                allocs.push((
+                    self.cluster.platform_of(node.server),
+                    node.resources,
+                    raw.scaled(incoming),
+                ));
+            }
+            let interference = if allocs.is_empty() {
+                0.0
+            } else {
+                pressure / allocs.len() as f64
+            };
             let entry = self.entries.get_mut(&id).expect("running workload");
             entry.peak_cores = entry.peak_cores.max(held_cores);
             match entry.workload.model() {
                 PerfModel::Batch(model) => {
-                    let params = self
-                        .cluster
-                        .placement(id)
-                        .map(|p| p.params)
-                        .unwrap_or_default();
                     let rate = model.cluster_rate(&allocs, &params) * entry.rate_factor * iso;
                     let done_before = entry.remaining_work <= 0.0;
                     entry.remaining_work -= rate * dt;
@@ -1365,12 +1285,11 @@ impl World {
                     entry.last_obs = Some(Observation::Service(obs));
                 }
             }
+            // Before the completion sweep, so a job that finishes while
+            // violating gets its final violating tick accounted.
+            self.track_qos(id, interference, utilization);
         }
-
-        // Feed this tick's observations to the SLO tracker before the
-        // completion sweep, so a job that finishes while violating gets
-        // its final violating tick accounted.
-        self.track_qos(&running);
+        self.running = running;
 
         for id in completed.iter() {
             self.running.remove(id);
@@ -1381,7 +1300,8 @@ impl World {
             if let Some(episode) = self.qos.terminate(*id, self.now) {
                 self.finish_episode(episode);
             }
-            self.record_event(self.now, JournalEvent::Completed { workload: *id });
+            self.journal
+                .record(self.now, JournalEvent::Completed { workload: *id });
             self.fold_completion(*id);
         }
 
@@ -1653,6 +1573,70 @@ mod tests {
             .filter(|(_, e)| e.kind() == "completed")
             .count();
         assert_eq!(completions, 1);
+    }
+
+    /// An incident's events are the journal's last 512 retained entries
+    /// filtered to the episode ±2 ticks. The first incident has old
+    /// events inside the tail (pins the margin), the second has more
+    /// than 512 events inside the time window (pins the bound).
+    #[test]
+    fn incident_window_is_the_filtered_journal_tail() {
+        let mut w = world();
+        let job = batch_workload(12);
+        let id = job.id();
+        w.submit(job);
+        // A placement that never activates projects to infinity.
+        let mut node = NodeAlloc::immediate(big_server(&w), NodeResources::new(2, 4.0));
+        node.active_after = 1e9;
+        let params = FrameworkParams::default();
+
+        // One severe episode: opened by the first tick, closed a tick
+        // later by eviction, with `extra` journal events in between.
+        // Returns the incident, the journal and the expected window.
+        let stall_and_evict = |w: &mut World, extra: usize| {
+            w.place(id, vec![node], params).unwrap();
+            w.advance(5.0);
+            for _ in 0..extra {
+                w.set_params(id, params).unwrap();
+            }
+            w.advance(5.0);
+            w.evict(id, true);
+            let incident = w.incidents().last().expect("depth 10 is severe").clone();
+            let all: Vec<(f64, JournalEvent)> = w.journal().iter().copied().collect();
+            let (lo, hi) = (
+                incident.episode.start_s - 10.0,
+                incident.episode.end_s + 10.0,
+            );
+            let want: Vec<_> = all[all.len().saturating_sub(512)..]
+                .iter()
+                .filter(|(t, _)| (lo..=hi).contains(t))
+                .copied()
+                .collect();
+            (incident, all, want)
+        };
+
+        // 300 events at t = 0, two each at t = 40 (just outside the
+        // margin of an episode opening at 55) and t = 45 (just inside).
+        for t in [0.0, 40.0, 45.0] {
+            while w.now() < t {
+                w.advance(5.0);
+            }
+            for _ in 0..if t == 0.0 { 150 } else { 1 } {
+                w.place(id, vec![node], params).unwrap();
+                w.evict(id, true);
+            }
+        }
+        w.advance(5.0);
+        let (first, all, want) = stall_and_evict(&mut w, 300);
+        assert_eq!(first.events, want);
+        assert_eq!((first.episode.start_s, first.events[0].0), (55.0, 45.0));
+        assert!(all.len() > 512 && first.events.len() < 512);
+
+        let (second, all, want) = stall_and_evict(&mut w, 600);
+        assert_eq!(second.events, want);
+        assert_eq!(second.events.len(), 512);
+        let since = second.episode.start_s - 10.0;
+        assert!(all.iter().filter(|(t, _)| *t >= since).count() > 512);
     }
 
     #[test]

@@ -1,19 +1,29 @@
 //! Property tests on the QoS violation ledger: for any interleaving of
 //! violating and on-track ticks across workloads, the closed episodes
 //! of a workload never overlap, and together they cover every violating
-//! tick exactly once.
+//! tick exactly once. Plus one fixed case pinning the attribution
+//! thresholds through the public API.
 
 use proptest::prelude::*;
 
-use quasar_cluster::{Observation, QosEvidence, SloConfig, SloTracker};
+use quasar_cluster::{EpisodeRecord, Observation, QosCause, QosEvidence, SloTracker};
 use quasar_workloads::{QosTarget, WorkloadId};
 
 const TICK_S: f64 = 10.0;
 
+fn batch_obs(rate: f64, projected_total_s: f64) -> Observation {
+    Observation::Batch {
+        rate,
+        progress: 0.5,
+        projected_total_s,
+        elapsed_s: 10.0,
+    }
+}
+
 /// Feeds `patterns[w][i]` (true = violating) for workload `w` at tick
 /// `i` and returns the full closed ledger.
-fn drive(patterns: &[Vec<bool>]) -> Vec<quasar_cluster::EpisodeRecord> {
-    let mut tracker = SloTracker::new(SloConfig::default(), TICK_S);
+fn drive(patterns: &[Vec<bool>]) -> Vec<EpisodeRecord> {
+    let mut tracker = SloTracker::new(TICK_S);
     let target = QosTarget::ips(100.0);
     let ticks = patterns.iter().map(Vec::len).max().unwrap_or(0);
     for i in 0..ticks {
@@ -23,12 +33,7 @@ fn drive(patterns: &[Vec<bool>]) -> Vec<quasar_cluster::EpisodeRecord> {
                 continue;
             };
             // An IPS target is a floor: rate below 100 violates it.
-            let obs = Observation::Batch {
-                rate: if violating { 50.0 } else { 150.0 },
-                progress: 0.5,
-                projected_total_s: 100.0,
-                elapsed_s: now,
-            };
+            let obs = batch_obs(if violating { 50.0 } else { 150.0 }, 100.0);
             tracker.observe(
                 now,
                 WorkloadId(w as u64),
@@ -40,6 +45,55 @@ fn drive(patterns: &[Vec<bool>]) -> Vec<quasar_cluster::EpisodeRecord> {
     }
     tracker.close_all((ticks + 1) as f64 * TICK_S);
     tracker.episodes().to_vec()
+}
+
+/// One violating tick at `rate` against a 100 IPS floor carrying
+/// `evidence`, closed at once: the episode's mean evidence is `evidence`.
+fn one_tick_episode(rate: f64, evidence: QosEvidence) -> EpisodeRecord {
+    let mut tracker = SloTracker::new(TICK_S);
+    let target = QosTarget::ips(100.0);
+    let id = WorkloadId(0);
+    assert!(tracker
+        .observe(TICK_S, id, &batch_obs(rate, 100.0), &target, evidence)
+        .is_none());
+    tracker.terminate(id, 2.0 * TICK_S).expect("episode open")
+}
+
+/// The seven thresholds, each probed on both sides of its documented
+/// value, with causes winning in [`QosCause::ALL`] priority order.
+#[test]
+fn thresholds_attribute_in_priority_order() {
+    // (interference, queue wait in ticks, rate deviation, utilization):
+    // every signal fires and the most specific wins; dropping it hands
+    // the episode to the next cause down.
+    let cases = [
+        ((0.25, 2.0, 0.61, 0.9), QosCause::Straggler),
+        ((0.25, 2.0, 0.6, 0.9), QosCause::CalibrationDrift),
+        ((0.25, 2.0, 0.16, 0.9), QosCause::CalibrationDrift),
+        ((0.25, 2.0, 0.15, 0.9), QosCause::Interference),
+        ((0.24, 2.0, 0.15, 0.9), QosCause::QueueWait),
+        ((0.24, 1.9, 0.15, 0.9), QosCause::CapacityShortfall),
+        ((0.24, 1.9, 0.15, 0.89), QosCause::Unknown),
+    ];
+    for ((interference, wait_ticks, rate_deviation, utilization), want) in cases {
+        let evidence = QosEvidence {
+            interference,
+            queue_wait_s: wait_ticks * TICK_S,
+            rate_deviation,
+            utilization,
+        };
+        assert_eq!(one_tick_episode(50.0, evidence).cause, want, "{evidence:?}");
+    }
+
+    // Severity: depth 0.5 is an incident, just under is not.
+    let tracker = SloTracker::new(TICK_S);
+    assert!(tracker.is_incident(&one_tick_episode(50.0, QosEvidence::default())));
+    assert!(!tracker.is_incident(&one_tick_episode(50.5, QosEvidence::default())));
+
+    // Slack: a completion projected 5 % past its target is still on track.
+    let target = QosTarget::completion(1000.0);
+    let depth = |projected| tracker.violation_depth(&batch_obs(1.0, projected), &target);
+    assert!(depth(1049.0).is_none() && depth(1051.0).is_some());
 }
 
 proptest! {

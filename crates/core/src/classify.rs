@@ -67,14 +67,6 @@ pub struct Classification {
     pub runtime_calibration: f64,
 }
 
-impl Classification {
-    /// Estimated goal value (completion time / QPS / IPS) at a scale-up
-    /// column on the reference platform.
-    pub fn goal_at_scale_up(&self, col: usize) -> f64 {
-        self.kind.from_speed(self.scale_up_speed[col])
-    }
-}
-
 /// The per-axis latent-factor models behind one [`Classification`],
 /// captured so the similarity index can warm-start SGD for a later,
 /// similar arrival ([`Classifier::classify_warm`]) instead of paying

@@ -255,7 +255,7 @@ impl QuasarManager {
     ) -> PressureVector {
         let total_cores = world.server(server).total_cores() as f64;
         let mut pressure = PressureVector::zero();
-        for id in world.workloads_on(server) {
+        for &id in world.workloads_on(server) {
             if Some(id) == exclude {
                 continue;
             }
@@ -307,7 +307,7 @@ impl QuasarManager {
         // footprint before sizing.
         let added = caused.scaled(0.5);
         let mut victim_factor = 1.0_f64;
-        for tenant in world.workloads_on(sid) {
+        for &tenant in world.workloads_on(sid) {
             if tenant == for_id {
                 continue;
             }
@@ -455,7 +455,8 @@ impl QuasarManager {
         };
         let victims: Vec<WorkloadId> = world
             .workloads_on(sid)
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&w| world.spec(w).is_best_effort())
             .collect();
         for v in victims {

@@ -19,7 +19,7 @@ use crate::report::{write_csv, TextTable};
 use crate::{fig67, fig910, Scale};
 
 /// One manager run's QoS violation ledger: every closed episode plus
-/// the incident reports the flight recorder dumped for severe ones.
+/// the incident reports dumped for severe ones.
 #[derive(Debug, Clone, Default)]
 pub struct QosLedger {
     /// Manager name ("quasar", "autoscale", "framework+ll", ...).

@@ -90,16 +90,6 @@ impl InterferenceProfile {
         &self.caused
     }
 
-    /// Mutable access to the tolerated-pressure vector.
-    pub fn tolerated_mut(&mut self) -> &mut PressureVector {
-        &mut self.tolerated
-    }
-
-    /// Mutable access to the caused-pressure vector.
-    pub fn caused_mut(&mut self) -> &mut PressureVector {
-        &mut self.caused
-    }
-
     /// Multiplicative performance penalty in `(0, 1]` under external
     /// pressure.
     ///

@@ -11,10 +11,6 @@
 //!   fixed-bucket histograms behind a single
 //!   [`registry::Registry::snapshot`]; metric names follow
 //!   `quasar.<crate>.<subsystem>.<name>`.
-//! - [`series::SeriesStore`] — fixed-capacity, deterministically
-//!   downsampled windowed time series keyed by `(name, entity id)`; the
-//!   per-workload / per-cell complement to the global counters, with the
-//!   same byte-identical snapshot contract as the masked exporters.
 //! - [`trace`] — an event collector with deterministic exporters:
 //!   Chrome `trace_event` JSON (Perfetto-loadable) and JSONL. Masked
 //!   exports (keyed off `QUASAR_MASK_TIMINGS` by callers) drop every
@@ -32,12 +28,10 @@
 
 pub mod json;
 pub mod registry;
-pub mod series;
 pub mod span;
 pub mod trace;
 
 pub use registry::{Registry, Snapshot};
-pub use series::{SeriesSnapshot, SeriesStore};
 pub use span::{set_sim_time, sim_time};
 pub use trace::{tracing_enabled, Event};
 

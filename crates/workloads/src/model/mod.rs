@@ -164,14 +164,6 @@ impl PerfModel {
             PerfModel::Service(_) => None,
         }
     }
-
-    /// The service model, if this is a service workload.
-    pub fn as_service(&self) -> Option<&ServiceModel> {
-        match self {
-            PerfModel::Batch(_) => None,
-            PerfModel::Service(m) => Some(m),
-        }
-    }
 }
 
 #[cfg(test)]
