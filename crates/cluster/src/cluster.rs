@@ -52,71 +52,6 @@ impl ClusterSpec {
     pub fn total_servers(&self) -> usize {
         self.counts.iter().map(|(_, n)| n).sum()
     }
-
-    /// Splits the spec into `shards` disjoint sub-specs for the sharded
-    /// manager: each platform's servers are dealt round-robin across the
-    /// cells, so every cell sees (as close as possible to) the same
-    /// hardware mix and the union of the parts is exactly this spec.
-    ///
-    /// Cells whose share of some platform rounds to zero simply omit it;
-    /// a cell is never entirely empty as long as
-    /// `shards <= total_servers()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or exceeds the number of servers.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use quasar_cluster::ClusterSpec;
-    /// use quasar_workloads::PlatformCatalog;
-    ///
-    /// let spec = ClusterSpec::uniform(PlatformCatalog::local(), 4);
-    /// let cells = spec.partition(4);
-    /// assert_eq!(cells.len(), 4);
-    /// assert_eq!(cells.iter().map(|c| c.total_servers()).sum::<usize>(), 40);
-    /// ```
-    pub fn partition(&self, shards: usize) -> Vec<ClusterSpec> {
-        assert!(shards > 0, "shard count must be positive");
-        assert!(
-            shards <= self.total_servers(),
-            "more shards ({shards}) than servers ({})",
-            self.total_servers()
-        );
-        let mut parts: Vec<Vec<(PlatformId, usize)>> = vec![Vec::new(); shards];
-        // The remainder servers of each platform are dealt to consecutive
-        // cells starting at a cursor that advances across platforms. If
-        // every remainder started at cell 0, the low cells would soak up
-        // one extra server per platform and — whenever every platform
-        // count is below the shard count — the high cells would end up
-        // with no servers at all, silently starving any job routed there.
-        let mut cursor = 0usize;
-        for (pid, count) in &self.counts {
-            let base = count / shards;
-            let extra = count % shards;
-            for (cell, part) in parts.iter_mut().enumerate() {
-                let gets_extra = (cell + shards - cursor) % shards < extra;
-                let share = base + usize::from(gets_extra);
-                if share > 0 {
-                    part.push((*pid, share));
-                }
-            }
-            cursor = (cursor + extra) % shards;
-        }
-        parts
-            .into_iter()
-            .map(|counts| ClusterSpec {
-                catalog: self.catalog.clone(),
-                counts,
-            })
-            .collect()
-    }
-
-    /// The catalog behind this spec.
-    pub fn catalog(&self) -> &PlatformCatalog {
-        &self.catalog
-    }
 }
 
 /// Why a placement could not be committed.
@@ -445,94 +380,6 @@ mod tests {
                 .len(),
             40
         );
-    }
-
-    #[test]
-    fn partition_is_disjoint_and_exhaustive() {
-        let catalog = PlatformCatalog::local();
-        let spec = ClusterSpec::with_counts(
-            catalog.clone(),
-            vec![
-                (quasar_workloads::PlatformId(0), 7),
-                (quasar_workloads::PlatformId(3), 1),
-                (quasar_workloads::PlatformId(9), 4),
-            ],
-        );
-        let cells = spec.partition(3);
-        assert_eq!(cells.len(), 3);
-        // Union of the parts is exactly the original spec, per platform.
-        for pid in [0usize, 3, 9] {
-            let pid = quasar_workloads::PlatformId(pid);
-            let original: usize = spec
-                .counts
-                .iter()
-                .filter(|(p, _)| *p == pid)
-                .map(|(_, n)| n)
-                .sum();
-            let split: usize = cells
-                .iter()
-                .flat_map(|c| c.counts.iter())
-                .filter(|(p, _)| *p == pid)
-                .map(|(_, n)| n)
-                .sum();
-            assert_eq!(
-                split, original,
-                "platform {pid:?} servers must be conserved"
-            );
-        }
-        // Round-robin keeps cells within one server of each other *per
-        // platform* (remainders rotate across cells, platform by
-        // platform).
-        let sizes: Vec<usize> = cells.iter().map(ClusterSpec::total_servers).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), spec.total_servers());
-        for pid in [0usize, 3, 9] {
-            let pid = quasar_workloads::PlatformId(pid);
-            let shares: Vec<usize> = cells
-                .iter()
-                .map(|c| {
-                    c.counts
-                        .iter()
-                        .filter(|(p, _)| *p == pid)
-                        .map(|(_, n)| *n)
-                        .sum()
-                })
-                .collect();
-            assert!(
-                shares.iter().max().unwrap() - shares.iter().min().unwrap() <= 1,
-                "platform {pid:?} shares {shares:?} must differ by at most one"
-            );
-        }
-        // Every cell builds a working cluster.
-        for cell in cells {
-            assert!(!ClusterState::new(cell).servers().is_empty());
-        }
-    }
-
-    #[test]
-    fn partition_never_yields_an_empty_cell() {
-        // Regression: with more shards than any single platform's count
-        // (10 platforms x 4 servers into 8 cells), per-platform dealing
-        // that always starts at cell 0 hands cells 0-3 ten servers each
-        // and cells 4-7 nothing — and an empty cell can never place the
-        // jobs routed to it. Rotating the remainder start keeps every
-        // cell populated whenever `shards <= total_servers()`.
-        let spec = ClusterSpec::uniform(PlatformCatalog::local(), 4);
-        let cells = spec.partition(8);
-        let sizes: Vec<usize> = cells.iter().map(ClusterSpec::total_servers).collect();
-        assert_eq!(sizes, vec![5; 8], "40 servers deal evenly into 8 cells");
-        // Down to the one-server-per-cell limit, nobody is left empty.
-        for shards in 1..=spec.total_servers() {
-            for cell in spec.partition(shards) {
-                assert!(cell.total_servers() > 0, "empty cell at {shards} shards");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "more shards")]
-    fn partition_rejects_more_shards_than_servers() {
-        let spec = ClusterSpec::uniform(PlatformCatalog::local(), 1);
-        spec.partition(11);
     }
 
     #[test]

@@ -43,7 +43,6 @@ mod placement;
 mod profile;
 pub mod qos;
 mod server;
-pub mod shard;
 mod sim;
 pub mod snapshot;
 pub mod tasks;
@@ -59,6 +58,5 @@ pub use placement::{NodeAlloc, Placement};
 pub use profile::{ProfileConfig, ProfileResult};
 pub use qos::{EpisodeRecord, Incident, QosCause, QosEvidence, SloTracker};
 pub use server::{Server, ServerId};
-pub use shard::{Cell, CellReport, Seam};
 pub use sim::{PhaseChange, SimConfig, Simulation};
 pub use world::{CompletionRecord, JobState, QosRecord, Retention, World};

@@ -400,42 +400,6 @@ fn covering_tick(start: f64, tick: f64, target: f64) -> u64 {
     j
 }
 
-/// Drives the shared tick loop for a bare `(world, manager)` pair with no
-/// event queue — the cell-round driver: cells deliver their arrivals at
-/// round boundaries, so within a round only physics, completions, and
-/// ticks happen. Applies the same integer-tick stepping, idle
-/// fast-forward, and completion-retention rules as [`Simulation`].
-pub(crate) fn drive_ticks<M: Manager + ?Sized>(world: &mut World, manager: &mut M, t_end_s: f64) {
-    let tick = world.tick_s();
-    let start = world.now();
-    let mut k: u64 = 0;
-    while world.now() + 1e-9 < t_end_s {
-        k += 1;
-        if world.is_idle() && !manager.needs_idle_ticks() {
-            let jump = idle_jump(
-                k,
-                world.now(),
-                start,
-                tick,
-                t_end_s,
-                None,
-                world.next_metrics_due_s(),
-            );
-            if jump > k {
-                sim_metrics().ticks_skipped.add(jump - k);
-                k = jump;
-            }
-        }
-        let next = (start + k as f64 * tick).min(t_end_s);
-        let completed = world.advance_to(next);
-        for id in completed {
-            manager.on_completion(world, id);
-            world.retire_if_dropping(id);
-        }
-        manager.on_tick(world);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -398,13 +398,6 @@ impl World {
         self.entry(id).state
     }
 
-    /// Ids of all submitted workloads, in submission order.
-    pub fn workload_ids(&self) -> Vec<WorkloadId> {
-        let mut ids: Vec<_> = self.entries.keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
     /// Ids of workloads currently in the given state, sorted by id.
     ///
     /// Pending and Running come from maintained indexes (O(state size));

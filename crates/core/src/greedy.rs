@@ -270,44 +270,6 @@ impl GreedyScheduler {
         })
     }
 
-    /// Plans a batch of same-class targets against one shared candidate
-    /// pool, debiting each committed plan's slices from the pool before
-    /// planning the next target.
-    ///
-    /// This is the admission fast path for sharded cells: a drained batch
-    /// of arrivals is planned in one sweep against a single snapshot of
-    /// the cell's servers instead of re-snapshotting the world per job.
-    /// Planning is sequential in batch order, so earlier jobs get first
-    /// pick of capacity and the output is deterministic for a given
-    /// batch. A `None` entry means the pool had no room left for that
-    /// job — the caller re-queues it for a later round.
-    pub fn plan_batch(
-        &self,
-        axes: &Axes,
-        class: &Classification,
-        targets: &[QosTarget],
-        candidates: &[CandidateServer],
-    ) -> Vec<Option<AllocationPlan>> {
-        let mut pool: Vec<CandidateServer> = candidates.to_vec();
-        targets
-            .iter()
-            .map(|target| {
-                let plan = self.plan(axes, class, target, &pool);
-                if let Some(plan) = &plan {
-                    for &(server, res) in &plan.nodes {
-                        let slot = pool
-                            .iter_mut()
-                            .find(|c| c.server == server)
-                            .expect("plans only place on pool servers");
-                        slot.free_cores = slot.free_cores.saturating_sub(res.cores);
-                        slot.free_memory_gb = (slot.free_memory_gb - res.memory_gb).max(0.0);
-                    }
-                }
-                plan
-            })
-            .collect()
-    }
-
     /// The scale-up column with the highest estimated speed that fits the
     /// candidate's free resources.
     fn best_fitting_col(
@@ -596,51 +558,6 @@ mod tests {
         let plan = scheduler.plan(&axes, &class, &target, &candidates).unwrap();
         assert!(!plan.meets);
         assert_eq!(plan.nodes.len(), 1);
-    }
-
-    #[test]
-    fn plan_batch_debits_capacity_and_spills_to_the_next_server() {
-        let axes = axes();
-        let class = class(&axes, GoalKind::Rate);
-        let scheduler = GreedyScheduler::new(1);
-        let ref_idx = axes.ref_platform_index();
-        // Two servers; each fits a couple of modest slices.
-        let candidates = vec![
-            candidate(0, ref_idx, 8, 16.0),
-            candidate(1, ref_idx, 8, 16.0),
-        ];
-        // A target sized to want most of one server per job.
-        let anchor_speed = class.scale_up_speed[axes.anchor_config];
-        let targets = vec![QosTarget::ips(anchor_speed * 1.5); 6];
-        let plans = scheduler.plan_batch(&axes, &class, &targets, &candidates);
-        assert_eq!(plans.len(), targets.len());
-        let placed: Vec<&AllocationPlan> = plans.iter().flatten().collect();
-        assert!(
-            placed.len() >= 2,
-            "both servers must admit at least one job, placed {}",
-            placed.len()
-        );
-        assert!(
-            plans.iter().any(Option::is_none),
-            "the batch must exhaust the two-server pool"
-        );
-        // Committed slices never exceed each server's free capacity.
-        for server in [0usize, 1] {
-            let used: u32 = placed
-                .iter()
-                .flat_map(|p| p.nodes.iter())
-                .filter(|(s, _)| *s == server)
-                .map(|(_, r)| r.cores)
-                .sum();
-            assert!(used <= 8, "server {server} oversubscribed: {used} cores");
-        }
-        // Both servers see load: the first job's slices debit server 0's
-        // pool entry, pushing a later job onto server 1.
-        let servers_used: std::collections::BTreeSet<usize> = placed
-            .iter()
-            .flat_map(|p| p.nodes.iter().map(|(s, _)| *s))
-            .collect();
-        assert_eq!(servers_used.len(), 2, "spill must reach the second server");
     }
 
     #[test]

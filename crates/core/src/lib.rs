@@ -48,7 +48,6 @@ pub mod ordering;
 pub mod par;
 pub mod predict;
 pub mod profile;
-pub mod sharded;
 pub mod similarity;
 pub mod straggler;
 
@@ -60,5 +59,4 @@ pub use greedy::GreedyScheduler;
 pub use history::HistorySet;
 pub use manager::{ManagerSnapshot, ManagerStats, QuasarManager};
 pub use profile::{Profiler, ProfilingData};
-pub use sharded::{run_sharded, BatchAdmission, BatchStats, ShardedConfig, ShardedOutcome};
 pub use similarity::{Signature, SimilarityConfig, SimilarityIndex, SimilarityOutcome};

@@ -160,9 +160,7 @@ impl QuasarManager {
     }
 
     /// A shared handle to the live statistics, usable after the manager
-    /// is boxed into a simulation (experiments poll this mid-run). The
-    /// handle is `Send`, so it also works when the manager runs inside a
-    /// sharded cell on a worker thread.
+    /// is boxed into a simulation (experiments poll this mid-run).
     pub fn stats_handle(&self) -> Arc<Mutex<ManagerStats>> {
         Arc::clone(&self.stats)
     }
@@ -1253,7 +1251,7 @@ mod tests {
     }
 
     #[test]
-    fn manager_is_send_for_sharded_cells() {
+    fn manager_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<QuasarManager>();
         assert_send::<ManagerSnapshot>();

@@ -10,8 +10,8 @@
 //!
 //! Each call spawns its own scoped workers and joins them before it
 //! returns — the repo's fan-outs are a few items of milliseconds to
-//! seconds each, so a spawn is noise — and a nested call (a sharded cell
-//! classifying inside [`par_map_mut`]) just opens an inner scope.
+//! seconds each, so a spawn is noise — and a nested call (an item that
+//! itself calls [`par_map`]) just opens an inner scope.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -65,10 +65,16 @@ pub fn derive_seed(base_seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The one body behind [`par_map`] and [`par_map_mut`]: runs `f(i, item)`
-/// for every item on up to `threads` threads (the submitter is one of
-/// them) and returns the outputs in item order.
-fn fan_out<T, U, F>(threads: usize, items: impl ExactSizeIterator<Item = T>, f: F) -> Vec<U>
+/// Maps `f` over `items` on up to `threads` threads, returning results
+/// in item order.
+///
+/// With `threads <= 1` (or a single item) this is a plain serial loop
+/// and no thread is spawned. Otherwise `min(threads, n) - 1` scoped
+/// workers and the submitter claim indices from one atomic counter; `f`
+/// sees only `(index, item)` and results land in slot `index`, so the
+/// output is the same for every thread count. A panic in `f` reaches the
+/// caller with its original payload once every thread has stopped.
+pub fn par_map<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -90,11 +96,15 @@ where
         f(i, item)
     };
     if threads <= 1 || n <= 1 {
-        let out = items.enumerate().map(|(i, x)| run(i, x)).collect();
+        let out = items
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| run(i, x))
+            .collect();
         quasar_obs::set_sim_time(0.0);
         return out;
     }
-    let slots: Vec<Mutex<Option<T>>> = items.map(|x| Mutex::new(Some(x))).collect();
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
     let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let work = || loop {
@@ -123,38 +133,6 @@ where
         .map(|slot| slot.into_inner().expect("result slot poisoned"))
         .map(|out| out.expect("every index was processed"))
         .collect()
-}
-
-/// Maps `f` over `items` on up to `threads` threads, returning results
-/// in item order.
-///
-/// With `threads <= 1` (or a single item) this is a plain serial loop
-/// and no thread is spawned. Otherwise `min(threads, n) - 1` scoped
-/// workers and the submitter claim indices from one atomic counter; `f`
-/// sees only `(index, item)` and results land in slot `index`, so the
-/// output is the same for every thread count. A panic in `f` reaches the
-/// caller with its original payload once every thread has stopped.
-pub fn par_map<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, T) -> U + Sync,
-{
-    fan_out(threads, items.into_iter(), f)
-}
-
-/// [`par_map`] over items the caller keeps: `f` receives `(index,
-/// &mut item)` and the items stay in place, so long-lived stateful
-/// workers (e.g. sharded manager cells that persist across admission
-/// rounds) can be driven in parallel without moving them through a
-/// `Vec` every round. Same determinism contract as [`par_map`].
-pub fn par_map_mut<T, U, F>(threads: usize, items: &mut [T], f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut T) -> U + Sync,
-{
-    fan_out(threads, items.iter_mut(), f)
 }
 
 /// [`par_map`] for items that need a private RNG stream: `f` receives
@@ -225,24 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_mut_updates_in_place_and_matches_serial() {
-        let f = |i: usize, x: &mut u64| {
-            *x = x.wrapping_mul(3).wrapping_add(i as u64);
-            *x
-        };
-        let mut serial: Vec<u64> = (0..97).collect();
-        let serial_out = par_map_mut(1, &mut serial, f);
-        for threads in [2, 4, 8] {
-            let mut items: Vec<u64> = (0..97).collect();
-            let out = par_map_mut(threads, &mut items, f);
-            assert_eq!(out, serial_out, "threads={threads}");
-            assert_eq!(items, serial, "threads={threads}");
-        }
-        // Outputs are by item index and reflect the in-place update.
-        assert_eq!(serial_out[5], serial[5]);
-    }
-
-    #[test]
     fn invoke_preserves_task_order() {
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..20usize)
             .map(|i| {
@@ -299,20 +259,6 @@ mod tests {
         let payload = result.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<String>().expect("formatted message");
         assert!(msg.ends_with("on a worker"), "unexpected payload: {msg}");
-    }
-
-    #[test]
-    fn par_map_nested_in_par_map_mut_matches_serial() {
-        let run = |outer: usize, inner: usize| {
-            let mut cells: Vec<u64> = (0..6).collect();
-            let out = par_map_mut(outer, &mut cells, |i, cell| {
-                let axes = par_map(inner, vec![*cell; 5], |j, c| derive_seed(c, (i + j) as u64));
-                *cell = axes.into_iter().fold(0, u64::wrapping_add);
-                *cell
-            });
-            (cells, out)
-        };
-        assert_eq!(run(4, 4), run(1, 1));
     }
 
     #[test]

@@ -19,7 +19,6 @@ pub mod bench_kernels;
 pub mod bench_sim;
 pub mod fig1;
 pub mod fig11;
-pub mod fig12;
 pub mod fig2;
 pub mod fig3;
 pub mod fig5;
@@ -72,7 +71,7 @@ pub fn ec2_history() -> &'static HistorySet {
 }
 
 /// All experiment ids, in paper order.
-pub const EXPERIMENT_IDS: [&str; 13] = [
+pub const EXPERIMENT_IDS: &[&str] = &[
     "fig1",
     "fig2",
     "table1",
@@ -84,7 +83,6 @@ pub const EXPERIMENT_IDS: [&str; 13] = [
     "fig8",
     "fig9",
     "fig11",
-    "fig12",
     "adaptation",
 ];
 
@@ -118,7 +116,6 @@ pub fn run_experiment_with(id: &str, scale: Scale, threads: usize) -> Option<Str
         "fig8" => fig8::run_with(scale, threads).to_string(),
         "fig9" | "fig10" => fig910::run_with(scale, threads).to_string(),
         "fig11" => fig11::run_with(scale, threads).to_string(),
-        "fig12" => fig12::run_with(scale, threads).to_string(),
         "adaptation" => adaptation::run_with(scale, threads).to_string(),
         _ => return None,
     };

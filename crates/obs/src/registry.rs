@@ -8,11 +8,10 @@
 //! itself is only locked at handle-creation and snapshot time.
 //!
 //! Naming convention: `quasar.<crate>.<subsystem>.<name>`, e.g.
-//! `quasar.cf.sgd.epochs`. Metrics under [`LIVE_PREFIXES`] (shard
-//! round timings, the SGD schedule memo's counters) and the
-//! `sum`/bucket detail of wall-clock histograms are *scheduling- or
-//! history-dependent*: they vary run-to-run and across `--threads`
-//! values.
+//! `quasar.cf.sgd.epochs`. Metrics under [`LIVE_PREFIXES`] (the SGD
+//! schedule memo's counters) and the `sum`/bucket detail of wall-clock
+//! histograms are *scheduling- or history-dependent*: they vary
+//! run-to-run and across `--threads` values.
 //! [`Snapshot::deterministic`] strips exactly those, leaving a view that
 //! is byte-identical for every thread count, which is what the CI
 //! determinism smoke diffs.
@@ -22,21 +21,15 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Metric-name prefixes whose values depend on thread scheduling (and so
-/// are excluded from [`Snapshot::deterministic`]).
-///
-/// The sharded manager's wall-clock round timings
-/// (`quasar.cluster.shard.wall.*`) are live by definition; its *logical*
-/// shard metrics (`quasar.cluster.shard.admitted`, `.rebalanced`,
-/// `.queue_depth_max`, ...) are driven by deterministic routing and stay
-/// in the deterministic view.
+/// Metric-name prefixes whose values depend on thread scheduling or
+/// process history (and so are excluded from [`Snapshot::deterministic`]).
 ///
 /// The SGD visit-schedule memo's counters (`quasar.cf.sgd.schedule.*`)
-/// depend on process history instead: a second experiment in one process
-/// hits where the first built, and threads racing on a cold key may both
+/// depend on process history: a second experiment in one process hits
+/// where the first built, and threads racing on a cold key may both
 /// build. `quasar.cf.sgd.epochs` counts epochs trained, memoised or not,
 /// and stays deterministic.
-pub const LIVE_PREFIXES: [&str; 2] = ["quasar.cluster.shard.wall.", "quasar.cf.sgd.schedule."];
+pub const LIVE_PREFIXES: &[&str] = &["quasar.cf.sgd.schedule."];
 
 /// Default histogram bucket upper bounds for latencies in microseconds:
 /// a 1-2-5 ladder from 1 µs to 5 s, with an implicit overflow bucket.
@@ -589,21 +582,10 @@ mod tests {
         r.counter("quasar.core.classify.classifications").add(5);
         let h = r.histogram_us("quasar.core.classify.decision_us");
         h.record(123.4);
-        r.counter("quasar.cluster.shard.admitted").add(11);
-        r.gauge("quasar.cluster.shard.queue_depth_max").set(4);
-        r.histogram_us("quasar.cluster.shard.wall.round_us")
-            .record(987.6);
+        r.counter("quasar.cf.sgd.schedule.hits").add(11);
         let det = r.snapshot().deterministic();
-        // Shard wall timings are live; logical shard metrics are kept.
-        assert!(det.get("quasar.cluster.shard.wall.round_us").is_none());
-        assert_eq!(
-            det.get("quasar.cluster.shard.admitted"),
-            Some(&MetricValue::Counter(11))
-        );
-        assert_eq!(
-            det.get("quasar.cluster.shard.queue_depth_max"),
-            Some(&MetricValue::Gauge(4))
-        );
+        // The schedule memo's counters are history-dependent and stripped.
+        assert!(det.get("quasar.cf.sgd.schedule.hits").is_none());
         // Kernel work counters are deterministic and kept.
         assert_eq!(
             det.get("quasar.cf.sgd.epochs"),
