@@ -44,8 +44,8 @@ pub trait Manager {
 /// fit (strict FIFO head-of-line blocking, so placement order is
 /// deterministic). It keeps no state of its own — every decision is
 /// derived from the world each call — which makes it safe to resume
-/// from a [`snapshot`](crate::snapshot): the `bench-sim` harness and
-/// the snapshot tests both drive it.
+/// from a [`snapshot`](crate::snapshot): the snapshot tests and
+/// `benchmark/`'s `sim_stream` workload both drive it.
 #[derive(Debug, Clone, Copy)]
 pub struct FifoGreedy {
     slice: NodeResources,

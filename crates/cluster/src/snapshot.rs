@@ -26,7 +26,8 @@
 //!
 //! The manager's own state is also not captured: resume with a
 //! stateless manager (one that derives its decisions from the world,
-//! like the FIFO greedy manager the `bench-sim` harness uses) or
+//! like the FIFO greedy manager
+//! `mid_run_snapshot_resume_matches_uninterrupted_run` resumes with) or
 //! rebuild the manager externally before resuming. A workload's last
 //! monitoring observation is dropped; it reappears one tick after
 //! resume.
@@ -527,74 +528,91 @@ mod tests {
             .collect()
     }
 
-    fn outcome(sim: &Simulation) -> (u64, Vec<crate::world::CompletionRecord>, u64, u64, u64) {
+    type Outcome = (u64, Vec<crate::world::CompletionRecord>, u64, u64, u64, u64);
+
+    fn outcome(sim: &Simulation) -> Outcome {
+        let world = sim.world();
         (
-            sim.world().completion_digest(),
-            sim.world().completions(),
-            sim.world().metrics().total_count(),
-            sim.world().now().to_bits(),
-            sim.world().journal().stream_digest(),
+            world.completion_digest(),
+            world.completions(),
+            world.retired_count(),
+            world.metrics().total_count(),
+            world.now().to_bits(),
+            world.journal().stream_digest(),
         )
     }
 
     /// The headline resumability guarantee: snapshot mid-run, rebuild
-    /// from the text in a fresh process-equivalent, continue — every
-    /// outcome (completion digest, records, metrics grid, clock,
-    /// journal stream digest) matches the uninterrupted run bitwise.
+    /// from the text, continue — every outcome (completion digest,
+    /// records, retired count, metrics grid, clock, journal stream
+    /// digest) matches the uninterrupted run bitwise, under both
+    /// retention policies. A resume that lost the `retention` line would
+    /// keep the post-snapshot completions the reference run drops.
+    ///
+    /// Resuming inside the test process proves as much as resuming in a
+    /// fresh one: the snapshot text and the chunk directory are the only
+    /// carriers of run state, and the only `static`s in this crate are
+    /// metrics-registry handles that no run reads back.
     #[test]
     fn mid_run_snapshot_resume_matches_uninterrupted_run() {
-        let dir = std::env::temp_dir().join(format!("quasar-snap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let arrivals = [0.0, 120.0, 650.0, 700.0, 1_500.0];
+        for retention in [Retention::KeepAll, Retention::DropCompleted] {
+            let dir = std::env::temp_dir()
+                .join(format!("quasar-snap-{}-{retention:?}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let arrivals = [0.0, 120.0, 650.0, 700.0, 1_500.0];
+            let start = |store: Box<dyn ChunkProvider>| {
+                let mut sim = Simulation::new(spec(), fifo(), config());
+                sim.world_mut().set_retention(retention);
+                sim.world_mut().journal_mut().attach_provider(3, store);
+                for (w, at) in jobs(5).into_iter().zip(arrivals) {
+                    sim.submit_at(w, at);
+                }
+                sim
+            };
 
-        // Reference: one uninterrupted run, chunk stream in memory.
-        let mut a = Simulation::new(spec(), fifo(), config());
-        a.world_mut()
-            .journal_mut()
-            .attach_provider(3, Box::new(crate::chunk::MemoryChunks::new()));
-        for (w, at) in jobs(5).into_iter().zip(arrivals) {
-            a.submit_at(w, at);
+            // Reference: one uninterrupted run, chunk stream in memory.
+            let mut a = start(Box::new(crate::chunk::MemoryChunks::new()));
+            a.run_until(4_000.0);
+            a.world_mut().journal_mut().seal_open_chunk();
+            assert_eq!(
+                a.world().retired_count() > 0,
+                retention == Retention::DropCompleted,
+                "only DropCompleted retires entries"
+            );
+
+            // Interrupted run: snapshot at t=1200, after j0 finished
+            // (held or retired) and before j4 arrives.
+            let mut b = start(Box::new(FileChunks::open(&dir).unwrap()));
+            b.run_until(1_200.0);
+            let text = snapshot(&mut b).unwrap();
+            drop(b);
+
+            // Resume from text + the chunk directory + regenerated jobs.
+            let mut pool: HashMap<WorkloadId, Workload> =
+                jobs(5).into_iter().map(|w| (w.id(), w)).collect();
+            let mut c = resume(
+                spec(),
+                fifo(),
+                config(),
+                &text,
+                Some((3, Box::new(FileChunks::open(&dir).unwrap()))),
+                &mut |id| pool.remove(&id).expect("workload regenerated once"),
+            )
+            .unwrap();
+            assert_eq!(c.world().now(), 1_200.0);
+            c.run_until(4_000.0);
+            c.world_mut().journal_mut().seal_open_chunk();
+
+            assert_eq!(outcome(&a), outcome(&c), "{retention:?}");
+            // The chunk stream on disk replays to the same digest the
+            // resumed run carries live.
+            let store = FileChunks::open(&dir).unwrap();
+            assert_eq!(
+                crate::chunk::replay_digest(&store).unwrap(),
+                c.world().journal().stream_digest(),
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        a.run_until(4_000.0);
-        a.world_mut().journal_mut().seal_open_chunk();
-
-        // Interrupted run: snapshot at t=600 with two arrivals queued.
-        let mut b = Simulation::new(spec(), fifo(), config());
-        b.world_mut()
-            .journal_mut()
-            .attach_provider(3, Box::new(FileChunks::open(&dir).unwrap()));
-        for (w, at) in jobs(5).into_iter().zip(arrivals) {
-            b.submit_at(w, at);
-        }
-        b.run_until(600.0);
-        let text = snapshot(&mut b).unwrap();
-        drop(b);
-
-        // Resume from text + the chunk directory + regenerated jobs.
-        let mut pool: HashMap<WorkloadId, Workload> =
-            jobs(5).into_iter().map(|w| (w.id(), w)).collect();
-        let mut c = resume(
-            spec(),
-            fifo(),
-            config(),
-            &text,
-            Some((3, Box::new(FileChunks::open(&dir).unwrap()))),
-            &mut |id| pool.remove(&id).expect("workload regenerated once"),
-        )
-        .unwrap();
-        assert_eq!(c.world().now(), 600.0);
-        c.run_until(4_000.0);
-        c.world_mut().journal_mut().seal_open_chunk();
-
-        assert_eq!(outcome(&a), outcome(&c));
-        // The chunk stream on disk replays to the same digest the
-        // resumed run carries live.
-        let store = FileChunks::open(&dir).unwrap();
-        assert_eq!(
-            crate::chunk::replay_digest(&store).unwrap(),
-            c.world().journal().stream_digest(),
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

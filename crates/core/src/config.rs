@@ -2,7 +2,10 @@
 
 use crate::similarity::SimilarityConfig;
 
-/// Tunables of the Quasar manager; defaults follow the paper.
+/// Tunables of the Quasar manager; defaults follow the paper. The
+/// paper's fixed constants (adaptation miss threshold, proactive sweep
+/// interval and fraction, probe QoS loss, best-effort slice, prediction
+/// lead) are constants of the manager itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuasarConfig {
     /// Profiling entries per classification row (the input-matrix density
@@ -14,22 +17,10 @@ pub struct QuasarConfig {
     /// QoS slack: a workload within this fraction of its target counts as
     /// on track (the paper quotes ~5% deviations).
     pub qos_slack: f64,
-    /// Consecutive off-track observations before adaptation kicks in.
-    pub miss_threshold: u32,
     /// Seconds between adaptation scans.
     pub adapt_interval_s: f64,
-    /// Seconds between proactive phase-detection sweeps (10 min in §4.1).
-    pub proactive_interval_s: f64,
-    /// Fraction of running workloads sampled per proactive sweep (20%).
-    pub proactive_fraction: f64,
-    /// Acceptable QoS loss when probing interference sensitivity (5%).
-    pub probe_qos_loss: f64,
     /// Maximum nodes the greedy scheduler will allocate to one workload.
     pub max_nodes: usize,
-    /// Cores given to a best-effort job slice.
-    pub best_effort_cores: u32,
-    /// Memory given to a best-effort job slice, in GB.
-    pub best_effort_memory_gb: f64,
     /// Enable the resource-partitioning extension (§4.4): when a
     /// latency-critical workload is off track and the manager's estimated
     /// interference penalty on its servers is severe, enable hardware
@@ -39,8 +30,6 @@ pub struct QuasarConfig {
     /// user-facing services when the *forecast* load outgrows the current
     /// provisioning point, before latency degrades.
     pub predictive_scaling: bool,
-    /// How far ahead the predictor looks, in seconds.
-    pub prediction_lead_s: f64,
     /// Seed for profiling-configuration randomization.
     pub seed: u64,
     /// Worker threads for the per-axis classification fan-out
@@ -61,17 +50,10 @@ impl Default for QuasarConfig {
             profiling_entries: 2,
             training_workloads: 24,
             qos_slack: 0.05,
-            miss_threshold: 2,
             adapt_interval_s: 30.0,
-            proactive_interval_s: 600.0,
-            proactive_fraction: 0.20,
-            probe_qos_loss: 0.05,
             max_nodes: 32,
-            best_effort_cores: 2,
-            best_effort_memory_gb: 2.0,
             resource_partitioning: false,
             predictive_scaling: false,
-            prediction_lead_s: 120.0,
             seed: 0x9A5A,
             threads: 1,
             similarity: SimilarityConfig::default(),
@@ -98,52 +80,22 @@ impl QuasarConfig {
             ..QuasarConfig::default()
         }
     }
-
-    /// Returns the configuration with out-of-range knobs clamped to safe
-    /// values. Manager construction funnels every config through this.
-    ///
-    /// `proactive_fraction` multiplies a running-set length and goes
-    /// through `ceil() as usize`, so a NaN or out-of-range value would
-    /// produce a bogus sample count: NaN and negatives become 0.0 (no
-    /// proactive sampling), anything above 1.0 becomes 1.0 (sample
-    /// everything).
-    pub fn validated(mut self) -> QuasarConfig {
-        self.proactive_fraction = if self.proactive_fraction.is_nan() {
-            0.0
-        } else {
-            self.proactive_fraction.clamp(0.0, 1.0)
-        };
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validated_clamps_proactive_fraction() {
-        let with = |f: f64| {
-            QuasarConfig {
-                proactive_fraction: f,
-                ..QuasarConfig::default()
-            }
-            .validated()
-        };
-        assert_eq!(with(f64::NAN).proactive_fraction, 0.0);
-        assert_eq!(with(-0.3).proactive_fraction, 0.0);
-        assert_eq!(with(7.5).proactive_fraction, 1.0);
-        assert_eq!(with(0.2).proactive_fraction, 0.2);
-        // Everything else passes through untouched.
-        assert_eq!(with(0.2), QuasarConfig::default());
-    }
+    use crate::manager::{
+        MISS_THRESHOLD, PROACTIVE_FRACTION, PROACTIVE_INTERVAL_S, PROBE_QOS_LOSS,
+    };
 
     #[test]
     fn defaults_match_paper_constants() {
         let c = QuasarConfig::default();
         assert_eq!(c.profiling_entries, 2);
-        assert_eq!(c.proactive_interval_s, 600.0);
-        assert!((c.proactive_fraction - 0.2).abs() < 1e-12);
-        assert!((c.probe_qos_loss - 0.05).abs() < 1e-12);
+        assert_eq!(MISS_THRESHOLD, 2);
+        assert_eq!(PROACTIVE_INTERVAL_S, 600.0);
+        assert!((PROACTIVE_FRACTION - 0.2).abs() < 1e-12);
+        assert!((PROBE_QOS_LOSS - 0.05).abs() < 1e-12);
     }
 }

@@ -22,6 +22,21 @@ use crate::predict::LoadPredictor;
 use crate::profile::Profiler;
 use crate::similarity::SimilarityIndex;
 
+/// Consecutive off-track observations before adaptation kicks in.
+pub(crate) const MISS_THRESHOLD: u32 = 2;
+/// Seconds between proactive phase-detection sweeps (10 min in §4.1).
+pub(crate) const PROACTIVE_INTERVAL_S: f64 = 600.0;
+/// Fraction of running workloads sampled per proactive sweep (20%).
+pub(crate) const PROACTIVE_FRACTION: f64 = 0.20;
+/// Acceptable QoS loss when probing interference sensitivity (5%).
+pub(crate) const PROBE_QOS_LOSS: f64 = 0.05;
+/// Cores given to a best-effort job slice.
+const BEST_EFFORT_CORES: u32 = 2;
+/// Memory given to a best-effort job slice, in GB.
+const BEST_EFFORT_MEMORY_GB: f64 = 2.0;
+/// How far ahead the load predictor looks, in seconds.
+const PREDICTION_LEAD_S: f64 = 120.0;
+
 /// Counters describing what the manager did during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ManagerStats {
@@ -129,11 +144,8 @@ impl QuasarManager {
         QuasarManager::with_history(history, config)
     }
 
-    /// Builds a manager over an existing offline history. The config is
-    /// clamped via [`QuasarConfig::validated`]; every constructor
-    /// (`bootstrap`, `restore`) funnels through here.
+    /// Builds a manager over an existing offline history.
     pub fn with_history(history: HistorySet, config: QuasarConfig) -> QuasarManager {
-        let config = config.validated();
         QuasarManager {
             profiler: Profiler::new(config.profiling_entries, config.seed ^ 0xF00D),
             classifier: Classifier::new().with_threads(config.threads),
@@ -469,10 +481,7 @@ impl QuasarManager {
 
     /// Packs pending best-effort jobs onto whatever capacity is left.
     fn fill_best_effort(&mut self, world: &mut World) {
-        let res = NodeResources::new(
-            self.config.best_effort_cores,
-            self.config.best_effort_memory_gb,
-        );
+        let res = NodeResources::new(BEST_EFFORT_CORES, BEST_EFFORT_MEMORY_GB);
         let mut remaining = self.pending_best_effort.len();
         while remaining > 0 {
             remaining -= 1;
@@ -569,9 +578,8 @@ impl QuasarManager {
                     state.predictor.observe(world.now(), svc.offered_qps);
                     if on_track && svc.utilization > 0.0 {
                         let capacity = svc.achieved_qps / svc.utilization.max(0.02);
-                        if let Some(ahead) = state
-                            .predictor
-                            .forecast(world.now() + self.config.prediction_lead_s)
+                        if let Some(ahead) =
+                            state.predictor.forecast(world.now() + PREDICTION_LEAD_S)
                         {
                             if ahead > capacity * 0.85 {
                                 on_track = false;
@@ -594,7 +602,7 @@ impl QuasarManager {
                 state.headroom_ticks = 0;
             }
 
-            if state.misses >= self.config.miss_threshold {
+            if state.misses >= MISS_THRESHOLD {
                 state.misses = 0;
                 self.adapt_up(world, id);
                 self.stats_mut().adaptations += 1;
@@ -969,8 +977,8 @@ impl QuasarManager {
             .into_iter()
             .filter(|&id| !world.spec(id).is_best_effort() && self.states.contains_key(&id))
             .collect();
-        let sample_n = ((running.len() as f64 * self.config.proactive_fraction).ceil() as usize)
-            .min(running.len());
+        let sample_n =
+            ((running.len() as f64 * PROACTIVE_FRACTION).ceil() as usize).min(running.len());
         let sample: Vec<WorkloadId> = running
             .choose_multiple(&mut self.rng, sample_n)
             .copied()
@@ -1025,7 +1033,7 @@ impl QuasarManager {
         let mut cols: Vec<usize> = (0..axes.resources.len()).collect();
         cols.shuffle(&mut self.rng);
         for &c in cols.iter().take(d) {
-            let r = world.probe_sensitivity(id, axes.resources[c], self.config.probe_qos_loss);
+            let r = world.probe_sensitivity(id, axes.resources[c], PROBE_QOS_LOSS);
             tolerated_obs.push((c, r.value));
         }
         let history = self.history.kind(kind);
@@ -1126,7 +1134,7 @@ impl Manager for QuasarManager {
             self.try_place_all_pending(world);
             self.fill_best_effort(world);
         }
-        if world.now() - self.last_proactive_s >= self.config.proactive_interval_s {
+        if world.now() - self.last_proactive_s >= PROACTIVE_INTERVAL_S {
             self.last_proactive_s = world.now();
             self.proactive_sweep(world);
         }

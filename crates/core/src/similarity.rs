@@ -75,12 +75,6 @@ pub struct SimilarityConfig {
     pub bands: usize,
     /// MinHash rows per band. More rows make each band more selective.
     pub rows_per_band: usize,
-    /// Similarity at or above which a neighbor's classification is
-    /// reused outright. At the default `1.0` the test is exact
-    /// feature-set equality (a quantization-level duplicate); values
-    /// below 1.0 accept the estimated Jaccard similarity instead
-    /// (explicitly approximate reuse).
-    pub exact_threshold: f64,
     /// Estimated Jaccard at or above which a neighbor's cached axis
     /// models warm-start SGD. Set above 1.0 to disable warm starts.
     pub warm_threshold: f64,
@@ -103,7 +97,6 @@ impl Default for SimilarityConfig {
             enabled: false,
             bands: 16,
             rows_per_band: 2,
-            exact_threshold: 1.0,
             warm_threshold: 0.55,
             ln_bucket: 0.05,
             pressure_bucket: 2.0,
@@ -419,16 +412,12 @@ impl SimilarityIndex {
         }
     }
 
-    /// Resolves a signature against the thresholds.
+    /// Resolves a signature: a hit needs an exact feature-set duplicate,
+    /// a warm start only the warm threshold.
     fn decide(&self, sig: &Signature) -> Decision {
         match self.best_candidate(sig) {
             Some((slot, sim, dup)) => {
-                let hit = if self.config.exact_threshold >= 1.0 {
-                    dup
-                } else {
-                    dup || sim >= self.config.exact_threshold
-                };
-                if hit {
+                if dup {
                     Decision::Hit(slot)
                 } else if sim >= self.config.warm_threshold
                     && self.entries[slot]

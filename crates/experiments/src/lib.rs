@@ -16,7 +16,6 @@
 
 pub mod adaptation;
 pub mod bench_kernels;
-pub mod bench_sim;
 pub mod fig1;
 pub mod fig11;
 pub mod fig2;

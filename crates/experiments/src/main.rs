@@ -6,9 +6,6 @@
 //! quasar-experiments trace <id> [--full] [--threads N]
 //!                    [--trace-out PATH] [--jsonl-out PATH]
 //! quasar-experiments bench-kernels [--full] [--json] [--out PATH]
-//! quasar-experiments bench-sim --jobs N [--halt-at-s T --snapshot-out PATH]
-//!                    [--chunk-dir PATH]
-//! quasar-experiments bench-sim --resume PATH [--chunk-dir PATH]
 //! quasar-experiments qos-report <fig> [--full] [--threads N]
 //! ```
 //!
@@ -23,12 +20,6 @@
 //! additionally writes the machine-readable result to `--out PATH`
 //! (default `BENCH_kernels.json`).
 //!
-//! `bench-sim --jobs N` streams N jobs through the event-driven
-//! simulator, journaling through a file-backed chunk store, and prints
-//! a deterministic outcome block; add `--halt-at-s T --snapshot-out
-//! PATH` to stop mid-run and persist a resumable snapshot, and
-//! `--resume PATH` to continue one (reusing the same `--chunk-dir`).
-//! The outcome block is byte-identical across a halt/resume boundary.
 //! Throughput and latency numbers come from `benchmark/`, not from here.
 //!
 //! `qos-report <fig>` reruns one figure's scenario (fig6/fig7/fig9/
@@ -58,9 +49,6 @@ fn usage() -> ! {
          \x20      quasar-experiments trace <id> [--full] [--threads N] \
          [--trace-out PATH] [--jsonl-out PATH]\n\
          \x20      quasar-experiments bench-kernels [--full] [--json] [--out PATH]\n\
-         \x20      quasar-experiments bench-sim --jobs N [--halt-at-s T \
-         --snapshot-out PATH] [--chunk-dir PATH]\n\
-         \x20      quasar-experiments bench-sim --resume PATH [--chunk-dir PATH]\n\
          \x20      quasar-experiments qos-report <fig> [--full] [--threads N]"
     );
     eprintln!("ids: all {}", EXPERIMENT_IDS.join(" "));
@@ -77,13 +65,7 @@ struct Options {
     bench_mode: bool,
     bench_json: bool,
     bench_out: Option<String>,
-    bench_sim_mode: bool,
     qos_report_mode: bool,
-    sim_jobs: Option<u64>,
-    sim_halt_at_s: Option<f64>,
-    sim_snapshot_out: Option<String>,
-    sim_resume: Option<String>,
-    sim_chunk_dir: Option<String>,
 }
 
 fn parse_args(args: &[String]) -> Options {
@@ -97,13 +79,7 @@ fn parse_args(args: &[String]) -> Options {
         bench_mode: false,
         bench_json: false,
         bench_out: None,
-        bench_sim_mode: false,
         qos_report_mode: false,
-        sim_jobs: None,
-        sim_halt_at_s: None,
-        sim_snapshot_out: None,
-        sim_resume: None,
-        sim_chunk_dir: None,
     };
     let path_flag = |args: &[String], i: &mut usize| -> String {
         *i += 1;
@@ -131,33 +107,12 @@ fn parse_args(args: &[String]) -> Options {
             "--jsonl-out" => opts.jsonl_out = Some(path_flag(args, &mut i)),
             "--json" => opts.bench_json = true,
             "--out" => opts.bench_out = Some(path_flag(args, &mut i)),
-            "--jobs" => {
-                i += 1;
-                opts.sim_jobs = args.get(i).and_then(|v| v.parse::<u64>().ok()).or_else(|| {
-                    eprintln!("--jobs needs a non-negative integer");
-                    usage()
-                });
-            }
-            "--halt-at-s" => {
-                i += 1;
-                opts.sim_halt_at_s =
-                    args.get(i).and_then(|v| v.parse::<f64>().ok()).or_else(|| {
-                        eprintln!("--halt-at-s needs a number of seconds");
-                        usage()
-                    });
-            }
-            "--snapshot-out" => opts.sim_snapshot_out = Some(path_flag(args, &mut i)),
-            "--resume" => opts.sim_resume = Some(path_flag(args, &mut i)),
-            "--chunk-dir" => opts.sim_chunk_dir = Some(path_flag(args, &mut i)),
             a if a.starts_with("--") => {
                 eprintln!("unknown flag: {a}");
                 usage();
             }
             "trace" if opts.ids.is_empty() && !opts.trace_mode => opts.trace_mode = true,
             "bench-kernels" if opts.ids.is_empty() && !opts.bench_mode => opts.bench_mode = true,
-            "bench-sim" if opts.ids.is_empty() && !opts.bench_sim_mode => {
-                opts.bench_sim_mode = true
-            }
             "qos-report" if opts.ids.is_empty() && !opts.qos_report_mode => {
                 opts.qos_report_mode = true
             }
@@ -165,7 +120,7 @@ fn parse_args(args: &[String]) -> Options {
         }
         i += 1;
     }
-    if opts.ids.is_empty() && !opts.bench_mode && !opts.bench_sim_mode {
+    if opts.ids.is_empty() && !opts.bench_mode {
         usage();
     }
     opts
@@ -249,80 +204,6 @@ fn run_bench_kernels(opts: &Options) {
     }
 }
 
-/// `bench-sim` dispatch: a single deterministic run (`--jobs N`) with
-/// optional halt/snapshot, or the resumption of one (`--resume PATH`).
-fn run_bench_sim(opts: &Options) {
-    use quasar_experiments::bench_sim::{self, RunOutcome};
-
-    if !opts.ids.is_empty() {
-        eprintln!("bench-sim takes no experiment ids");
-        usage();
-    }
-    let fail = |what: &str, e: std::io::Error| -> ! {
-        eprintln!("bench-sim {what} failed: {e}");
-        std::process::exit(1);
-    };
-    let print_done = |outcome: RunOutcome, what: &str| match outcome {
-        RunOutcome::Done(run) => print!("{run}"),
-        RunOutcome::Halted { at_s } => {
-            eprintln!("bench-sim {what}: unexpected halt at {at_s}");
-            std::process::exit(1);
-        }
-    };
-
-    if let Some(snapshot) = &opts.sim_resume {
-        // Resume a halted run: same chunk dir the halted run wrote.
-        let chunk_dir = opts
-            .sim_chunk_dir
-            .clone()
-            .unwrap_or_else(|| format!("{snapshot}.chunks"));
-        match bench_sim::run_resumed(snapshot.as_ref(), chunk_dir.as_ref()) {
-            Ok(outcome) => print_done(outcome, "resume"),
-            Err(e) => fail("resume", e),
-        }
-        return;
-    }
-
-    let Some(jobs) = opts.sim_jobs else {
-        eprintln!("bench-sim needs --jobs N or --resume PATH");
-        usage();
-    };
-    // Fresh run, optionally halting mid-way.
-    let halt = match (&opts.sim_halt_at_s, &opts.sim_snapshot_out) {
-        (Some(at_s), Some(path)) => Some((*at_s, path.clone())),
-        (None, None) => None,
-        _ => {
-            eprintln!("--halt-at-s and --snapshot-out go together");
-            usage();
-        }
-    };
-    let (chunk_dir, temp) = match (&opts.sim_chunk_dir, &opts.sim_snapshot_out) {
-        (Some(dir), _) => (dir.clone(), false),
-        (None, Some(snapshot)) => (format!("{snapshot}.chunks"), false),
-        (None, None) => {
-            let dir =
-                std::env::temp_dir().join(format!("quasar-bench-sim-cli-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            (dir.to_string_lossy().into_owned(), true)
-        }
-    };
-    let halt_ref = halt.as_ref().map(|(t, p)| (*t, std::path::Path::new(p)));
-    let result = bench_sim::run_fresh(jobs, chunk_dir.as_ref(), halt_ref);
-    if temp {
-        let _ = std::fs::remove_dir_all(&chunk_dir);
-    }
-    match result {
-        Ok(RunOutcome::Halted { at_s }) => {
-            eprintln!(
-                "[halted at {at_s}s; snapshot written to {}]",
-                opts.sim_snapshot_out.as_deref().unwrap_or("?"),
-            );
-        }
-        Ok(outcome) => print_done(outcome, "run"),
-        Err(e) => fail("run", e),
-    }
-}
-
 /// `qos-report <fig>`: rerun one figure's scenario and print the
 /// per-cause QoS violation breakdown (the ledger CSV and the incident
 /// JSONL land under `target/experiment-results/qos/`).
@@ -362,10 +243,6 @@ fn main() {
 
     if opts.qos_report_mode {
         run_qos_report(&opts);
-        return;
-    }
-    if opts.bench_sim_mode {
-        run_bench_sim(&opts);
         return;
     }
     if opts.bench_mode {

@@ -54,5 +54,5 @@ fn analytics_figures_are_covered_and_unknown_ids_rejected() {
     // covered above). Unknown ids return None instead of panicking.
     let report = run_with("fig7", Scale::Quick, 4).expect("fig7 covered");
     assert_eq!(report.ledgers.len(), 2, "baseline and quasar ledgers");
-    assert!(run_with("bench-sim", Scale::Quick, 1).is_none());
+    assert!(run_with("fig1", Scale::Quick, 1).is_none());
 }
