@@ -393,19 +393,6 @@ pub struct PqModel {
 }
 
 impl PqModel {
-    /// The per-row biases of `a` against the global mean `mu`.
-    fn row_biases(a: &SparseMatrix, mu: f64) -> Vec<f64> {
-        let mut row_bias = vec![0.0; a.rows()];
-        for (r, bias) in row_bias.iter_mut().enumerate() {
-            let entries = a.row_entries(r);
-            if !entries.is_empty() {
-                let mean: f64 = entries.iter().map(|(_, v)| v).sum::<f64>() / entries.len() as f64;
-                *bias = mean - mu;
-            }
-        }
-        row_bias
-    }
-
     /// Trains a model on the observed entries of `a`.
     ///
     /// Initialization follows the paper: SVD of the (mean-filled) matrix,
@@ -419,7 +406,14 @@ impl PqModel {
         assert!(!a.is_empty(), "cannot train on an empty matrix");
 
         let mu = a.mean().expect("matrix is non-empty");
-        let row_bias = PqModel::row_biases(a, mu);
+        let mut row_bias = vec![0.0; a.rows()];
+        for (r, bias) in row_bias.iter_mut().enumerate() {
+            let entries = a.row_entries(r);
+            if !entries.is_empty() {
+                let mean: f64 = entries.iter().map(|(_, v)| v).sum::<f64>() / entries.len() as f64;
+                *bias = mean - mu;
+            }
+        }
 
         // Residual matrix for initialization: observed minus (μ + b_u),
         // missing cells filled via column means of the residuals.
@@ -463,39 +457,6 @@ impl PqModel {
         };
         model.run_sgd(a, config);
         model
-    }
-
-    /// Trains a model warm-started from the factors of `init` — a model
-    /// previously trained on a closely-related matrix — instead of the
-    /// SVD. `μ` and the per-row biases are recomputed from `a` (cheap,
-    /// one pass over the observed entries); the factor matrices and rank
-    /// are copied from `init`; SGD then refines everything as usual.
-    /// Skipping the Jacobi SVD of the mean-filled matrix is where the
-    /// similarity index's warm-start latency win comes from.
-    ///
-    /// Returns `None` when the shapes are incompatible: `init` must
-    /// carry one factor row per row of `a` and one per column of `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` has no observed entries.
-    pub fn train_warm(a: &SparseMatrix, config: &SgdConfig, init: &PqModel) -> Option<PqModel> {
-        assert!(!a.is_empty(), "cannot train on an empty matrix");
-        if init.row_factors.rows() != a.rows() || init.col_factors.rows() != a.cols() {
-            return None;
-        }
-        let mu = a.mean().expect("matrix is non-empty");
-        let mut model = PqModel {
-            mu,
-            row_bias: PqModel::row_biases(a, mu),
-            row_factors: init.row_factors.clone(),
-            col_factors: init.col_factors.clone(),
-            rank: init.rank,
-            epochs_run: 0,
-            final_residual: f64::INFINITY,
-        };
-        model.run_sgd(a, config);
-        Some(model)
     }
 
     /// Fused SGD: one pass per observed entry over a `(q_u, p_i)` row
@@ -568,7 +529,7 @@ impl PqModel {
     /// oracle: property tests assert [`PqModel::train`] matches it
     /// bit-for-bit, and `quasar-experiments bench-kernels` measures the
     /// fused kernel's speedup against it. Every factor access goes
-    /// through bounds-checked `get`/`set`, and the SVD warm start uses
+    /// through bounds-checked `get`/`set`, and the SVD initialization uses
     /// [`svd_reference`] — exactly the pre-PR shape.
     pub fn train_reference(a: &SparseMatrix, config: &SgdConfig) -> PqModel {
         assert!(!a.is_empty(), "cannot train on an empty matrix");
@@ -816,44 +777,6 @@ mod tests {
         assert_eq!(bias_bits(&fast.row_bias), bias_bits(&slow.row_bias));
     }
 
-    /// `train_warm` shares `run_sgd` with `train`; its oracle is the
-    /// frozen loop run from the same warm initialization.
-    #[test]
-    fn warm_training_is_bit_identical_to_reference_order() {
-        let (sparse, _) = low_rank_sparse(9, 7, 2, 3);
-        let init = PqModel::train(&sparse, &SgdConfig::default());
-        let mut nudged = SparseMatrix::new(9, 7);
-        for (r, c, v) in sparse.iter() {
-            nudged.insert(r, c, v * (1.0 + 0.004 * ((r + 2 * c) % 5) as f64));
-        }
-        for (seed, max_epochs, tolerance) in [(0x5eed, 800, 1e-4), (7, 33, 1e-4), (7, 90, 0.05)] {
-            let config = SgdConfig {
-                seed,
-                max_epochs,
-                tolerance,
-                ..SgdConfig::default()
-            };
-            let fast = PqModel::train_warm(&nudged, &config, &init).expect("shapes match");
-            let mu = nudged.mean().expect("non-empty");
-            let mut slow = PqModel {
-                mu,
-                row_bias: PqModel::row_biases(&nudged, mu),
-                epochs_run: 0,
-                final_residual: f64::INFINITY,
-                ..init.clone()
-            };
-            slow.run_sgd_reference(&nudged, &config);
-            assert_eq!(fast.epochs_run(), slow.epochs_run());
-            assert_eq!(
-                fast.final_residual().to_bits(),
-                slow.final_residual().to_bits()
-            );
-            let bits =
-                |m: &DenseMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&fast.predict_all()), bits(&slow.predict_all()));
-        }
-    }
-
     /// Drives a private small-budget memo through build → hit → extend →
     /// evict → rebuild → oversized; every row served on the way must be
     /// the row a straight run of the generator produces.
@@ -925,38 +848,5 @@ mod tests {
     #[should_panic(expected = "cannot train on an empty matrix")]
     fn empty_matrix_panics() {
         PqModel::train(&SparseMatrix::new(2, 2), &SgdConfig::default());
-    }
-
-    #[test]
-    fn warm_start_fits_a_perturbed_matrix_without_svd() {
-        let (sparse, truth) = low_rank_sparse(8, 8, 2, 3);
-        let cold = PqModel::train(&sparse, &SgdConfig::default());
-
-        // The same matrix with every observation nudged by < 1%.
-        let mut nudged = SparseMatrix::new(8, 8);
-        for (r, c, v) in sparse.iter() {
-            nudged.insert(r, c, v * (1.0 + 0.004 * ((r + 2 * c) % 5) as f64));
-        }
-        let warm = PqModel::train_warm(&nudged, &SgdConfig::default(), &cold)
-            .expect("shapes match the init model");
-        assert_eq!(warm.rank(), cold.rank());
-        let mut worst: f64 = 0.0;
-        for r in 0..8 {
-            for c in 0..8 {
-                if nudged.get(r, c).is_none() {
-                    let rel = (warm.predict(r, c) - truth.get(r, c)).abs() / truth.get(r, c).abs();
-                    worst = worst.max(rel);
-                }
-            }
-        }
-        assert!(worst < 0.3, "warm-started model drifted: {worst}");
-    }
-
-    #[test]
-    fn warm_start_rejects_mismatched_shapes() {
-        let (small, _) = low_rank_sparse(5, 5, 2, 3);
-        let (large, _) = low_rank_sparse(8, 8, 2, 3);
-        let init = PqModel::train(&small, &SgdConfig::default());
-        assert!(PqModel::train_warm(&large, &SgdConfig::default(), &init).is_none());
     }
 }

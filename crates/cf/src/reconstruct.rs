@@ -126,19 +126,13 @@ impl Reconstructor {
         if a.is_empty() {
             return Err(ReconstructError::Empty);
         }
-        Ok(self.fit(a, None).0)
+        Ok(self.fit(a))
     }
 
-    /// Trains a model on `a` — warm-started from `warm` via
-    /// [`PqModel::train_warm`] when its factor shapes line up, cold
-    /// (SVD-initialized) otherwise — and predicts every cell, with the
-    /// observed entries restored and the rest clamped to the observed
-    /// range.
-    fn fit(&self, a: &SparseMatrix, warm: Option<&PqModel>) -> (DenseMatrix, PqModel) {
-        let model = warm
-            .and_then(|w| PqModel::train_warm(a, &self.config, w))
-            .unwrap_or_else(|| PqModel::train(a, &self.config));
-        let mut dense = model.predict_all();
+    /// Trains a model on `a` and predicts every cell, with the observed
+    /// entries restored and the rest clamped to the observed range.
+    fn fit(&self, a: &SparseMatrix) -> DenseMatrix {
+        let mut dense = PqModel::train(a, &self.config).predict_all();
         // Observed entries are authoritative; keep the raw measurements.
         for (r, c, v) in a.iter() {
             dense.set(r, c, v);
@@ -151,7 +145,7 @@ impl Reconstructor {
                 *v = v.clamp(lo, hi);
             }
         }
-        (dense, model)
+        dense
     }
 
     /// Predicts the missing entries of a single target row given a dense
@@ -173,52 +167,6 @@ impl Reconstructor {
         history: &DenseMatrix,
         target: &[(usize, f64)],
     ) -> Result<Vec<f64>, ReconstructError> {
-        self.row(history, target, None).map(|(row, _)| row)
-    }
-
-    /// [`Reconstructor::reconstruct_row`] that also returns the trained
-    /// [`PqModel`], for callers that keep models around to warm-start
-    /// later reconstructions (the similarity index in `quasar-core`).
-    /// The row is the one [`Reconstructor::reconstruct_row`] returns.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Reconstructor::reconstruct_row`].
-    pub fn reconstruct_row_with_model(
-        &self,
-        history: &DenseMatrix,
-        target: &[(usize, f64)],
-    ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
-        self.row(history, target, None)
-    }
-
-    /// Like [`Reconstructor::reconstruct_row_with_model`], but
-    /// warm-starts SGD from `warm`'s factors via [`PqModel::train_warm`],
-    /// skipping the SVD. Falls back to a cold train when the factor
-    /// shapes do not line up with `(history, target)`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Reconstructor::reconstruct_row`].
-    pub fn reconstruct_row_warm(
-        &self,
-        history: &DenseMatrix,
-        target: &[(usize, f64)],
-        warm: &PqModel,
-    ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
-        self.row(history, target, Some(warm))
-    }
-
-    /// The one row-reconstruction body behind the three public entry
-    /// points: validate the observations, build the history+target
-    /// matrix (the fully-observed `history` rows plus one sparse target
-    /// row), fit, and copy the target's predicted row out.
-    fn row(
-        &self,
-        history: &DenseMatrix,
-        target: &[(usize, f64)],
-        warm: Option<&PqModel>,
-    ) -> Result<(Vec<f64>, PqModel), ReconstructError> {
         if target.is_empty() {
             return Err(ReconstructError::Empty);
         }
@@ -233,13 +181,13 @@ impl Reconstructor {
         {
             return Err(ReconstructError::InvalidObservation { col });
         }
+        // The fully-observed `history` rows plus one sparse target row.
         let mut sparse = SparseMatrix::from_dense_rows(history);
         let target_row = sparse.push_row();
         for &(c, v) in target {
             sparse.insert(target_row, c, v);
         }
-        let (dense, model) = self.fit(&sparse, warm);
-        Ok((dense.row(target_row).to_vec(), model))
+        Ok(self.fit(&sparse).row(target_row).to_vec())
     }
 }
 
@@ -337,53 +285,11 @@ mod tests {
             rec.reconstruct_row(&history, &[(0, 2.5), (4, 7.5)]),
             Err(ReconstructError::InvalidObservation { col: 4 })
         );
-        assert_eq!(
-            rec.reconstruct_row_with_model(&history, &[(9, 1.0)]).err(),
-            Some(ReconstructError::InvalidObservation { col: 9 })
-        );
     }
 
     #[test]
     fn default_is_new() {
         assert_eq!(Reconstructor::default(), Reconstructor::new());
-    }
-
-    #[test]
-    fn warm_reconstruction_stays_close_to_cold() {
-        // Rows proportional to [1, 2, 3, 4], as in
-        // `reconstruct_row_predicts_from_history` (SGD converges here).
-        let history = DenseMatrix::from_fn(5, 4, |r, c| (r as f64 + 1.0) * (c as f64 + 1.0));
-        let rec = Reconstructor::new();
-        let (cold_row, model) = rec
-            .reconstruct_row_with_model(&history, &[(0, 2.5), (2, 7.5)])
-            .unwrap();
-        // A near-duplicate target warm-started from the neighbor's model.
-        let (warm_row, warm_model) = rec
-            .reconstruct_row_warm(&history, &[(0, 2.52), (2, 7.48)], &model)
-            .unwrap();
-        assert_eq!(warm_model.rank(), model.rank());
-        for (w, c) in warm_row.iter().zip(&cold_row) {
-            assert!(
-                (w - c).abs() / c.abs().max(1e-9) < 0.15,
-                "warm row drifted: {w} vs {c}"
-            );
-        }
-    }
-
-    #[test]
-    fn warm_reconstruction_falls_back_on_shape_mismatch() {
-        let history = DenseMatrix::from_fn(6, 5, |r, c| (r as f64 + 1.5) * (c as f64 + 0.5));
-        let other = DenseMatrix::from_fn(3, 4, |r, c| (r + c) as f64 + 1.0);
-        let rec = Reconstructor::new();
-        let (_, wrong_shape) = rec.reconstruct_row_with_model(&other, &[(0, 1.0)]).unwrap();
-        let (cold_row, _) = rec
-            .reconstruct_row_with_model(&history, &[(0, 1.2)])
-            .unwrap();
-        let (fallback_row, _) = rec
-            .reconstruct_row_warm(&history, &[(0, 1.2)], &wrong_shape)
-            .unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&cold_row), bits(&fallback_row));
     }
 
     #[test]

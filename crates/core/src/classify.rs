@@ -7,7 +7,7 @@
 
 use std::sync::OnceLock;
 
-use quasar_cf::{DenseMatrix, PqModel, Reconstructor};
+use quasar_cf::{DenseMatrix, Reconstructor};
 use quasar_interference::PressureVector;
 use quasar_obs::registry::{Counter, Histogram, Registry};
 use quasar_obs::span::timed;
@@ -67,43 +67,14 @@ pub struct Classification {
     pub runtime_calibration: f64,
 }
 
-/// The per-axis latent-factor models behind one [`Classification`],
-/// captured so the similarity index can warm-start SGD for a later,
-/// similar arrival ([`Classifier::classify_warm`]) instead of paying
-/// the SVD initialization again.
-///
-/// Axes that were not reconstructed carry `None`: scale-out/params when
-/// the workload lacks them, and any axis profiling left without a finite
-/// observation (those take a fallback estimate without training
-/// anything).
-#[derive(Debug, Clone)]
-pub struct AxisModels {
-    /// Scale-up axis model.
-    pub scale_up: Option<PqModel>,
-    /// Heterogeneity axis model.
-    pub hetero: Option<PqModel>,
-    /// Scale-out axis model.
-    pub scale_out: Option<PqModel>,
-    /// Framework-parameter axis model.
-    pub params: Option<PqModel>,
-    /// Tolerated-pressure axis model.
-    pub tolerated: Option<PqModel>,
-    /// Caused-pressure axis model.
-    pub caused: Option<PqModel>,
-}
-
-/// One reconstructed axis in its own units, plus the trained model when
-/// the caller keeps it.
-type AxisRow<T> = (T, Option<PqModel>);
-
 /// The output of one axis task: a speed axis (`None` when the workload
 /// lacks it), or the interference task's tolerated and caused pressures.
 // Five of these exist per decision and each is moved once; boxing the
 // interference pair would cost a heap allocation per decision instead.
 #[allow(clippy::large_enum_variant)]
 enum AxisOut {
-    Speed(Option<AxisRow<Vec<f64>>>),
-    Pressure(AxisRow<PressureVector>, AxisRow<PressureVector>),
+    Speed(Option<Vec<f64>>),
+    Pressure(PressureVector, PressureVector),
 }
 
 /// Runs the four parallel classifications.
@@ -149,7 +120,7 @@ impl Classifier {
     /// Classifies one workload from its profiling signal against the
     /// offline history.
     pub fn classify(&self, history: &HistorySet, data: &ProfilingData) -> Classification {
-        self.classify_inner(history, data, None, false).0
+        self.classify_timed(history, data).0
     }
 
     /// [`Classifier::classify`] plus the wall-clock decision time of the
@@ -165,79 +136,21 @@ impl Classifier {
         history: &HistorySet,
         data: &ProfilingData,
     ) -> (Classification, f64) {
-        let (class, wall_us, _) = self.classify_inner(history, data, None, false);
-        (class, wall_us)
-    }
-
-    /// [`Classifier::classify_timed`] that also captures the trained
-    /// per-axis models, so the caller (the similarity index) can store
-    /// them for later warm starts. The [`Classification`] is the one
-    /// [`Classifier::classify`] returns.
-    pub fn classify_with_models(
-        &self,
-        history: &HistorySet,
-        data: &ProfilingData,
-    ) -> (Classification, f64, AxisModels) {
-        let (class, wall_us, models) = self.classify_inner(history, data, None, true);
-        (class, wall_us, models.expect("models were kept"))
-    }
-
-    /// Classifies with every axis's SGD warm-started from a similar
-    /// neighbor's captured models (skipping the SVD initialization), and
-    /// captures the newly trained models in turn. Axes whose neighbor
-    /// model is absent or shape-incompatible fall back to a cold train.
-    pub fn classify_warm(
-        &self,
-        history: &HistorySet,
-        data: &ProfilingData,
-        warm: &AxisModels,
-    ) -> (Classification, f64, AxisModels) {
-        let (class, wall_us, models) = self.classify_inner(history, data, Some(warm), true);
-        (class, wall_us, models.expect("models were kept"))
-    }
-
-    /// The one classification driver: the five-task fan-out, the
-    /// decision-latency model, and the metrics. With `keep_models` the
-    /// per-axis models come back as [`AxisModels`]; without, each task
-    /// drops its model.
-    fn classify_inner(
-        &self,
-        history: &HistorySet,
-        data: &ProfilingData,
-        warm: Option<&AxisModels>,
-        keep_models: bool,
-    ) -> (Classification, f64, Option<AxisModels>) {
         let kind = data.kind;
         let k: &KindHistory = history.kind(kind);
         let _decision_span = quasar_obs::span!("core.classify.decision");
 
         // The speed axes: span name, history (absent when the workload
-        // kind lacks the axis), observations, neighbor model.
+        // kind lacks the axis), observations.
         let speed_axes = [
-            (
-                "core.classify.scale_up",
-                Some(&k.scale_up),
-                &data.scale_up,
-                warm.and_then(|w| w.scale_up.as_ref()),
-            ),
-            (
-                "core.classify.hetero",
-                Some(&k.hetero),
-                &data.hetero,
-                warm.and_then(|w| w.hetero.as_ref()),
-            ),
+            ("core.classify.scale_up", Some(&k.scale_up), &data.scale_up),
+            ("core.classify.hetero", Some(&k.hetero), &data.hetero),
             (
                 "core.classify.scale_out",
                 k.scale_out.as_ref(),
                 &data.scale_out,
-                warm.and_then(|w| w.scale_out.as_ref()),
             ),
-            (
-                "core.classify.params",
-                k.params.as_ref(),
-                &data.params,
-                warm.and_then(|w| w.params.as_ref()),
-            ),
+            ("core.classify.params", k.params.as_ref(), &data.params),
         ];
 
         // Each axis runs under a `timed` span: the span carries the
@@ -246,32 +159,18 @@ impl Classifier {
         // below (no ad-hoc `Instant::now()` bookkeeping).
         type AxisTask<'a> = Box<dyn FnOnce() -> (AxisOut, f64) + Send + 'a>;
         let mut tasks: Vec<AxisTask<'_>> = Vec::with_capacity(speed_axes.len() + 1);
-        for (span, axis_history, observed, axis_warm) in speed_axes {
+        for (span, axis_history, observed) in speed_axes {
             tasks.push(Box::new(move || {
                 timed(span, || {
-                    AxisOut::Speed(
-                        axis_history.and_then(|m| {
-                            self.speed_axis(kind, m, observed, axis_warm, keep_models)
-                        }),
-                    )
+                    AxisOut::Speed(axis_history.and_then(|m| self.speed_axis(kind, m, observed)))
                 })
             }));
         }
         tasks.push(Box::new(move || {
             timed("core.classify.interference", || {
                 AxisOut::Pressure(
-                    self.pressure_axis(
-                        &k.tolerated,
-                        &data.tolerated,
-                        warm.and_then(|w| w.tolerated.as_ref()),
-                        keep_models,
-                    ),
-                    self.pressure_axis(
-                        &k.caused,
-                        &data.caused,
-                        warm.and_then(|w| w.caused.as_ref()),
-                        keep_models,
-                    ),
+                    self.pressure_axis(&k.tolerated, &data.tolerated),
+                    self.pressure_axis(&k.caused, &data.caused),
                 )
             })
         }));
@@ -286,7 +185,7 @@ impl Classifier {
         metrics.decision_us.record(wall_us);
 
         // `par_invoke` returns outputs in task order.
-        let mut speeds: [Option<AxisRow<Vec<f64>>>; 4] = Default::default();
+        let mut speeds: [Option<Vec<f64>>; 4] = Default::default();
         let mut pressure = None;
         for (slot, (out, _)) in results.into_iter().enumerate() {
             match out {
@@ -294,107 +193,65 @@ impl Classifier {
                 AxisOut::Pressure(tolerated, caused) => pressure = Some((tolerated, caused)),
             }
         }
-        let [scale_up, hetero, scale_out, params] =
-            speeds.map(|row| row.map_or((None, None), |(speed, model)| (Some(speed), model)));
-        let ((tolerated, tolerated_model), (caused, caused_model)) =
-            pressure.expect("interference task ran");
+        let [scale_up, hetero, scale_out, params] = speeds;
+        let (tolerated, caused) = pressure.expect("interference task ran");
 
         (
             Classification {
                 kind,
-                scale_up_speed: scale_up.0.unwrap_or_else(|| unobserved_speeds(&k.scale_up)),
-                scale_out_speed: scale_out.0,
-                hetero_speed: hetero.0.unwrap_or_else(|| unobserved_speeds(&k.hetero)),
-                params_speed: params.0,
+                scale_up_speed: scale_up.unwrap_or_else(|| unobserved_speeds(&k.scale_up)),
+                scale_out_speed: scale_out,
+                hetero_speed: hetero.unwrap_or_else(|| unobserved_speeds(&k.hetero)),
+                params_speed: params,
                 tolerated,
                 caused,
                 runtime_calibration: 1.0,
             },
             wall_us,
-            keep_models.then_some(AxisModels {
-                scale_up: scale_up.1,
-                hetero: hetero.1,
-                scale_out: scale_out.1,
-                params: params.1,
-                tolerated: tolerated_model,
-                caused: caused_model,
-            }),
         )
     }
 
-    /// Reconstructs `target` against `history`, warm-started from `warm`
-    /// when given. The model comes back only with `keep_model`.
-    fn reconstruct_axis(
-        &self,
-        history: &DenseMatrix,
-        target: &[(usize, f64)],
-        warm: Option<&PqModel>,
-        keep_model: bool,
-    ) -> AxisRow<Vec<f64>> {
-        let r = &self.reconstructor;
-        match (warm, keep_model) {
-            (Some(w), _) => r
-                .reconstruct_row_warm(history, target, w)
-                .map(|(row, m)| (row, Some(m))),
-            (None, true) => r
-                .reconstruct_row_with_model(history, target)
-                .map(|(row, m)| (row, Some(m))),
-            (None, false) => r.reconstruct_row(history, target).map(|row| (row, None)),
-        }
-        .expect("history is dense; target is non-empty, finite and in range")
+    /// Reconstructs `target` against `history`.
+    fn reconstruct_axis(&self, history: &DenseMatrix, target: &[(usize, f64)]) -> Vec<f64> {
+        self.reconstructor
+            .reconstruct_row(history, target)
+            .expect("history is dense; target is non-empty, finite and in range")
     }
 
     /// Reconstructs one speed axis: goal-value observations → ln-speed
-    /// row → CF against history → linear speeds. Profiling measurements
-    /// come from outside this crate, so non-finite ones (a NaN or `inf`
-    /// goal value, or one whose ln-speed overflows) are dropped; `None`
-    /// when nothing usable is left.
+    /// row → CF against history → linear speeds. Observations
+    /// [`usable_ln_speeds`] drops are ignored; `None` when nothing usable
+    /// is left.
     fn speed_axis(
         &self,
         kind: GoalKind,
         history: &DenseMatrix,
         observed: &[(usize, f64)],
-        warm: Option<&PqModel>,
-        keep_model: bool,
-    ) -> Option<AxisRow<Vec<f64>>> {
-        let target: Vec<(usize, f64)> = observed
-            .iter()
-            .filter(|(_, v)| v.is_finite())
-            .map(|&(c, v)| (c, ln_speed(kind, v)))
-            .filter(|(_, s)| s.is_finite())
-            .collect();
+    ) -> Option<Vec<f64>> {
+        let target: Vec<(usize, f64)> = usable_ln_speeds(kind, observed).collect();
         if target.is_empty() {
             return None;
         }
-        let (row, model) = self.reconstruct_axis(history, &target, warm, keep_model);
-        Some((row.into_iter().map(f64::exp).collect(), model))
+        let row = self.reconstruct_axis(history, &target);
+        Some(row.into_iter().map(f64::exp).collect())
     }
 
     /// Reconstructs one interference axis. Pressure values live on a
     /// 0–100 scale; they are normalized into [0, 1] for the SGD pass
     /// (whose learning rate is tuned for unit-scale data) and scaled back.
-    /// Non-finite observations are dropped; an axis left with none falls
-    /// back to a uniform estimate and trains nothing.
-    fn pressure_axis(
-        &self,
-        history: &DenseMatrix,
-        observed: &[(usize, f64)],
-        warm: Option<&PqModel>,
-        keep_model: bool,
-    ) -> AxisRow<PressureVector> {
-        let scaled_observed: Vec<(usize, f64)> = observed
-            .iter()
-            .filter(|(_, v)| v.is_finite())
-            .map(|&(c, v)| (c, v / PressureVector::MAX))
+    /// Observations [`usable_pressures`] drops are ignored; an axis left
+    /// with none falls back to a uniform estimate and trains nothing.
+    fn pressure_axis(&self, history: &DenseMatrix, observed: &[(usize, f64)]) -> PressureVector {
+        let scaled_observed: Vec<(usize, f64)> = usable_pressures(observed)
+            .map(|(c, v)| (c, v / PressureVector::MAX))
             .collect();
         if scaled_observed.is_empty() {
-            return (PressureVector::uniform(PressureVector::MAX / 2.0), None);
+            return PressureVector::uniform(PressureVector::MAX / 2.0);
         }
         let scaled_history = DenseMatrix::from_fn(history.rows(), history.cols(), |r, c| {
             history.get(r, c) / PressureVector::MAX
         });
-        let (row, model) =
-            self.reconstruct_axis(&scaled_history, &scaled_observed, warm, keep_model);
+        let row = self.reconstruct_axis(&scaled_history, &scaled_observed);
         let mut v = PressureVector::zero();
         for (i, value) in row.into_iter().enumerate() {
             v.set(
@@ -402,8 +259,31 @@ impl Classifier {
                 value * PressureVector::MAX,
             );
         }
-        (v, model)
+        v
     }
+}
+
+/// A speed axis's usable observations as `(column, ln-speed)`.
+/// Profiling measurements come from outside this crate, so a non-finite
+/// goal value, or one whose ln-speed overflows, is dropped. The
+/// similarity signature quantizes exactly these observations.
+pub(crate) fn usable_ln_speeds(
+    kind: GoalKind,
+    observed: &[(usize, f64)],
+) -> impl Iterator<Item = (usize, f64)> + '_ {
+    observed
+        .iter()
+        .filter(|(_, v)| v.is_finite())
+        .map(move |&(c, v)| (c, ln_speed(kind, v)))
+        .filter(|(_, s)| s.is_finite())
+}
+
+/// An interference axis's usable observations, on the raw 0–100 scale:
+/// the finite ones. The similarity signature quantizes exactly these.
+pub(crate) fn usable_pressures(
+    observed: &[(usize, f64)],
+) -> impl Iterator<Item = (usize, f64)> + '_ {
+    observed.iter().copied().filter(|(_, v)| v.is_finite())
 }
 
 /// The estimate for a scale-up or heterogeneity axis left without a
@@ -679,10 +559,6 @@ mod tests {
         let k = history.kind(GoalKind::Rate);
         assert_eq!(class.hetero_speed, unobserved_speeds(&k.hetero));
         assert!(class.hetero_speed.iter().all(|s| s.is_finite() && *s > 0.0));
-        // The models-keeping entry point takes the same fallbacks.
-        let (with_models, _, models) = classifier.classify_with_models(&history, &dirty);
-        assert_eq!(with_models, class);
-        assert!(models.scale_up.is_some() && models.hetero.is_none());
     }
 
     #[test]

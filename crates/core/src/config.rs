@@ -38,7 +38,8 @@ pub struct QuasarConfig {
     /// results; 1 (the default) keeps the serial path.
     pub threads: usize,
     /// The workload-similarity index ([`crate::similarity`]): when
-    /// enabled, repeat arrivals skip or warm-start reconstruction.
+    /// enabled, an arrival whose quantized profile duplicates a cached
+    /// one skips reconstruction.
     /// Disabled by default — the manager then behaves bit-identically
     /// to a build without the index.
     pub similarity: SimilarityConfig,

@@ -52,7 +52,7 @@ pub mod similarity;
 pub mod straggler;
 
 pub use axes::{Axes, GoalKind};
-pub use classify::{AxisModels, Classification, Classifier, ExhaustiveClassifier};
+pub use classify::{Classification, Classifier, ExhaustiveClassifier};
 pub use config::QuasarConfig;
 pub use estimate::Estimator;
 pub use greedy::GreedyScheduler;

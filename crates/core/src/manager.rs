@@ -130,8 +130,9 @@ pub struct QuasarManager {
     rng: StdRng,
     stats: Arc<Mutex<ManagerStats>>,
     /// Workload-similarity index ([`crate::similarity`]); `None` unless
-    /// `config.similarity.enabled`, in which case repeat arrivals reuse
-    /// or warm-start a neighbor's classification.
+    /// `config.similarity.enabled`, in which case an arrival whose
+    /// quantized profile duplicates a cached one reuses its
+    /// classification.
     similarity: Option<SimilarityIndex>,
 }
 
@@ -1091,9 +1092,9 @@ impl Manager for QuasarManager {
         // Profile and classify every submission with its dataset (§3.2).
         let axes = self.history.axes().clone();
         let data = self.profiler.profile(world, &axes, id);
-        // With the similarity index enabled, repeat arrivals skip or
-        // warm-start reconstruction; disabled (the default), this is the
-        // plain classification path, bit for bit.
+        // With the similarity index enabled, a duplicate profile skips
+        // reconstruction and anything else is the plain classification;
+        // disabled (the default), this is the plain path, bit for bit.
         let class = match self.similarity.as_mut() {
             Some(index) => {
                 let (class, _, _) =
@@ -1150,7 +1151,12 @@ impl Manager for QuasarManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use quasar_cluster::{ClusterSpec, JobState, SimConfig, Simulation};
+
+    use crate::similarity::SimilarityConfig;
     use quasar_workloads::generate::Generator;
     use quasar_workloads::{Dataset, LoadPattern, PlatformCatalog, Priority, WorkloadClass};
 
@@ -1353,5 +1359,78 @@ mod tests {
             .filter(|&&id| sim.world().state(id) == JobState::Completed)
             .count();
         assert!(done >= 3, "queued jobs must eventually run: {done}/4 done");
+    }
+
+    /// Lends a manager to a simulation while the test keeps a handle.
+    struct Shared(Rc<RefCell<QuasarManager>>);
+
+    impl Manager for Shared {
+        fn name(&self) -> &str {
+            "quasar"
+        }
+        fn on_arrival(&mut self, world: &mut World, id: WorkloadId) {
+            self.0.borrow_mut().on_arrival(world, id);
+        }
+        fn on_tick(&mut self, world: &mut World) {
+            self.0.borrow_mut().on_tick(world);
+        }
+        fn on_completion(&mut self, world: &mut World, id: WorkloadId) {
+            self.0.borrow_mut().on_completion(world, id);
+        }
+        fn needs_idle_ticks(&self) -> bool {
+            self.0.borrow().needs_idle_ticks()
+        }
+    }
+
+    /// On a stream without duplicates every lookup misses, and a miss is
+    /// the plain classification, so the index-on run is the index-off
+    /// run digest for digest: the index changes outcomes only by hits.
+    #[test]
+    fn similarity_index_without_hits_changes_no_outcome() {
+        let catalog = PlatformCatalog::local();
+        let fast = QuasarConfig::fast_test();
+        let history = HistorySet::bootstrap(&catalog, fast.training_workloads, fast.seed);
+        let run = |similarity: SimilarityConfig| {
+            let config = QuasarConfig { similarity, ..fast };
+            let manager = Rc::new(RefCell::new(QuasarManager::with_history(
+                history.clone(),
+                config,
+            )));
+            let mut sim = Simulation::new(
+                ClusterSpec::uniform(catalog.clone(), 1),
+                Box::new(Shared(Rc::clone(&manager))),
+                SimConfig::default(),
+            );
+            let mut generator = Generator::new(catalog.clone(), 31);
+            for i in 0..4 {
+                let job = generator.analytics_job(
+                    WorkloadClass::Spark,
+                    format!("s{i}"),
+                    Dataset::new("d", 6.0, 1.0),
+                    2,
+                    400.0,
+                    Priority::Guaranteed,
+                );
+                sim.submit_at(job, i as f64 * 30.0);
+            }
+            sim.run_until(3_000.0);
+            let world = sim.world();
+            assert_eq!(world.count_in_state(JobState::Completed), 4);
+            let cached = manager
+                .borrow()
+                .similarity
+                .as_ref()
+                .map(SimilarityIndex::len);
+            (
+                cached,
+                world.completion_digest(),
+                world.journal().stream_digest(),
+            )
+        };
+        let (off, off_completions, off_journal) = run(SimilarityConfig::default());
+        let (on, on_completions, on_journal) = run(SimilarityConfig::enabled());
+        assert_eq!((off, on), (None, Some(4)), "four misses, no hit");
+        assert_eq!(on_completions, off_completions);
+        assert_eq!(on_journal, off_journal);
     }
 }

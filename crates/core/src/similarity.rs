@@ -1,39 +1,35 @@
-//! Sublinear classification: a banded MinHash index over quantized
-//! profiling signatures.
+//! Exact classification reuse: an index from a profile's quantized
+//! feature set to the classification it produced.
 //!
 //! Quasar classifies every arrival from scratch — five SVD+SGD
-//! reconstructions per workload. At cluster scale most arrivals are
-//! *re*-arrivals: another instance of a workload the manager has already
-//! classified. This module makes that case sublinear: each profiling row
-//! is quantized into a sparse feature set, MinHashed, and filed into a
-//! banded locality-sensitive index (band key → bucket of entries). A new
-//! arrival probes its `bands` buckets — O(bands), independent of how
-//! many workloads the index holds — and:
+//! reconstructions per workload. Many arrivals are *re*-arrivals:
+//! another instance of a workload the manager has already classified.
+//! Each profiling row is quantized into a sparse feature set (see
+//! [`Signature::of_profile`]), and the index maps feature sets it has
+//! seen to their classifications. A new arrival is then a
 //!
-//! * **hit** (quantization-level duplicate): reuse the neighbor's cached
-//!   [`Classification`] with `runtime_calibration` reset to 1.0 and skip
-//!   reconstruction entirely;
-//! * **warm start** (estimated Jaccard ≥ `warm_threshold`): run the
-//!   reconstructions, but seed each axis's SGD from the neighbor's
-//!   cached [`AxisModels`], skipping the SVD initialization;
-//! * **miss**: full cold classification, then insert the signature,
-//!   classification, and models for future arrivals.
+//! * **hit** (its feature set is in the index, a quantization-level
+//!   duplicate): reuse the cached [`Classification`] with
+//!   `runtime_calibration` reset to 1.0 and skip reconstruction
+//!   entirely;
+//! * **miss**: full cold classification, then insert the feature set
+//!   and classification for future arrivals.
 //!
 //! Determinism contract: with the index disabled nothing here runs and
 //! behavior is bit-identical to a build without this module. With it
-//! enabled, every decision is a pure function of the arrival sequence —
-//! query order, candidate order (band order, then insertion order), and
-//! tie-breaks are all deterministic — so outcomes are byte-identical
-//! across `--threads` values.
+//! enabled, every decision is a pure function of the arrival sequence,
+//! so outcomes are byte-identical across `--threads` values, and a miss
+//! is the plain classification: without hits the index changes nothing.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::sync::OnceLock;
 
 use quasar_obs::registry::{Counter, Histogram, Registry};
 use quasar_obs::span::timed;
 
-use crate::classify::{AxisModels, Classification, Classifier};
-use crate::history::{ln_speed, HistorySet};
+use crate::classify::{usable_ln_speeds, usable_pressures, Classification, Classifier};
+use crate::history::HistorySet;
 use crate::profile::ProfilingData;
 
 /// Registry handles for the similarity-index metrics
@@ -43,7 +39,6 @@ use crate::profile::ProfilingData;
 /// snapshots already reduce histograms to their (deterministic) counts.
 struct SimilarityMetrics {
     hits: Counter,
-    warm_starts: Counter,
     misses: Counter,
     inserts: Counter,
     evictions: Counter,
@@ -56,7 +51,6 @@ fn similarity_metrics() -> &'static SimilarityMetrics {
         let reg = Registry::global();
         SimilarityMetrics {
             hits: reg.counter("quasar.core.similarity.hits"),
-            warm_starts: reg.counter("quasar.core.similarity.warm_starts"),
             misses: reg.counter("quasar.core.similarity.misses"),
             inserts: reg.counter("quasar.core.similarity.inserts"),
             evictions: reg.counter("quasar.core.similarity.evictions"),
@@ -65,43 +59,30 @@ fn similarity_metrics() -> &'static SimilarityMetrics {
     })
 }
 
+/// Entries the index holds; past it the oldest entry is evicted (FIFO —
+/// deterministic, unlike recency under racing readers).
+const CAPACITY: usize = 4096;
+
 /// Tunables of the workload-similarity index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimilarityConfig {
     /// Whether the index runs at all. Disabled (the default) is the
     /// pre-index behavior, bit for bit.
     pub enabled: bool,
-    /// Number of LSH bands. More bands catch lower-similarity pairs.
-    pub bands: usize,
-    /// MinHash rows per band. More rows make each band more selective.
-    pub rows_per_band: usize,
-    /// Estimated Jaccard at or above which a neighbor's cached axis
-    /// models warm-start SGD. Set above 1.0 to disable warm starts.
-    pub warm_threshold: f64,
     /// Quantization bucket width for speed-axis features, in ln-speed
     /// units (0.05 ≈ values within ~5% share a bucket).
     pub ln_bucket: f64,
     /// Quantization bucket width for pressure-axis features, in
     /// pressure points on the 0–100 scale.
     pub pressure_bucket: f64,
-    /// Maximum entries held; past it the oldest entry is evicted
-    /// (FIFO — deterministic, unlike recency under racing readers).
-    pub capacity: usize,
-    /// Seed for the MinHash permutation family.
-    pub seed: u64,
 }
 
 impl Default for SimilarityConfig {
     fn default() -> SimilarityConfig {
         SimilarityConfig {
             enabled: false,
-            bands: 16,
-            rows_per_band: 2,
-            warm_threshold: 0.55,
             ln_bucket: 0.05,
             pressure_bucket: 2.0,
-            capacity: 4096,
-            seed: 0x51A1,
         }
     }
 }
@@ -113,24 +94,6 @@ impl SimilarityConfig {
             enabled: true,
             ..SimilarityConfig::default()
         }
-    }
-
-    /// Enabled, but reusing only quantization-level duplicates: warm
-    /// starts are off, and anything short of feature-set equality is a
-    /// full cold classification. In this mode classifications are
-    /// bit-identical to the index-off path unless a true duplicate
-    /// arrives.
-    pub fn exact_only() -> SimilarityConfig {
-        SimilarityConfig {
-            enabled: true,
-            warm_threshold: 2.0,
-            ..SimilarityConfig::default()
-        }
-    }
-
-    /// MinHash rows overall (`bands × rows_per_band`).
-    fn minhash_len(&self) -> usize {
-        self.bands.max(1) * self.rows_per_band.max(1)
     }
 }
 
@@ -157,13 +120,11 @@ const TAG_TOLERATED: u64 = 0x31;
 const TAG_CAUSED: u64 = 0x32;
 
 /// A workload's quantized profiling signature: the sorted set of feature
-/// tokens plus its MinHash sketch.
-#[derive(Debug, Clone, PartialEq)]
+/// tokens, the index's key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Signature {
     /// Sorted, deduplicated feature tokens.
     features: Vec<u64>,
-    /// `bands × rows_per_band` MinHash values over `features`.
-    minhash: Vec<u64>,
 }
 
 impl Signature {
@@ -172,7 +133,9 @@ impl Signature {
     /// width of each other fuse); pressure axes bucket the raw 0–100
     /// value by `pressure_bucket`. The goal kind joins as its own
     /// feature, so workloads with different goal kinds can never be
-    /// duplicates of each other.
+    /// duplicates of each other. Only the observations classification
+    /// uses become features: a non-finite one, which classification
+    /// drops, must not land in a real bucket.
     pub fn of_profile(data: &ProfilingData, config: &SimilarityConfig) -> Signature {
         let kind = data.kind;
         let ln_bucket = config.ln_bucket.max(1e-9);
@@ -184,70 +147,29 @@ impl Signature {
             (TAG_HETERO, &data.hetero),
             (TAG_PARAMS, &data.params),
         ] {
-            for &(c, v) in entries {
-                let bucket = (ln_speed(kind, v) / ln_bucket).round() as i64;
-                features.push(feature_token(tag, c, bucket));
+            for (c, s) in usable_ln_speeds(kind, entries) {
+                features.push(feature_token(tag, c, (s / ln_bucket).round() as i64));
             }
         }
         for (tag, entries) in [(TAG_TOLERATED, &data.tolerated), (TAG_CAUSED, &data.caused)] {
-            for &(c, v) in entries {
-                let bucket = (v / pressure_bucket).round() as i64;
-                features.push(feature_token(tag, c, bucket));
+            for (c, v) in usable_pressures(entries) {
+                features.push(feature_token(tag, c, (v / pressure_bucket).round() as i64));
             }
         }
-        Signature::of_tokens(features, config)
+        Signature::of_tokens(features)
     }
 
-    fn of_tokens(mut features: Vec<u64>, config: &SimilarityConfig) -> Signature {
+    fn of_tokens(mut features: Vec<u64>) -> Signature {
         features.sort_unstable();
         features.dedup();
-        let n = config.minhash_len();
-        let mut minhash = Vec::with_capacity(n);
-        for i in 0..n {
-            let perm_seed = mix(config
-                .seed
-                .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)));
-            let slot = features
-                .iter()
-                .map(|&f| mix(f ^ perm_seed))
-                .min()
-                .unwrap_or(u64::MAX);
-            minhash.push(slot);
-        }
-        Signature { features, minhash }
+        Signature { features }
     }
 
-    /// Estimated Jaccard similarity: the fraction of MinHash slots on
-    /// which the two sketches agree.
-    pub fn similarity(&self, other: &Signature) -> f64 {
-        if self.minhash.is_empty() || self.minhash.len() != other.minhash.len() {
-            return 0.0;
-        }
-        let agree = self
-            .minhash
-            .iter()
-            .zip(&other.minhash)
-            .filter(|(a, b)| a == b)
-            .count();
-        agree as f64 / self.minhash.len() as f64
-    }
-
-    /// Whether the quantized feature sets are identical — a true
-    /// quantization-level duplicate, not just a MinHash agreement.
+    /// Whether the quantized feature sets are identical — a
+    /// quantization-level duplicate.
     pub fn is_duplicate_of(&self, other: &Signature) -> bool {
-        self.features == other.features
+        self == other
     }
-}
-
-/// The key of one LSH band: a hash of the band index and the band's
-/// MinHash rows.
-fn band_key(sig: &Signature, band: usize, rows_per_band: usize) -> u64 {
-    let r = rows_per_band.max(1);
-    let mut h = mix(0xb4 ^ band as u64);
-    for &m in &sig.minhash[band * r..band * r + r] {
-        h = mix(h ^ m);
-    }
-    h
 }
 
 /// What the index did for one arrival.
@@ -255,47 +177,33 @@ fn band_key(sig: &Signature, band: usize, rows_per_band: usize) -> u64 {
 pub enum SimilarityOutcome {
     /// A duplicate was found; reconstruction was skipped entirely.
     Hit,
-    /// A similar neighbor warm-started the reconstructions.
-    WarmStart,
-    /// No usable neighbor; full cold classification.
+    /// No duplicate; full cold classification.
     Miss,
 }
 
-/// How a query resolved, before any classification work.
-enum Decision {
-    Hit(usize),
-    Warm(usize),
-    Miss,
-}
-
-#[derive(Debug, Clone)]
-struct IndexEntry {
-    signature: Signature,
-    class: Classification,
-    models: Option<AxisModels>,
-}
-
-/// The banded MinHash workload-similarity index, one instance per
-/// manager.
+/// The exact-duplicate classification cache, one instance per manager.
 #[derive(Debug, Clone)]
 pub struct SimilarityIndex {
     config: SimilarityConfig,
-    /// Entry slots; a FIFO ring once `capacity` is reached.
-    entries: Vec<Option<IndexEntry>>,
-    /// Next eviction victim once full.
-    next_slot: usize,
-    /// Band key → slots whose signature hashes there.
-    buckets: HashMap<u64, Vec<u32>>,
+    capacity: usize,
+    /// Signature → the classification it produced.
+    entries: HashMap<Signature, Classification>,
+    /// The keys of `entries`, oldest first.
+    order: VecDeque<Signature>,
 }
 
 impl SimilarityIndex {
     /// An empty index.
     pub fn new(config: SimilarityConfig) -> SimilarityIndex {
+        SimilarityIndex::with_capacity(config, CAPACITY)
+    }
+
+    fn with_capacity(config: SimilarityConfig, capacity: usize) -> SimilarityIndex {
         SimilarityIndex {
             config,
-            entries: Vec::new(),
-            next_slot: 0,
-            buckets: HashMap::new(),
+            capacity: capacity.max(1),
+            entries: HashMap::new(),
+            order: VecDeque::new(),
         }
     }
 
@@ -306,20 +214,19 @@ impl SimilarityIndex {
 
     /// Live entries.
     pub fn len(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.entries.len()
     }
 
     /// Whether the index holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
-    /// The classification front door when the index is enabled: probe
-    /// with the profile's signature, then hit / warm-start / miss as
-    /// described in the module docs. Returns the classification, the
-    /// per-decision latency in microseconds (query plus any
-    /// reconstruction), and the outcome. Warm and miss results are
-    /// inserted for future arrivals.
+    /// The classification front door when the index is enabled: look the
+    /// profile's signature up, then hit or miss as described in the
+    /// module docs. Returns the classification, the per-decision latency
+    /// in microseconds (lookup plus any reconstruction), and the outcome.
+    /// Misses are inserted for future arrivals.
     pub fn classify_or_insert(
         &mut self,
         classifier: &Classifier,
@@ -327,163 +234,69 @@ impl SimilarityIndex {
         data: &ProfilingData,
     ) -> (Classification, f64, SimilarityOutcome) {
         let m = similarity_metrics();
-        let ((sig, decision), query_us) = timed("core.similarity.query", || {
+        let ((sig, cached), query_us) = timed("core.similarity.query", || {
             let sig = Signature::of_profile(data, &self.config);
-            let decision = self.decide(&sig);
-            (sig, decision)
+            let cached = self.entries.get(&sig);
+            (sig, cached)
         });
         m.query_us.record(query_us);
-        match decision {
-            Decision::Hit(slot) => {
+        match cached {
+            Some(class) => {
                 m.hits.inc();
-                let entry = self.entries[slot].as_ref().expect("hit slot is live");
-                let mut class = entry.class.clone();
-                // The neighbor's calibration reflects *its* runtime
-                // feedback; a fresh arrival starts uncalibrated.
-                class.runtime_calibration = 1.0;
+                // A cached calibration would reflect an earlier arrival's
+                // runtime feedback; a fresh arrival starts uncalibrated.
+                let class = Classification {
+                    runtime_calibration: 1.0,
+                    ..class.clone()
+                };
                 (class, query_us, SimilarityOutcome::Hit)
             }
-            Decision::Warm(slot) => {
-                m.warm_starts.inc();
-                let warm = self.entries[slot]
-                    .as_ref()
-                    .expect("warm slot is live")
-                    .models
-                    .clone()
-                    .expect("warm decisions require cached models");
-                let (class, wall_us, models) = classifier.classify_warm(history, data, &warm);
-                self.insert(sig, class.clone(), Some(models));
-                (class, query_us + wall_us, SimilarityOutcome::WarmStart)
-            }
-            Decision::Miss => {
+            None => {
                 m.misses.inc();
-                let (class, wall_us, models) = classifier.classify_with_models(history, data);
-                self.insert(sig, class.clone(), Some(models));
+                let (class, wall_us) = classifier.classify_timed(history, data);
+                self.insert(sig, class.clone(), None);
                 (class, query_us + wall_us, SimilarityOutcome::Miss)
             }
         }
     }
 
-    /// Inserts an entry, evicting the oldest once at capacity.
+    /// Inserts an entry, evicting the oldest once at capacity. A
+    /// signature already in the index keeps its older entry.
+    ///
+    /// `models` is always `None`: the index caches no trained models, and
+    /// the parameter stays only because the benchmark adapter's pinned
+    /// call passes it. It goes with the index (ROADMAP item 10).
     pub fn insert(
         &mut self,
         signature: Signature,
         class: Classification,
-        models: Option<AxisModels>,
+        _models: Option<Infallible>,
     ) {
+        if self.entries.contains_key(&signature) {
+            return;
+        }
         let m = similarity_metrics();
-        let slot = if self.entries.len() < self.config.capacity.max(1) {
-            self.entries.push(None);
-            self.entries.len() - 1
-        } else {
-            let victim = self.next_slot;
-            self.next_slot = (self.next_slot + 1) % self.entries.len();
-            if let Some(old) = self.entries[victim].take() {
-                self.unlink(victim as u32, &old.signature);
-                m.evictions.inc();
-            }
-            victim
-        };
-        for band in 0..self.config.bands.max(1) {
-            let key = band_key(&signature, band, self.config.rows_per_band);
-            let bucket = self.buckets.entry(key).or_default();
-            if !bucket.contains(&(slot as u32)) {
-                bucket.push(slot as u32);
-            }
+        if self.order.len() == self.capacity {
+            let oldest = self.order.pop_front().expect("capacity is at least 1");
+            self.entries.remove(&oldest);
+            m.evictions.inc();
         }
-        self.entries[slot] = Some(IndexEntry {
-            signature,
-            class,
-            models,
-        });
+        self.order.push_back(signature.clone());
+        self.entries.insert(signature, class);
         m.inserts.inc();
-    }
-
-    /// Removes a slot's bucket references (on eviction).
-    fn unlink(&mut self, slot: u32, signature: &Signature) {
-        for band in 0..self.config.bands.max(1) {
-            let key = band_key(signature, band, self.config.rows_per_band);
-            if let Some(bucket) = self.buckets.get_mut(&key) {
-                bucket.retain(|&s| s != slot);
-                if bucket.is_empty() {
-                    self.buckets.remove(&key);
-                }
-            }
-        }
-    }
-
-    /// Resolves a signature: a hit needs an exact feature-set duplicate,
-    /// a warm start only the warm threshold.
-    fn decide(&self, sig: &Signature) -> Decision {
-        match self.best_candidate(sig) {
-            Some((slot, sim, dup)) => {
-                if dup {
-                    Decision::Hit(slot)
-                } else if sim >= self.config.warm_threshold
-                    && self.entries[slot]
-                        .as_ref()
-                        .is_some_and(|e| e.models.is_some())
-                {
-                    Decision::Warm(slot)
-                } else {
-                    Decision::Miss
-                }
-            }
-            None => Decision::Miss,
-        }
-    }
-
-    /// The best candidate across the probe's buckets: candidates are
-    /// collected in band order (deduplicated, first occurrence kept),
-    /// preferred by duplicate-ness, then similarity, then lowest slot —
-    /// a total, deterministic order.
-    fn best_candidate(&self, sig: &Signature) -> Option<(usize, f64, bool)> {
-        let mut seen: Vec<u32> = Vec::new();
-        let mut best: Option<(usize, f64, bool)> = None;
-        for band in 0..self.config.bands.max(1) {
-            let key = band_key(sig, band, self.config.rows_per_band);
-            let Some(bucket) = self.buckets.get(&key) else {
-                continue;
-            };
-            for &slot in bucket {
-                if seen.contains(&slot) {
-                    continue;
-                }
-                seen.push(slot);
-                let Some(entry) = self.entries[slot as usize].as_ref() else {
-                    continue;
-                };
-                let sim = sig.similarity(&entry.signature);
-                let dup = sig.is_duplicate_of(&entry.signature);
-                let better = match best {
-                    None => true,
-                    Some((best_slot, best_sim, best_dup)) => {
-                        if dup != best_dup {
-                            dup
-                        } else if sim != best_sim {
-                            sim > best_sim
-                        } else {
-                            (slot as usize) < best_slot
-                        }
-                    }
-                };
-                if better {
-                    best = Some((slot as usize, sim, dup));
-                }
-            }
-        }
-        best
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use quasar_cluster::{managers::NullManager, ClusterSpec, SimConfig, Simulation};
     use quasar_workloads::generate::Generator;
     use quasar_workloads::{Dataset, PlatformCatalog, Priority, WorkloadClass};
 
-    use crate::axes::Axes;
+    use crate::axes::{Axes, GoalKind};
+    use crate::history::ln_speed;
     use crate::profile::Profiler;
 
     fn probe_data(seed: u64) -> (HistorySet, ProfilingData) {
@@ -513,6 +326,22 @@ mod tests {
 
     fn axes() -> Axes {
         Axes::for_catalog(&PlatformCatalog::local())
+    }
+
+    /// A small hand-written profile: one scale-up, one heterogeneity and
+    /// one tolerated-pressure observation.
+    fn small_profile(kind: GoalKind) -> ProfilingData {
+        ProfilingData {
+            kind,
+            scale_up: vec![(0, 100.0)],
+            scale_out: vec![],
+            hetero: vec![(0, 90.0)],
+            params: vec![],
+            tolerated: vec![(0, 40.0)],
+            caused: vec![(1, 10.0)],
+            wall_seconds: 1.0,
+            total_seconds: 1.0,
+        }
     }
 
     #[test]
@@ -554,7 +383,6 @@ mod tests {
         }
         let moved = Signature::of_profile(&nudged, &config);
         assert!(base.is_duplicate_of(&moved));
-        assert_eq!(base.similarity(&moved), 1.0);
 
         let classifier = Classifier::new();
         let mut index = SimilarityIndex::new(config);
@@ -566,62 +394,29 @@ mod tests {
         );
     }
 
-    #[test]
-    fn partial_overlap_warm_starts_below_the_duplicate_bar() {
-        let (history, data) = probe_data(13);
-        // Move a bucket's worth on one scale-up observation: no longer a
-        // duplicate, but nearly every feature still agrees.
-        let mut near = data.clone();
-        let (_, v) = &mut near.scale_up[0];
-        *v *= 1.5;
-        let config = SimilarityConfig::enabled();
-        let a = Signature::of_profile(&data, &config);
-        let b = Signature::of_profile(&near, &config);
-        assert!(!a.is_duplicate_of(&b));
-        assert!(a.similarity(&b) > config.warm_threshold);
-
-        let classifier = Classifier::new();
-        let mut index = SimilarityIndex::new(config);
-        index.classify_or_insert(&classifier, &history, &data);
-        let (class, _, outcome) = index.classify_or_insert(&classifier, &history, &near);
-        assert_eq!(outcome, SimilarityOutcome::WarmStart);
-        assert!(class
-            .scale_up_speed
-            .iter()
-            .all(|s| s.is_finite() && *s > 0.0));
-        assert_eq!(index.len(), 2, "warm starts insert the new entry");
-    }
-
-    #[test]
-    fn exact_only_config_never_warm_starts() {
-        let (history, data) = probe_data(13);
-        let mut other = data.clone();
-        other.scale_up[0].1 *= 1.5;
-        let classifier = Classifier::new();
-        let mut index = SimilarityIndex::new(SimilarityConfig::exact_only());
-        index.classify_or_insert(&classifier, &history, &data);
-        let (class, _, outcome) = index.classify_or_insert(&classifier, &history, &other);
-        assert_eq!(outcome, SimilarityOutcome::Miss);
-        // Exact-only misses are bit-identical to the plain path.
-        assert_eq!(class, classifier.classify(&history, &other));
-    }
-
+    /// A miss is the plain classification, so the index is invisible on
+    /// a stream without duplicates; repeats then hit. Neither depends on
+    /// the classifier's thread count.
     #[test]
     fn outcomes_are_identical_across_classifier_thread_counts() {
         let (history, data) = probe_data(17);
-        let mut warm = data.clone();
-        warm.scale_up[0].1 *= 1.5;
+        let mut near = data.clone();
+        near.scale_up[0].1 *= 1.5;
         let run = |threads: usize| {
             let classifier = Classifier::new().with_threads(threads);
             let mut index = SimilarityIndex::new(SimilarityConfig::enabled());
             let mut out = Vec::new();
-            for d in [&data, &warm, &data, &warm] {
+            for d in [&data, &near, &data, &near] {
                 let (class, _, outcome) = index.classify_or_insert(&classifier, &history, d);
                 out.push((class, outcome));
             }
             out
         };
         let serial = run(1);
+        let outcomes: Vec<SimilarityOutcome> = serial.iter().map(|(_, o)| *o).collect();
+        use SimilarityOutcome::{Hit, Miss};
+        assert_eq!(outcomes, [Miss, Miss, Hit, Hit]);
+        assert_eq!(serial[1].0, Classifier::new().classify(&history, &near));
         for threads in [2, 4] {
             assert_eq!(serial, run(threads), "diverged at {threads} threads");
         }
@@ -629,50 +424,73 @@ mod tests {
 
     #[test]
     fn capacity_evicts_fifo_and_counts() {
-        let config = SimilarityConfig {
-            capacity: 2,
-            ..SimilarityConfig::enabled()
-        };
-        let mut index = SimilarityIndex::new(config);
-        let class = Classification {
-            kind: crate::axes::GoalKind::Rate,
+        let mut index = SimilarityIndex::with_capacity(SimilarityConfig::enabled(), 2);
+        let class = |calibration: f64| Classification {
+            kind: GoalKind::Rate,
             scale_up_speed: vec![1.0],
             scale_out_speed: None,
             hetero_speed: vec![1.0],
             params_speed: None,
             tolerated: quasar_interference::PressureVector::uniform(50.0),
             caused: quasar_interference::PressureVector::uniform(10.0),
-            runtime_calibration: 1.0,
+            runtime_calibration: calibration,
         };
-        let sig = |i: i64| Signature::of_tokens(vec![feature_token(TAG_SCALE_UP, 0, i)], &config);
-        index.insert(sig(0), class.clone(), None);
-        index.insert(sig(1), class.clone(), None);
+        let sig = |i: i64| Signature::of_tokens(vec![feature_token(TAG_SCALE_UP, 0, i)]);
+        let evictions = || similarity_metrics().evictions.get();
+        index.insert(sig(0), class(1.0), None);
+        index.insert(sig(1), class(1.0), None);
         assert_eq!(index.len(), 2);
-        index.insert(sig(2), class.clone(), None);
+        // A re-insert of a live key keeps the older entry and its place
+        // in the eviction order.
+        index.insert(sig(0), class(2.0), None);
+        assert_eq!(index.len(), 2);
+        assert_eq!(index.entries[&sig(0)], class(1.0));
+        let before = evictions();
+        index.insert(sig(2), class(1.0), None);
         assert_eq!(index.len(), 2, "capacity bound holds");
-        // The oldest entry (0) was evicted; 1 and 2 still hit.
-        assert!(matches!(index.decide(&sig(0)), Decision::Miss));
-        assert!(matches!(index.decide(&sig(1)), Decision::Hit(_)));
-        assert!(matches!(index.decide(&sig(2)), Decision::Hit(_)));
+        // Lower bound only: sibling tests share the global counter.
+        assert!(evictions() > before);
+        // The oldest entry (0) was evicted; 1 and 2 are still held.
+        assert!(!index.entries.contains_key(&sig(0)));
+        assert!(index.entries.contains_key(&sig(1)));
+        assert!(index.entries.contains_key(&sig(2)));
+        assert_eq!(Vec::from(index.order.clone()), [sig(1), sig(2)]);
     }
 
     #[test]
     fn different_goal_kinds_never_collide() {
         let config = SimilarityConfig::enabled();
-        let mk = |kind| ProfilingData {
-            kind,
-            scale_up: vec![(0, 100.0)],
-            scale_out: vec![],
-            hetero: vec![(0, 90.0)],
-            params: vec![],
-            tolerated: vec![(0, 40.0)],
-            caused: vec![(1, 10.0)],
-            wall_seconds: 1.0,
-            total_seconds: 1.0,
-        };
-        let a = Signature::of_profile(&mk(crate::axes::GoalKind::Qps), &config);
-        let b = Signature::of_profile(&mk(crate::axes::GoalKind::Rate), &config);
+        let a = Signature::of_profile(&small_profile(GoalKind::Qps), &config);
+        let b = Signature::of_profile(&small_profile(GoalKind::Rate), &config);
         assert!(!a.is_duplicate_of(&b));
+    }
+
+    /// Regression: a NaN pressure used to quantize to bucket 0
+    /// (`(NaN / 2.0).round() as i64`), colliding with a measured
+    /// 0–1-point pressure, and a NaN or `inf` speed got a bucket too.
+    /// Classification drops those observations, so the signature must
+    /// as well: with them the profile is a duplicate of itself without
+    /// them, never of one with a real value there.
+    #[test]
+    fn non_finite_observations_are_not_features() {
+        let config = SimilarityConfig::enabled();
+        let clean = small_profile(GoalKind::Rate);
+        let nan_pressure = ProfilingData {
+            tolerated: vec![(0, 40.0), (1, f64::NAN)],
+            ..clean.clone()
+        };
+        let measured = ProfilingData {
+            tolerated: vec![(0, 40.0), (1, 0.3)],
+            ..clean.clone()
+        };
+        let bad_speeds = ProfilingData {
+            scale_up: vec![(0, 100.0), (1, f64::INFINITY), (2, f64::NAN)],
+            ..clean.clone()
+        };
+        let sig = |d: &ProfilingData| Signature::of_profile(d, &config);
+        assert!(!sig(&nan_pressure).is_duplicate_of(&sig(&measured)));
+        assert!(sig(&nan_pressure).is_duplicate_of(&sig(&clean)));
+        assert!(sig(&bad_speeds).is_duplicate_of(&sig(&clean)));
     }
 
     #[test]
@@ -681,10 +499,48 @@ mod tests {
         // column so distinct configurations stay distinct features.
         let axes = axes();
         assert!(axes.scale_out.len() > 2);
-        let config = SimilarityConfig::default();
-        let a = Signature::of_tokens(vec![feature_token(TAG_SCALE_OUT, 0, 5)], &config);
-        let b = Signature::of_tokens(vec![feature_token(TAG_SCALE_OUT, 1, 5)], &config);
+        let a = Signature::of_tokens(vec![feature_token(TAG_SCALE_OUT, 0, 5)]);
+        let b = Signature::of_tokens(vec![feature_token(TAG_SCALE_OUT, 1, 5)]);
         assert!(!a.is_duplicate_of(&b));
-        assert!(a.similarity(&b) < 1.0);
+    }
+
+    proptest! {
+        // Every miss runs a (small) full classification.
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Against a plain FIFO oracle: an arrival hits iff its feature
+        /// set is among the last `capacity` misses.
+        #[test]
+        fn hits_are_exactly_the_last_capacity_misses(
+            tokens in proptest::collection::vec(0i32..6, 1..20),
+            capacity in 1usize..4,
+        ) {
+            static HISTORY: OnceLock<HistorySet> = OnceLock::new();
+            let history = HISTORY.get_or_init(|| {
+                HistorySet::bootstrap(&PlatformCatalog::local(), 3, 5)
+            });
+            let classifier = Classifier::new();
+            let mut index = SimilarityIndex::with_capacity(SimilarityConfig::enabled(), capacity);
+            let mut oracle: VecDeque<i32> = VecDeque::new();
+            for t in tokens {
+                // Tokens are 2x apart in speed: 14 ln-buckets, never fused.
+                let data = ProfilingData {
+                    scale_up: vec![(0, 100.0 * 2f64.powi(t))],
+                    ..small_profile(GoalKind::Rate)
+                };
+                let (_, _, outcome) = index.classify_or_insert(&classifier, history, &data);
+                let expected = if oracle.contains(&t) {
+                    SimilarityOutcome::Hit
+                } else {
+                    if oracle.len() == capacity {
+                        oracle.pop_front();
+                    }
+                    oracle.push_back(t);
+                    SimilarityOutcome::Miss
+                };
+                prop_assert_eq!(outcome, expected, "token {}", t);
+                prop_assert_eq!(index.len(), oracle.len());
+            }
+        }
     }
 }

@@ -26,8 +26,6 @@ fn each_entry_point_counts_one_classification() {
     let before = counter.get();
     classifier.classify(&history, &data);
     assert_eq!(counter.get(), before + 1, "classify");
-    let (_, _, models) = classifier.classify_with_models(&history, &data);
-    assert_eq!(counter.get(), before + 2, "classify_with_models");
-    classifier.classify_warm(&history, &data, &models);
-    assert_eq!(counter.get(), before + 3, "classify_warm");
+    classifier.classify_timed(&history, &data);
+    assert_eq!(counter.get(), before + 2, "classify_timed");
 }

@@ -189,7 +189,7 @@ proptest! {
         let history = shared_history();
         let data = fold_profile(GoalKind::ALL[kind_idx], &su, &he, &[]);
         let classifier = Classifier::new();
-        let mut index = SimilarityIndex::new(SimilarityConfig::exact_only());
+        let mut index = SimilarityIndex::new(SimilarityConfig::enabled());
         let (first, _, o1) = index.classify_or_insert(&classifier, history, &data);
         prop_assert_eq!(o1, SimilarityOutcome::Miss);
         let (second, _, o2) = index.classify_or_insert(&classifier, history, &data);

@@ -49,8 +49,6 @@ pub struct IndexComparePoint {
     pub arrivals: usize,
     /// Index hits across the stream.
     pub hits: u64,
-    /// Warm starts across the stream.
-    pub warm_starts: u64,
     /// Misses (cold classifications) across the stream.
     pub misses: u64,
     /// Largest relative deviation of any index-on speed estimate
@@ -195,7 +193,6 @@ pub fn run_with(scale: Scale, threads: usize) -> Fig3Result {
                 a as f64,
                 p.arrivals as f64,
                 p.hits as f64,
-                p.warm_starts as f64,
                 p.misses as f64,
                 p.max_rel_dev,
                 live(p.median_on_us),
@@ -210,7 +207,6 @@ pub fn run_with(scale: Scale, threads: usize) -> Fig3Result {
             "app",
             "arrivals",
             "hits",
-            "warm_starts",
             "misses",
             "max_rel_dev",
             "median_on_us",
@@ -264,7 +260,7 @@ fn jitter_within_buckets(
 
 /// Classifies one app class's repeat-heavy arrival stream twice — plain
 /// classifier vs the similarity index at its default enabled config —
-/// and reports how far the index's reused/warm-started estimates drift
+/// and reports how far the index's reused estimates drift
 /// from the per-arrival cold classifications, plus both median decision
 /// latencies. Serial and thread-independent: the stream always runs in
 /// arrival order against a fresh per-app index.
@@ -297,7 +293,7 @@ fn compare_index(validator: &Validator, app: AppClass, scale: Scale) -> IndexCom
     let classifier: &Classifier = validator.classifier();
     let history = validator.history();
     let mut index = SimilarityIndex::new(config);
-    let (mut hits, mut warm_starts, mut misses) = (0u64, 0u64, 0u64);
+    let (mut hits, mut misses) = (0u64, 0u64);
     let mut max_rel_dev = 0.0f64;
     let mut on_us = Vec::with_capacity(arrivals.len());
     let mut off_us = Vec::with_capacity(arrivals.len());
@@ -308,7 +304,6 @@ fn compare_index(validator: &Validator, app: AppClass, scale: Scale) -> IndexCom
         on_us.push(decide_us);
         match outcome {
             SimilarityOutcome::Hit => hits += 1,
-            SimilarityOutcome::WarmStart => warm_starts += 1,
             SimilarityOutcome::Miss => misses += 1,
         }
         let pairs = on
@@ -325,7 +320,6 @@ fn compare_index(validator: &Validator, app: AppClass, scale: Scale) -> IndexCom
         app: app.name().to_string(),
         arrivals: arrivals.len(),
         hits,
-        warm_starts,
         misses,
         max_rel_dev,
         median_on_us: percentile(&on_us, 0.5),
@@ -383,7 +377,6 @@ impl fmt::Display for Fig3Result {
                     "app",
                     "arrivals",
                     "hits",
-                    "warm",
                     "miss",
                     "max dev %",
                     "median on us",
@@ -394,7 +387,6 @@ impl fmt::Display for Fig3Result {
                 p.app.clone(),
                 p.arrivals.to_string(),
                 p.hits.to_string(),
-                p.warm_starts.to_string(),
                 p.misses.to_string(),
                 format!("{:.2}", p.max_rel_dev * 100.0),
                 us(p.median_on_us),
@@ -441,12 +433,7 @@ mod tests {
         assert_eq!(r.index_compare.len(), 3);
         for p in &r.index_compare {
             assert_eq!(p.arrivals, 8, "{}: 2 bases x 4 repeats", p.app);
-            assert_eq!(
-                p.hits + p.warm_starts + p.misses,
-                p.arrivals as u64,
-                "{}",
-                p.app
-            );
+            assert_eq!(p.hits + p.misses, p.arrivals as u64, "{}", p.app);
             // Every non-base arrival is an in-bucket repeat: only the
             // two bases may miss.
             assert!(p.misses <= 2, "{}: misses {}", p.app, p.misses);
