@@ -36,18 +36,6 @@ impl ClusterSpec {
         ClusterSpec { catalog, counts }
     }
 
-    /// A cluster with explicit per-platform counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a platform id is out of range for the catalog.
-    pub fn with_counts(catalog: PlatformCatalog, counts: Vec<(PlatformId, usize)>) -> ClusterSpec {
-        for (id, _) in &counts {
-            assert!(id.0 < catalog.len(), "platform id out of range");
-        }
-        ClusterSpec { catalog, counts }
-    }
-
     /// Total number of servers.
     pub fn total_servers(&self) -> usize {
         self.counts.iter().map(|(_, n)| n).sum()

@@ -209,21 +209,13 @@ const CAPACITY_FLOOR: f64 = 0.9;
 /// Peak depth at or above this makes a closed episode an incident.
 const INCIDENT_DEPTH: f64 = 0.5;
 
-/// Tracks per-workload violation episodes across ticks and closes them
-/// into an append-only ledger.
+/// Tracks per-workload violation episodes across ticks. It holds only
+/// the open episodes and hands each closed one back to its caller, which
+/// decides what to keep.
+#[derive(Debug)]
 pub struct SloTracker {
     tick_s: f64,
     open: BTreeMap<WorkloadId, OpenEpisode>,
-    closed: Vec<EpisodeRecord>,
-}
-
-impl fmt::Debug for SloTracker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SloTracker")
-            .field("open", &self.open.len())
-            .field("closed", &self.closed.len())
-            .finish()
-    }
 }
 
 impl SloTracker {
@@ -232,7 +224,6 @@ impl SloTracker {
         SloTracker {
             tick_s,
             open: BTreeMap::new(),
-            closed: Vec::new(),
         }
     }
 
@@ -328,7 +319,7 @@ impl SloTracker {
             .collect()
     }
 
-    fn close(&mut self, id: WorkloadId, open: OpenEpisode, end_s: f64) -> EpisodeRecord {
+    fn close(&self, id: WorkloadId, open: OpenEpisode, end_s: f64) -> EpisodeRecord {
         let ticks = open.ticks.max(1) as f64;
         let evidence = QosEvidence {
             interference: open.interference_sum / ticks,
@@ -354,7 +345,6 @@ impl SloTracker {
             counter.inc();
             histogram.record(record.duration_s());
         }
-        self.closed.push(record.clone());
         record
     }
 
@@ -382,19 +372,13 @@ impl SloTracker {
         episode.peak_depth >= INCIDENT_DEPTH
     }
 
-    /// All closed episodes, in close order.
-    pub fn episodes(&self) -> &[EpisodeRecord] {
-        &self.closed
-    }
-
     /// Open episodes in workload-id order, for run snapshots.
     pub(crate) fn export_open(&self) -> &BTreeMap<WorkloadId, OpenEpisode> {
         &self.open
     }
 
-    /// Re-opens an episode from a snapshot. The closed ledger is *not*
-    /// restored — closed episodes live in the journal stream; only open
-    /// state affects future journal output.
+    /// Re-opens an episode from a snapshot. Closed episodes live in the
+    /// journal stream; only open state affects future journal output.
     pub(crate) fn restore_open(&mut self, id: WorkloadId, episode: OpenEpisode) {
         self.open.insert(id, episode);
     }
@@ -518,7 +502,6 @@ mod tests {
         assert_eq!(closed.end_s, 15.0);
         assert_eq!(closed.ticks, 2);
         assert!(closed.peak_depth > 0.2 && closed.peak_depth < 0.3);
-        assert_eq!(t.episodes().len(), 1);
         assert!(t.open.is_empty());
     }
 

@@ -6,8 +6,11 @@
 //! is split into map tasks that run in waves over the allocated task
 //! slots, individual tasks deviate from the fluid rate (data skew, and
 //! injected stragglers from interference or machine instability), and a
-//! `TaskTracker`-style API exposes per-task progress so straggler
-//! detectors can act mid-wave.
+//! `TaskTracker`-style API exposes per-task progress and relaunch. This is
+//! the only task model: the speculation policies and the driver that runs
+//! them live in `quasar_core::straggler`, and they observe a task only
+//! through its progress and elapsed time. Each task's true duration and
+//! straggler flag are ground truth for scoring, not for detection.
 //!
 //! # Examples
 //!
@@ -175,40 +178,6 @@ impl TaskExecution {
         self.running.is_empty() && self.next_task >= self.tasks.len()
     }
 
-    /// Median progress *rate* (fraction/second) among running tasks that
-    /// have run for at least `min_obs_s`; `None` when too few samples.
-    pub fn median_running_rate(&self, min_obs_s: f64) -> Option<f64> {
-        let mut rates: Vec<f64> = self
-            .running
-            .iter()
-            .map(|&i| &self.tasks[i])
-            .filter(|t| t.elapsed_s >= min_obs_s)
-            .map(|t| 1.0 / t.duration_s)
-            .collect();
-        if rates.len() < 3 {
-            return None;
-        }
-        rates.sort_by(f64::total_cmp);
-        Some(rates[rates.len() / 2])
-    }
-
-    /// Indices of running tasks whose progress rate is below
-    /// `fraction` of the median rate (the paper's "at least 50% slower
-    /// than the median" check against the TaskTracker API).
-    pub fn underperforming(&self, fraction: f64, min_obs_s: f64) -> Vec<usize> {
-        let Some(median) = self.median_running_rate(min_obs_s) else {
-            return Vec::new();
-        };
-        self.running
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let t = &self.tasks[i];
-                t.elapsed_s >= min_obs_s && (1.0 / t.duration_s) <= median * fraction
-            })
-            .collect()
-    }
-
     /// Relaunches a task on a healthy slot (straggler mitigation): its
     /// remaining work restarts at the nominal (non-straggler) duration.
     ///
@@ -285,51 +254,6 @@ mod tests {
         assert!(
             slow > clean * 1.2,
             "stragglers must dominate the tail: {clean:.0} vs {slow:.0}"
-        );
-    }
-
-    #[test]
-    fn underperforming_flags_only_stragglers() {
-        let mut exec = TaskExecution::new(TaskSpec {
-            straggler_fraction: 0.10,
-            straggler_slowdown: 3.0,
-            seed: 5,
-            ..spec()
-        });
-        exec.advance(10.0);
-        let flagged = exec.underperforming(0.5, 5.0);
-        assert!(!flagged.is_empty(), "slow tasks must be visible mid-wave");
-        for idx in flagged {
-            assert!(
-                exec.tasks()[idx].straggler,
-                "task {idx} flagged but healthy"
-            );
-        }
-    }
-
-    #[test]
-    fn relaunch_recovers_the_tail() {
-        let make = || {
-            TaskExecution::new(TaskSpec {
-                straggler_fraction: 0.08,
-                straggler_slowdown: 5.0,
-                seed: 9,
-                ..spec()
-            })
-        };
-        let unmitigated = make().completion_time();
-        let mut mitigated = make();
-        // Detect-and-relaunch loop every 5 seconds.
-        while !mitigated.is_complete() {
-            mitigated.advance(5.0);
-            for idx in mitigated.underperforming(0.5, 5.0) {
-                mitigated.relaunch(idx);
-            }
-        }
-        assert!(
-            mitigated.now_s() < unmitigated,
-            "mitigation must shorten the job: {unmitigated:.0} -> {:.0}",
-            mitigated.now_s()
         );
     }
 

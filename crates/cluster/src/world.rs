@@ -256,9 +256,11 @@ pub enum Retention {
     #[default]
     KeepAll,
     /// Drop completed batch entries once the manager has been notified,
-    /// keeping only the running [`World::completion_digest`]. Bounds
-    /// memory for million-job runs at the cost of per-job
-    /// [`World::completions`] records.
+    /// keeping only the running [`World::completion_digest`], and keep no
+    /// closed QoS episode or incident report (both stay journaled and
+    /// counted under `quasar.cluster.qos.*`). Bounds memory for
+    /// million-job runs at the cost of per-job [`World::completions`],
+    /// [`World::qos_episodes`] and [`World::incidents`] records.
     DropCompleted,
 }
 
@@ -305,10 +307,13 @@ pub struct World {
     completion_digest: u64,
     /// Entries dropped under [`Retention::DropCompleted`].
     retired: u64,
-    /// The QoS violation ledger: per-workload episodes with cause
+    /// The QoS violation ledger: per-workload open episodes with cause
     /// attribution, fed one observation per tick.
     qos: SloTracker,
-    /// Incident reports dumped so far (severe closed episodes).
+    /// Closed episodes, kept under [`Retention::KeepAll`] only.
+    episodes: Vec<EpisodeRecord>,
+    /// Incident reports (severe closed episodes), kept under
+    /// [`Retention::KeepAll`] only.
     incidents: Vec<Incident>,
 }
 
@@ -336,6 +341,7 @@ impl World {
             completion_digest: FNV_OFFSET,
             retired: 0,
             qos: SloTracker::new(tick_s),
+            episodes: Vec::new(),
             incidents: Vec::new(),
         }
     }
@@ -821,14 +827,19 @@ impl World {
         &mut self.journal
     }
 
-    /// The QoS violation ledger: closed episodes with cause attribution
-    /// and open episodes.
+    /// The QoS violation ledger's open episodes.
     pub fn qos(&self) -> &SloTracker {
         &self.qos
     }
 
+    /// Closed violation episodes with cause attribution, in close order
+    /// (empty under [`Retention::DropCompleted`]).
+    pub fn qos_episodes(&self) -> &[EpisodeRecord] {
+        &self.episodes
+    }
+
     /// Incident reports dumped so far (severe closed episodes), in close
-    /// order.
+    /// order (empty under [`Retention::DropCompleted`]).
     pub fn incidents(&self) -> &[Incident] {
         &self.incidents
     }
@@ -851,9 +862,12 @@ impl World {
         n
     }
 
-    /// Journals a closed episode and, when its peak depth crosses the
-    /// severity threshold, dumps an incident report carrying the
-    /// journal window and the placement snapshot at close time.
+    /// Journals and counts a closed episode; the one place that decides
+    /// what of it is kept. Under [`Retention::KeepAll`] the record is
+    /// stored and, when its peak depth crosses the severity threshold, an
+    /// incident report carrying the journal window and the placement
+    /// snapshot at close time is dumped. Under
+    /// [`Retention::DropCompleted`] neither is built.
     fn finish_episode(&mut self, episode: EpisodeRecord) {
         self.journal.record(
             self.now,
@@ -865,8 +879,14 @@ impl World {
                 peak_depth: episode.peak_depth,
             },
         );
-        if self.qos.is_incident(&episode) {
+        let incident = self.qos.is_incident(&episode);
+        if incident {
             qos::count_incident();
+        }
+        if self.retention == Retention::DropCompleted {
+            return;
+        }
+        if incident {
             let margin = INCIDENT_MARGIN_TICKS * self.tick_s;
             let events = self
                 .journal
@@ -888,11 +908,12 @@ impl World {
                 })
                 .collect();
             self.incidents.push(Incident {
-                episode,
+                episode: episode.clone(),
                 events,
                 placements,
             });
         }
+        self.episodes.push(episode);
     }
 
     /// Feeds one running workload's observation of this tick into the
@@ -1630,6 +1651,53 @@ mod tests {
         assert_eq!(second.events.len(), 512);
         let since = second.episode.start_s - 10.0;
         assert!(all.iter().filter(|(t, _)| *t >= since).count() > 512);
+    }
+
+    /// `DropCompleted` keeps no closed episode and builds no incident,
+    /// yet journals and counts every episode exactly as `KeepAll` does.
+    #[test]
+    fn drop_completed_keeps_no_episode_or_incident() {
+        let counter = |name: &str| Registry::global().counter(name);
+        let (episodes, incidents) = (
+            counter("quasar.cluster.qos.episodes"),
+            counter("quasar.cluster.qos.incidents"),
+        );
+        let run = |retention: Retention| {
+            let (e0, i0) = (episodes.get(), incidents.get());
+            let mut w = world();
+            w.set_retention(retention);
+            let job = batch_workload(13);
+            let id = job.id();
+            w.submit(job);
+            // A placement that never activates projects to infinity, so
+            // each stall-and-evict closes one severe episode.
+            let mut node = NodeAlloc::immediate(big_server(&w), NodeResources::new(2, 4.0));
+            node.active_after = 1e9;
+            for _ in 0..3 {
+                w.place(id, vec![node], FrameworkParams::default()).unwrap();
+                w.advance(5.0);
+                w.advance(5.0);
+                w.evict(id, true);
+            }
+            let journaled: Vec<(f64, JournalEvent)> = w
+                .journal()
+                .iter()
+                .filter(|(_, e)| e.kind() == "qos_episode")
+                .copied()
+                .collect();
+            (w, journaled, episodes.get() - e0, incidents.get() - i0)
+        };
+        let (keep, keep_journal, ..) = run(Retention::KeepAll);
+        let (drop, drop_journal, drop_episodes, drop_incidents) = run(Retention::DropCompleted);
+
+        assert_eq!(keep_journal.len(), 3);
+        assert_eq!(keep.qos_episodes().len(), 3);
+        assert_eq!(keep.incidents().len(), 3);
+        assert!(drop.qos_episodes().is_empty() && drop.incidents().is_empty());
+        assert_eq!(drop_journal, keep_journal);
+        // The registry is process-global and other tests run alongside,
+        // so a delta can only overcount: both counters saw all three.
+        assert!(drop_episodes >= 3 && drop_incidents >= 3);
     }
 
     #[test]

@@ -24,6 +24,7 @@ fn batch_obs(rate: f64, projected_total_s: f64) -> Observation {
 /// `i` and returns the full closed ledger.
 fn drive(patterns: &[Vec<bool>]) -> Vec<EpisodeRecord> {
     let mut tracker = SloTracker::new(TICK_S);
+    let mut closed = Vec::new();
     let target = QosTarget::ips(100.0);
     let ticks = patterns.iter().map(Vec::len).max().unwrap_or(0);
     for i in 0..ticks {
@@ -34,17 +35,17 @@ fn drive(patterns: &[Vec<bool>]) -> Vec<EpisodeRecord> {
             };
             // An IPS target is a floor: rate below 100 violates it.
             let obs = batch_obs(if violating { 50.0 } else { 150.0 }, 100.0);
-            tracker.observe(
+            closed.extend(tracker.observe(
                 now,
                 WorkloadId(w as u64),
                 &obs,
                 &target,
                 QosEvidence::default(),
-            );
+            ));
         }
     }
-    tracker.close_all((ticks + 1) as f64 * TICK_S);
-    tracker.episodes().to_vec()
+    closed.extend(tracker.close_all((ticks + 1) as f64 * TICK_S));
+    closed
 }
 
 /// One violating tick at `rate` against a 100 IPS floor carrying

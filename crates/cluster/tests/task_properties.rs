@@ -84,57 +84,4 @@ proptest! {
         let many = TaskExecution::new(make(8)).completion_time();
         prop_assert!(many <= few + 1e-6, "8 slots {many:.1}s vs 2 slots {few:.1}s");
     }
-
-    /// The under-performance check never flags healthy tasks when skew is
-    /// mild and stragglers are far slower.
-    #[test]
-    fn underperforming_has_no_false_positives(
-        seed in any::<u64>(),
-        fraction in 0.02..0.15f64,
-    ) {
-        let spec = TaskSpec {
-            tasks: 40,
-            slots: 20,
-            mean_task_s: 60.0,
-            skew: 0.15,
-            straggler_fraction: fraction,
-            straggler_slowdown: 3.5,
-            seed,
-        };
-        let mut exec = TaskExecution::new(spec);
-        exec.advance(15.0);
-        for idx in exec.underperforming(0.5, 10.0) {
-            prop_assert!(
-                exec.tasks()[idx].straggler,
-                "task {idx} flagged but healthy"
-            );
-        }
-    }
-
-    /// Relaunching every detected straggler never makes the job slower
-    /// (relaunched copies run at nominal speed).
-    #[test]
-    fn mitigation_never_hurts(seed in any::<u64>()) {
-        let spec = TaskSpec {
-            tasks: 48,
-            slots: 16,
-            mean_task_s: 40.0,
-            skew: 0.15,
-            straggler_fraction: 0.1,
-            straggler_slowdown: 4.0,
-            seed,
-        };
-        let unmitigated = TaskExecution::new(spec).completion_time();
-        let mut exec = TaskExecution::new(spec);
-        let mut guard = 0;
-        while !exec.is_complete() {
-            exec.advance(4.0);
-            for idx in exec.underperforming(0.5, 8.0) {
-                exec.relaunch(idx);
-            }
-            guard += 1;
-            prop_assert!(guard < 1_000_000);
-        }
-        prop_assert!(exec.now_s() <= unmitigated + 4.0 + 1e-9);
-    }
 }

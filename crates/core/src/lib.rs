@@ -17,8 +17,10 @@
 //!
 //! The [`QuasarManager`] ties everything together as a
 //! [`quasar_cluster::Manager`], including runtime monitoring, phase
-//! detection, allocation adjustment (§4.1) and straggler detection
-//! ([`straggler`], §4.3).
+//! detection and allocation adjustment (§4.1). Straggler detection (§4.3)
+//! is not part of the manager: [`straggler`] holds the Quasar, LATE and
+//! Hadoop speculation policies and the driver that runs them over
+//! task-level executions ([`quasar_cluster::tasks`]).
 //!
 //! # Example
 //!

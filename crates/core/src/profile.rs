@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use quasar_cluster::{ProfileConfig, World};
 use quasar_workloads::WorkloadId;
@@ -185,11 +185,6 @@ impl Profiler {
         pool.choose_multiple(&mut self.rng, count.min(pool.len()))
             .copied()
             .collect()
-    }
-
-    /// Random source for callers that need profiler-coherent choices.
-    pub fn rng(&mut self) -> &mut impl Rng {
-        &mut self.rng
     }
 }
 

@@ -1,4 +1,4 @@
-//! Straggler detection for framework tasks (paper §4.3).
+//! Straggler detection and mitigation for framework tasks (paper §4.3).
 //!
 //! Quasar improves Hadoop's straggler handling: it watches per-task
 //! progress rates, flags tasks at least 50% slower than the median, and
@@ -6,194 +6,227 @@
 //! the framework to relaunch. The paper reports detection 19% earlier
 //! than stock Hadoop speculative execution and 8% earlier than LATE.
 //!
-//! This module provides a self-contained task-progress model and the three
-//! detection policies so the comparison can be reproduced.
+//! This module holds the three speculation policies and the one driver
+//! that runs a [`TaskExecution`] under a policy (or none) and scores it.
+//! A policy sees a running task only as a [`TaskView`] — index,
+//! progress, elapsed time — plus the job's nominal task time, so no
+//! detector can read a task's true duration or straggler flag. Only the
+//! driver's scorer reads that ground truth, to charge each relaunch of a
+//! true straggler as one [`Detection`].
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use quasar_cluster::tasks::{TaskExecution, TaskSpec};
 
-/// One framework task: all tasks share the job's nominal duration, but a
-/// straggler runs `slow_factor > 1` times longer (interference, machine
-/// instability, bad partitioning).
+/// Seconds between two policy scans of a running job.
+pub const SCAN_S: f64 = 5.0;
+
+/// Seconds Quasar's in-place interference probe takes to confirm a
+/// flagged task before it is relaunched.
+const QUASAR_PROBE_S: f64 = 15.0;
+
+/// What a policy may observe of one running task.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Task {
-    /// Duration the task would take on a healthy node, in seconds.
-    pub nominal_s: f64,
-    /// Actual slowdown factor (1.0 = healthy).
-    pub slow_factor: f64,
+pub struct TaskView {
+    /// Task index within the job.
+    pub index: usize,
+    /// Reported progress in `[0, 1]`.
+    pub progress: f64,
+    /// Seconds the current attempt has run.
+    pub elapsed_s: f64,
 }
 
-impl Task {
-    /// Actual duration.
-    pub fn actual_s(&self) -> f64 {
-        self.nominal_s * self.slow_factor
-    }
-
-    /// Progress in `[0, 1]` at time `t` after task start.
-    pub fn progress(&self, t: f64) -> f64 {
-        (t / self.actual_s()).clamp(0.0, 1.0)
-    }
-
-    /// Progress rate (fraction/second).
-    pub fn rate(&self) -> f64 {
-        1.0 / self.actual_s()
+impl TaskView {
+    /// Progress rate (fraction/second); zero before the task has run.
+    fn rate(&self) -> f64 {
+        if self.elapsed_s > 0.0 {
+            self.progress / self.elapsed_s
+        } else {
+            0.0
+        }
     }
 }
 
-/// A wave of tasks started together, with optional injected stragglers.
+/// What a policy may observe of the job at one scan.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TaskWave {
-    tasks: Vec<Task>,
+pub struct JobView {
+    /// The job's nominal task time in seconds.
+    pub nominal_task_s: f64,
+    /// Mean progress of every task dispatched so far (finished ones
+    /// count as 1), as the framework reports it.
+    pub started_progress: f64,
+    /// The running tasks.
+    pub running: Vec<TaskView>,
 }
 
-impl TaskWave {
-    /// Generates a wave of `n` tasks with mild natural variation and
-    /// `stragglers` tasks slowed by factors in `[2.5, 4]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stragglers > n` or `n == 0`.
-    pub fn generate(n: usize, stragglers: usize, nominal_s: f64, seed: u64) -> TaskWave {
-        assert!(n > 0, "need at least one task");
-        assert!(stragglers <= n, "more stragglers than tasks");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let tasks = (0..n)
-            .map(|i| Task {
-                nominal_s: nominal_s * rng.random_range(0.9..1.1),
-                slow_factor: if i < stragglers {
-                    rng.random_range(2.5..4.0)
-                } else {
-                    rng.random_range(0.95..1.15)
-                },
-            })
-            .collect();
-        TaskWave { tasks }
-    }
-
-    /// The tasks.
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
-    }
-
-    /// Indices of the injected stragglers (ground truth: slow factor ≥ 2).
-    pub fn true_stragglers(&self) -> Vec<usize> {
-        self.tasks
+impl JobView {
+    /// The TaskTracker view of `exec`, whose tasks nominally take
+    /// `nominal_task_s` seconds.
+    pub fn of(exec: &TaskExecution, nominal_task_s: f64) -> JobView {
+        let tasks = exec.tasks();
+        let (sum, started) = tasks
             .iter()
-            .enumerate()
-            .filter(|(_, t)| t.slow_factor >= 2.0)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Median of the *healthy* progress rates (the observable median; with
-    /// few stragglers this matches the overall median).
-    pub fn median_rate(&self) -> f64 {
-        let mut rates: Vec<f64> = self.tasks.iter().map(Task::rate).collect();
-        rates.sort_by(f64::total_cmp);
-        rates[rates.len() / 2]
-    }
-
-    /// Median actual duration.
-    pub fn median_duration(&self) -> f64 {
-        let mut durations: Vec<f64> = self.tasks.iter().map(Task::actual_s).collect();
-        durations.sort_by(f64::total_cmp);
-        durations[durations.len() / 2]
+            .filter(|t| t.started_at_s.is_some())
+            .fold((0.0, 0usize), |(sum, n), t| (sum + t.progress(), n + 1));
+        JobView {
+            nominal_task_s,
+            started_progress: if started > 0 {
+                sum / started as f64
+            } else {
+                0.0
+            },
+            running: exec
+                .running()
+                .iter()
+                .map(|&index| TaskView {
+                    index,
+                    progress: tasks[index].progress(),
+                    elapsed_s: tasks[index].elapsed_s,
+                })
+                .collect(),
+        }
     }
 }
 
-/// A detection result: which task, when.
+/// A speculation policy: which running tasks to mark for relaunch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// Stock Hadoop speculative execution.
+    Hadoop,
+    /// LATE (Zaharia et al., OSDI'08).
+    Late,
+    /// Quasar (§4.3).
+    Quasar,
+}
+
+impl Policy {
+    /// Indices of the running tasks this policy marks at this scan.
+    ///
+    /// - Hadoop: progress more than 0.2 below the mean progress of the
+    ///   started tasks, after at least 60 s of running (Hadoop's rule as
+    ///   the LATE paper describes it).
+    /// - LATE: progress rate at most 0.6 × the median rate of the running
+    ///   tasks, after 0.5 × the nominal task time.
+    /// - Quasar: progress rate at most 0.5 × the running median, after
+    ///   0.1 × the nominal task time.
+    pub fn marks(self, job: &JobView) -> Vec<usize> {
+        match self {
+            Policy::Hadoop => job
+                .running
+                .iter()
+                .filter(|t| t.elapsed_s >= 60.0 && job.started_progress - t.progress > 0.2)
+                .map(|t| t.index)
+                .collect(),
+            Policy::Late => slow_rate(job, 0.6, 0.5 * job.nominal_task_s),
+            Policy::Quasar => slow_rate(job, 0.5, 0.1 * job.nominal_task_s),
+        }
+    }
+
+    /// Seconds between marking a task and relaunching it.
+    fn confirm_s(self) -> f64 {
+        match self {
+            Policy::Quasar => QUASAR_PROBE_S,
+            Policy::Hadoop | Policy::Late => 0.0,
+        }
+    }
+}
+
+/// Running tasks observed for at least `window_s` whose progress rate is
+/// at most `fraction` of the median such task's; none when fewer than
+/// three tasks have been observed that long.
+fn slow_rate(job: &JobView, fraction: f64, window_s: f64) -> Vec<usize> {
+    let observed: Vec<&TaskView> = job
+        .running
+        .iter()
+        .filter(|t| t.elapsed_s >= window_s)
+        .collect();
+    if observed.len() < 3 {
+        return Vec::new();
+    }
+    let mut rates: Vec<f64> = observed.iter().map(|t| t.rate()).collect();
+    rates.sort_by(f64::total_cmp);
+    let threshold = fraction * rates[rates.len() / 2];
+    observed
+        .into_iter()
+        .filter(|t| t.rate() <= threshold)
+        .map(|t| t.index)
+        .collect()
+}
+
+/// A relaunch of a true straggler: which task, how long it ran first.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// Task index.
     pub task: usize,
-    /// Seconds after wave start at which the detector flagged it.
-    pub detected_at_s: f64,
+    /// Seconds from the task's first start to the relaunch decision.
+    pub latency_s: f64,
 }
 
-/// Stock Hadoop speculative execution: a task is speculated when its
-/// progress falls 20 percentage points behind the wave average — which
-/// only grows large once most of the wave is nearly done.
-pub fn detect_hadoop(wave: &TaskWave) -> Vec<Detection> {
-    // Average progress at time t: mean over tasks of min(t/actual, 1).
-    // Solve (numerically) for the first t where avg - p_i(t) >= 0.2.
-    scan_detections(wave, |wave, task, t| {
-        let avg: f64 =
-            wave.tasks().iter().map(|x| x.progress(t)).sum::<f64>() / wave.tasks().len() as f64;
-        avg - task.progress(t) >= 0.20
-    })
+/// One run of a task execution under a policy, scored.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Outcome {
+    /// Seconds until every task finished.
+    pub completion_s: f64,
+    /// One record per true straggler the policy relaunched.
+    pub detections: Vec<Detection>,
 }
 
-/// LATE (Zaharia et al., OSDI'08): speculate the task with the *latest
-/// estimated finish time*, once its progress rate is in the slowest
-/// quartile and a minimum observation window has passed.
-pub fn detect_late(wave: &TaskWave) -> Vec<Detection> {
-    let mut rates: Vec<f64> = wave.tasks().iter().map(Task::rate).collect();
-    rates.sort_by(f64::total_cmp);
-    let slow_quartile = rates[wave.tasks().len() / 4];
-    // LATE needs enough history to trust the rate estimate; it uses the
-    // task progress score, stable after ~25% of the median duration.
-    let min_window = 0.25 * wave.median_duration();
-    scan_detections(wave, |_wave, task, t| {
-        t >= min_window && task.rate() <= slow_quartile && task.slow_factor > 1.5
-    })
-}
-
-/// Quasar (§4.3): flag tasks at least 50% slower than the median progress
-/// rate — observable as soon as rates are measurable (~10% of the median
-/// duration) — then confirm with an in-place interference
-/// reclassification that costs `probe_s` seconds.
-pub fn detect_quasar(wave: &TaskWave, probe_s: f64) -> Vec<Detection> {
-    let median = wave.median_rate();
-    let min_window = 0.10 * wave.median_duration();
-    let mut detections = scan_detections(wave, |_wave, task, t| {
-        t >= min_window && task.rate() <= 0.5 * median
-    });
-    for d in &mut detections {
-        d.detected_at_s += probe_s;
-    }
-    detections
-}
-
-/// Scans time forward in small steps and records the first instant each
-/// true straggler satisfies the detector predicate.
-fn scan_detections(
-    wave: &TaskWave,
-    flagged: impl Fn(&TaskWave, &Task, f64) -> bool,
-) -> Vec<Detection> {
-    let horizon = wave.tasks().iter().map(Task::actual_s).fold(0.0, f64::max);
-    let step = horizon / 2_000.0;
+/// Runs `spec` to completion, scanning every [`SCAN_S`] seconds with
+/// `policy` (no intervention under `None`). A marked task is relaunched
+/// after the policy's confirmation delay (Quasar's 15 s probe) if it is
+/// still running; a task is relaunched at most once.
+pub fn run(spec: TaskSpec, policy: Option<Policy>) -> Outcome {
+    let mut exec = TaskExecution::new(spec);
+    let mut marked: Vec<(usize, f64)> = Vec::new();
     let mut detections = Vec::new();
-    for idx in wave.true_stragglers() {
-        let task = wave.tasks()[idx];
-        let mut t = step;
-        while t <= horizon {
-            if flagged(wave, &task, t) {
-                detections.push(Detection {
-                    task: idx,
-                    detected_at_s: t,
-                });
-                break;
+    let mut guard = 0;
+    while !exec.is_complete() {
+        exec.advance(SCAN_S);
+        guard += 1;
+        assert!(guard < 1_000_000, "task execution failed to terminate");
+        let Some(policy) = policy else {
+            continue;
+        };
+        let now = exec.now_s();
+        for i in policy.marks(&JobView::of(&exec, spec.mean_task_s)) {
+            if !exec.tasks()[i].relaunched && !marked.iter().any(|&(m, _)| m == i) {
+                marked.push((i, now));
             }
-            t += step;
+        }
+        let (due, waiting) = marked
+            .into_iter()
+            .partition(|&(_, at)| now - at >= policy.confirm_s());
+        marked = waiting;
+        for (i, _) in due {
+            // The scorer: the one reader of ground truth.
+            let task = exec.tasks()[i];
+            if exec.relaunch(i) && task.straggler {
+                let first_start = task.started_at_s.expect("a running task has started");
+                detections.push(Detection {
+                    task: i,
+                    latency_s: now - first_start,
+                });
+            }
         }
     }
-    detections
+    Outcome {
+        completion_s: exec.now_s(),
+        detections,
+    }
 }
 
-/// Mean detection time of a detection set; `None` when empty.
+/// Mean detection latency of a detection set; `None` when empty.
 pub fn mean_detection_s(detections: &[Detection]) -> Option<f64> {
     if detections.is_empty() {
         None
     } else {
-        Some(detections.iter().map(|d| d.detected_at_s).sum::<f64>() / detections.len() as f64)
+        Some(detections.iter().map(|d| d.latency_s).sum::<f64>() / detections.len() as f64)
     }
 }
 
-/// Per-wave mean detection times plus the number of detection sets that
-/// were *skipped* because they were empty.
+/// Per-wave mean detection latencies plus the number of detection sets
+/// that were *skipped* because they were empty.
 ///
 /// A wave can legitimately detect zero stragglers (none were injected,
-/// or the detector never fired before the wave finished). Such a set
+/// or the policy never fired before the wave finished). Such a set
 /// must degrade the aggregate, not abort it, so it is skipped and
 /// counted — the same contract as the adaptation experiment's
 /// overhead-fraction aggregation — instead of unwrapped.
@@ -213,82 +246,126 @@ pub fn detection_means<'a>(sets: impl IntoIterator<Item = &'a [Detection]>) -> (
 mod tests {
     use super::*;
 
-    fn wave() -> TaskWave {
-        TaskWave::generate(40, 4, 120.0, 7)
+    /// The adaptation experiment's job: 64 tasks on 16 slots, 60 s
+    /// nominal, 20% skew, 8% stragglers at 4×.
+    fn adaptation_spec(seed: u64) -> TaskSpec {
+        TaskSpec {
+            tasks: 64,
+            slots: 16,
+            mean_task_s: 60.0,
+            skew: 0.2,
+            straggler_fraction: 0.08,
+            straggler_slowdown: 4.0,
+            seed,
+        }
     }
 
-    #[test]
-    fn generation_injects_requested_stragglers() {
-        let w = wave();
-        assert_eq!(w.tasks().len(), 40);
-        assert_eq!(w.true_stragglers().len(), 4);
+    fn small_spec() -> TaskSpec {
+        TaskSpec {
+            tasks: 64,
+            slots: 16,
+            mean_task_s: 30.0,
+            skew: 0.2,
+            straggler_fraction: 0.0,
+            straggler_slowdown: 1.0,
+            seed: 1,
+        }
+    }
+
+    fn mean(v: &[f64]) -> f64 {
+        v.iter().sum::<f64>() / v.len() as f64
     }
 
     #[test]
     fn all_detectors_find_the_stragglers() {
-        let w = wave();
-        assert_eq!(detect_hadoop(&w).len(), 4);
-        assert_eq!(detect_late(&w).len(), 4);
-        assert_eq!(detect_quasar(&w, 15.0).len(), 4);
+        let spec = adaptation_spec(0x517A);
+        let stragglers = TaskExecution::new(spec)
+            .tasks()
+            .iter()
+            .filter(|t| t.straggler)
+            .count();
+        assert!(stragglers > 0);
+        for policy in [Policy::Hadoop, Policy::Late, Policy::Quasar] {
+            let found = run(spec, Some(policy)).detections.len();
+            assert_eq!(found, stragglers, "{policy:?}");
+        }
+        assert!(run(spec, None).detections.is_empty());
     }
 
     #[test]
     fn quasar_detects_before_late_before_hadoop() {
-        // Average over several waves, as the paper averages over jobs.
-        // Aggregated with the skip-and-count helper: a wave where a
-        // detector finds nothing degrades the sample, never panics.
-        let mut q_sets = Vec::new();
-        let mut l_sets = Vec::new();
-        let mut h_sets = Vec::new();
-        for seed in 0..10 {
-            let w = TaskWave::generate(50, 5, 100.0, seed);
-            q_sets.push(detect_quasar(&w, 15.0));
-            l_sets.push(detect_late(&w));
-            h_sets.push(detect_hadoop(&w));
-        }
-        let (q, q_skipped) = detection_means(q_sets.iter().map(Vec::as_slice));
-        let (l, l_skipped) = detection_means(l_sets.iter().map(Vec::as_slice));
-        let (h, h_skipped) = detection_means(h_sets.iter().map(Vec::as_slice));
-        // These waves all inject stragglers, so nothing is skipped here.
-        assert_eq!((q_skipped, l_skipped, h_skipped), (0, 0, 0));
-        let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let (quasar, late, hadoop) = (avg(&q), avg(&l), avg(&h));
+        // §4.3's shape over 20 seeds, aggregated with the skip-and-count
+        // helper: a seed where a policy finds nothing degrades the
+        // sample, never panics.
+        let runs: Vec<[Outcome; 4]> = (0..20)
+            .map(|seed| {
+                let spec = adaptation_spec(0x517A + seed);
+                [
+                    None,
+                    Some(Policy::Hadoop),
+                    Some(Policy::Late),
+                    Some(Policy::Quasar),
+                ]
+                .map(|policy| run(spec, policy))
+            })
+            .collect();
+        let detection = |k: usize| {
+            let (means, _) = detection_means(runs.iter().map(|r| r[k].detections.as_slice()));
+            mean(&means)
+        };
+        let (hadoop, late, quasar) = (detection(1), detection(2), detection(3));
         assert!(
             quasar < late && late < hadoop,
             "expected quasar < late < hadoop, got {quasar:.1} / {late:.1} / {hadoop:.1}"
         );
-        // Shape check against the paper's 19% (vs Hadoop) and 8% (vs LATE)
-        // earlier detection, loosely.
-        assert!(
-            quasar < 0.95 * hadoop,
-            "quasar should be much earlier than hadoop"
-        );
-        assert!(quasar < 0.99 * late, "quasar should be earlier than late");
+        let completion =
+            |k: usize| mean(&runs.iter().map(|r| r[k].completion_s).collect::<Vec<_>>());
+        let (none, late, quasar) = (completion(0), completion(2), completion(3));
+        assert!(quasar < none, "quasar {quasar:.0} vs unmitigated {none:.0}");
+        assert!(quasar <= late, "quasar {quasar:.0} vs late {late:.0}");
     }
 
     #[test]
-    fn progress_saturates_at_one() {
-        let t = Task {
-            nominal_s: 100.0,
-            slow_factor: 1.0,
+    fn quasar_marks_only_stragglers() {
+        let mut exec = TaskExecution::new(TaskSpec {
+            straggler_fraction: 0.10,
+            straggler_slowdown: 3.0,
+            seed: 5,
+            ..small_spec()
+        });
+        exec.advance(10.0);
+        let flagged = Policy::Quasar.marks(&JobView::of(&exec, 30.0));
+        assert!(!flagged.is_empty(), "slow tasks must be visible mid-wave");
+        for idx in flagged {
+            assert!(
+                exec.tasks()[idx].straggler,
+                "task {idx} flagged but healthy"
+            );
+        }
+    }
+
+    #[test]
+    fn relaunch_recovers_the_tail() {
+        let spec = TaskSpec {
+            straggler_fraction: 0.08,
+            straggler_slowdown: 5.0,
+            seed: 9,
+            ..small_spec()
         };
-        assert_eq!(t.progress(1e6), 1.0);
-        assert!((t.progress(50.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "more stragglers than tasks")]
-    fn too_many_stragglers_panics() {
-        TaskWave::generate(3, 4, 100.0, 1);
+        let unmitigated = run(spec, None).completion_s;
+        let mitigated = run(spec, Some(Policy::Quasar)).completion_s;
+        assert!(
+            mitigated < unmitigated,
+            "mitigation must shorten the job: {unmitigated:.0} -> {mitigated:.0}"
+        );
     }
 
     #[test]
     fn no_straggler_wave_is_skipped_and_counted_not_unwrapped() {
-        // A healthy wave: every detector returns an empty set, and the
+        // A healthy job: every policy's detection set is empty, and the
         // aggregation reports it as skipped instead of panicking.
-        let w = TaskWave::generate(30, 0, 100.0, 3);
-        assert!(w.true_stragglers().is_empty());
-        let sets = [detect_quasar(&w, 15.0), detect_late(&w), detect_hadoop(&w)];
+        let sets = [Policy::Hadoop, Policy::Late, Policy::Quasar]
+            .map(|p| run(small_spec(), Some(p)).detections);
         for set in &sets {
             assert!(set.is_empty());
             assert_eq!(mean_detection_s(set), None);

@@ -3,12 +3,10 @@
 
 use std::fmt;
 
-use quasar_cluster::tasks::{TaskExecution, TaskSpec};
+use quasar_cluster::tasks::TaskSpec;
 use quasar_cluster::{ClusterSpec, PhaseChange, SimConfig, Simulation};
 use quasar_core::par::par_map;
-use quasar_core::straggler::{
-    detect_hadoop, detect_late, detect_quasar, detection_means, TaskWave,
-};
+use quasar_core::straggler::{self, detection_means, Policy};
 use quasar_core::{QuasarConfig, QuasarManager};
 use quasar_interference::{InterferenceProfile, PressureVector};
 use quasar_workloads::generate::Generator;
@@ -30,7 +28,8 @@ pub struct AdaptationResult {
     /// Phase-change detections with no injected change (false positives)
     /// per proactive sweep.
     pub false_positive_rate: f64,
-    /// Mean straggler detection times: (Quasar, LATE, Hadoop) in seconds.
+    /// Mean straggler detection latencies, from a straggler's first start
+    /// to its relaunch: (Quasar, LATE, Hadoop) in seconds.
     pub straggler_means: (f64, f64, f64),
     /// Quasar detection earliness vs Hadoop (%), paper: 19%.
     pub earlier_than_hadoop_pct: f64,
@@ -49,14 +48,9 @@ pub struct AdaptationResult {
     pub qos_top_cause: String,
 }
 
-/// Runs all three §4 validations serially (equivalent to
-/// `run_with(scale, 1)`).
-pub fn run(scale: Scale) -> AdaptationResult {
-    run_with(scale, 1)
-}
-
-/// Runs all three §4 validations, fanning the straggler-detection and
-/// mitigation waves out over up to `threads` workers (bit-identical to
+/// Runs all three §4 validations, fanning the straggler waves (each run
+/// once per policy, scored for detection and completion alike) out over
+/// up to `threads` workers (bit-identical to
 /// serial for any count: every wave's seed is a pure function of its
 /// index, and results are reduced in index order).
 pub fn run_with(scale: Scale, threads: usize) -> AdaptationResult {
@@ -163,27 +157,35 @@ pub fn run_with(scale: Scale, threads: usize) -> AdaptationResult {
     let false_positive_rate =
         (phase_flags_quiet as f64 / (sweeps_quiet * jobs as f64 * 0.2).max(1.0)).min(1.0);
 
-    // --- Stragglers ---
-    let wave_sets = par_map(threads, (0..waves).collect::<Vec<_>>(), |_, seed| {
-        let wave = TaskWave::generate(50, 5, 120.0, seed as u64);
+    // --- Stragglers: detection and live mitigation from the same runs.
+    // A wave where a policy relaunches no straggler is skipped and
+    // counted, never unwrapped — the same contract as
+    // `overhead_fractions` below.
+    let runs = par_map(threads, (0..waves).collect::<Vec<_>>(), |_, wave| {
+        let spec = TaskSpec {
+            tasks: 64,
+            slots: 16,
+            mean_task_s: 60.0,
+            skew: 0.2,
+            straggler_fraction: 0.08,
+            straggler_slowdown: 4.0,
+            seed: 0x517A + wave as u64,
+        };
         [
-            detect_quasar(&wave, 15.0),
-            detect_late(&wave),
-            detect_hadoop(&wave),
+            None,
+            Some(Policy::Hadoop),
+            Some(Policy::Late),
+            Some(Policy::Quasar),
         ]
+        .map(|policy| straggler::run(spec, policy))
     });
-    // A wave where a detector finds nothing is skipped and counted,
-    // never unwrapped — the same contract as `overhead_fractions` below.
-    // These waves inject stragglers, so in practice nothing is skipped,
-    // but a config change (or a detector miss) must degrade the mean,
-    // not abort the experiment.
-    let (q, _) = detection_means(wave_sets.iter().map(|sets| sets[0].as_slice()));
-    let (l, _) = detection_means(wave_sets.iter().map(|sets| sets[1].as_slice()));
-    let (h, _) = detection_means(wave_sets.iter().map(|sets| sets[2].as_slice()));
-    let (mq, ml, mh) = (mean(&q), mean(&l), mean(&h));
-
-    // --- Live straggler mitigation over wave-based task execution. ---
-    let mitigation_means = mitigation_comparison(waves, threads);
+    let detection = |k: usize| {
+        let (means, _) = detection_means(runs.iter().map(|r| r[k].detections.as_slice()));
+        mean(&means)
+    };
+    let (mh, ml, mq) = (detection(1), detection(2), detection(3));
+    let completion = |k: usize| mean(&runs.iter().map(|r| r[k].completion_s).collect::<Vec<_>>());
+    let mitigation_means = (completion(0), completion(1), completion(2), completion(3));
 
     // --- QoS ledger of the phase run: the injected phase changes show
     // up as attributed violation episodes (straggler / drift /
@@ -235,121 +237,6 @@ fn overhead_fractions(records: &[quasar_cluster::CompletionRecord]) -> (Vec<f64>
         }
     }
     (fractions, skipped)
-}
-
-/// Mitigation policy applied each scan to a live [`TaskExecution`].
-#[derive(Clone, Copy)]
-enum MitigationPolicy {
-    /// No intervention.
-    None,
-    /// Hadoop speculative execution: relaunch tasks whose progress falls
-    /// 20 points behind the average.
-    Hadoop,
-    /// LATE: relaunch the slow-rate quartile after a stabilization
-    /// window.
-    Late,
-    /// Quasar §4.3: flag tasks 50% slower than the running median, confirm
-    /// with a 15-second interference reclassification, then relaunch.
-    Quasar,
-}
-
-fn mitigated_completion(spec: TaskSpec, policy: MitigationPolicy) -> f64 {
-    let mut exec = TaskExecution::new(spec);
-    let scan = 5.0;
-    let mut quasar_pending: Vec<(usize, f64)> = Vec::new();
-    let mut relaunched = std::collections::BTreeSet::new();
-    let mut guard = 0;
-    while !exec.is_complete() {
-        exec.advance(scan);
-        guard += 1;
-        assert!(guard < 1_000_000, "mitigation loop must terminate");
-        match policy {
-            MitigationPolicy::None => {}
-            MitigationPolicy::Hadoop => {
-                let avg = exec.job_progress();
-                let flagged: Vec<usize> = exec
-                    .running()
-                    .iter()
-                    .copied()
-                    .filter(|&i| {
-                        let t = exec.tasks()[i];
-                        avg - t.progress() >= 0.20 && !relaunched.contains(&i)
-                    })
-                    .collect();
-                for i in flagged {
-                    if exec.relaunch(i) {
-                        relaunched.insert(i);
-                    }
-                }
-            }
-            MitigationPolicy::Late => {
-                // LATE trusts progress-rate estimates only after they
-                // stabilize (~half a nominal task); Quasar substitutes an
-                // interference probe for most of that wait (§4.3).
-                let min_obs = spec.mean_task_s * 0.5;
-                for i in exec.underperforming(0.6, min_obs) {
-                    if !relaunched.contains(&i) && exec.relaunch(i) {
-                        relaunched.insert(i);
-                    }
-                }
-            }
-            MitigationPolicy::Quasar => {
-                let min_obs = spec.mean_task_s * 0.10;
-                let now = exec.now_s();
-                for i in exec.underperforming(0.5, min_obs) {
-                    if !relaunched.contains(&i) && !quasar_pending.iter().any(|&(p, _)| p == i) {
-                        quasar_pending.push((i, now));
-                    }
-                }
-                // The in-place reclassification takes ~15 s to confirm.
-                let due: Vec<usize> = quasar_pending
-                    .iter()
-                    .filter(|&&(_, at)| now - at >= 15.0)
-                    .map(|&(i, _)| i)
-                    .collect();
-                quasar_pending.retain(|&(i, _)| !due.contains(&i));
-                for i in due {
-                    if exec.relaunch(i) {
-                        relaunched.insert(i);
-                    }
-                }
-            }
-        }
-    }
-    exec.now_s()
-}
-
-/// Mean completion across waves for each mitigation policy, with the
-/// waves fanned out over up to `threads` workers (deterministic: wave
-/// seeds are pure functions of the wave index, and the per-wave results
-/// are summed in index order).
-fn mitigation_comparison(waves: usize, threads: usize) -> (f64, f64, f64, f64) {
-    let per_wave = par_map(threads, (0..waves).collect::<Vec<_>>(), |_, seed| {
-        let spec = TaskSpec {
-            tasks: 64,
-            slots: 16,
-            mean_task_s: 60.0,
-            skew: 0.2,
-            straggler_fraction: 0.08,
-            straggler_slowdown: 4.0,
-            seed: 0x517A + seed as u64,
-        };
-        let policies = [
-            MitigationPolicy::None,
-            MitigationPolicy::Hadoop,
-            MitigationPolicy::Late,
-            MitigationPolicy::Quasar,
-        ];
-        policies.map(|policy| mitigated_completion(spec, policy))
-    });
-    let mut sums = [0.0f64; 4];
-    for wave in per_wave {
-        for (i, v) in wave.into_iter().enumerate() {
-            sums[i] += v;
-        }
-    }
-    let n = waves.max(1) as f64;
-    (sums[0] / n, sums[1] / n, sums[2] / n, sums[3] / n)
 }
 
 impl fmt::Display for AdaptationResult {
@@ -448,7 +335,7 @@ mod tests {
 
     #[test]
     fn adaptation_machinery_works() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         assert!(
             r.phase_detection_rate >= 0.5,
             "phase detection rate {:.0}%",

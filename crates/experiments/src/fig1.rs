@@ -78,12 +78,6 @@ struct DayRun {
     reserved_over_used: Vec<f64>,
 }
 
-/// Runs the motivation scenario serially (equivalent to
-/// `run_with(scale, 1)`).
-pub fn run(scale: Scale) -> Fig1Result {
-    run_with(scale, 1)
-}
-
 /// Runs the motivation scenario, fanning the day replications out over
 /// up to `threads` workers (bit-identical to serial for any count).
 ///
@@ -329,7 +323,7 @@ mod tests {
 
     #[test]
     fn reservations_far_exceed_usage() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         assert!(
             r.mean_cpu_reserved() > r.mean_cpu_used() * 1.5,
             "reserved {:.2} vs used {:.2}: the motivation gap must appear",

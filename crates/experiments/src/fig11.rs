@@ -196,12 +196,6 @@ fn run_cloud(scale: Scale, which: &str) -> CloudRun {
     }
 }
 
-/// Runs the scenario under all three managers serially (equivalent to
-/// `run_with(scale, 1)`).
-pub fn run(scale: Scale) -> Fig11Result {
-    run_with(scale, 1)
-}
-
 /// Runs the scenario, fanning the three manager runs out over up to
 /// `threads` workers (bit-identical to serial for any count: each run
 /// owns a fresh simulation with fixed seeds, and results are assembled
@@ -286,7 +280,7 @@ mod tests {
 
     #[test]
     fn quasar_dominates_the_baselines() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         let q = r.run_named("quasar").unwrap().mean_normalized();
         let p = r
             .run_named("reservation+paragon")

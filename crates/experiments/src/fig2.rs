@@ -218,11 +218,6 @@ pub fn table1() -> String {
     out
 }
 
-/// Runs the characterization serially (equivalent to `run_with(scale, 1)`).
-pub fn run(scale: Scale) -> Fig2Result {
-    run_with(scale, 1)
-}
-
 /// Runs the characterization with the sweep points of each panel fanned
 /// out over up to `threads` workers. Every sweep point is a pure
 /// function of the (fixed-seed) models, so the output is bit-identical
@@ -540,7 +535,7 @@ mod tests {
 
     #[test]
     fn shapes_match_the_paper() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         assert_eq!(r.hadoop_heterogeneity.len(), 10);
         assert_eq!(r.hadoop_interference.len(), 9);
         assert_eq!(r.hadoop_scale_out.len(), 8);
@@ -562,7 +557,7 @@ mod tests {
 
     #[test]
     fn memcached_knee_moves_with_platform() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         let knees: Vec<f64> = r.memcached_knees().into_iter().map(|(_, k)| k).collect();
         let hi = knees.iter().copied().fold(f64::MIN, f64::max);
         let lo = knees.iter().copied().fold(f64::MAX, f64::min).max(1.0);
@@ -571,7 +566,7 @@ mod tests {
 
     #[test]
     fn latency_curves_are_monotone() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         for (name, curve) in &r.memcached_heterogeneity {
             for w in curve.windows(2) {
                 assert!(

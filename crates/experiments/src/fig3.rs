@@ -85,11 +85,6 @@ impl Fig3Result {
     }
 }
 
-/// Runs the density sweep serially (equivalent to `run_with(scale, 1)`).
-pub fn run(scale: Scale) -> Fig3Result {
-    run_with(scale, 1)
-}
-
 /// Runs the density sweep, fanning the per-point workloads out over up
 /// to `threads` workers (bit-identical to serial for any count).
 ///
@@ -404,7 +399,7 @@ mod tests {
 
     #[test]
     fn sweep_has_expected_shape() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         assert_eq!(r.sweeps.len(), 3);
         for (_, points) in &r.sweeps {
             assert_eq!(points.len(), 3);
@@ -429,7 +424,7 @@ mod tests {
 
     #[test]
     fn index_compare_reuses_and_stays_within_tolerance() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         assert_eq!(r.index_compare.len(), 3);
         for p in &r.index_compare {
             assert_eq!(p.arrivals, 8, "{}: 2 bases x 4 repeats", p.app);
@@ -452,7 +447,7 @@ mod tests {
 
     #[test]
     fn exhaustive_decisions_are_slower() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         // The paper reports ~two orders of magnitude; require clearly
         // slower.
         for (app, points) in &r.sweeps {

@@ -138,12 +138,6 @@ fn run_single(job: Workload, manager: Box<dyn quasar_cluster::Manager>) -> JobRu
     }
 }
 
-/// Runs the ten-job scenario serially (equivalent to
-/// `run_with(scale, 1)`).
-pub fn run(scale: Scale) -> Fig5Result {
-    run_with(scale, 1)
-}
-
 /// Runs the ten-job scenario, fanning the per-job (baseline, quasar)
 /// pairs out over up to `threads` workers (bit-identical to serial for
 /// any count: every job's two runs use fixed manager seeds and a fresh
@@ -279,7 +273,7 @@ mod tests {
 
     #[test]
     fn quasar_beats_the_hadoop_scheduler() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         assert_eq!(r.jobs.len(), 4);
         let mean_speedup = r.mean_speedup_pct();
         assert!(

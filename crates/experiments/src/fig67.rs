@@ -188,12 +188,6 @@ fn run_mix(scale: Scale, manager: Box<dyn quasar_cluster::Manager>, manager_name
     }
 }
 
-/// Runs the shared-cluster scenario under both managers serially
-/// (equivalent to `run_with(scale, 1)`).
-pub fn run(scale: Scale) -> Fig67Result {
-    run_with(scale, 1)
-}
-
 /// Runs the shared-cluster scenario, fanning the two manager runs out
 /// over up to `threads` workers (bit-identical to serial for any count:
 /// each run owns a fresh simulation with fixed seeds).
@@ -338,7 +332,7 @@ mod tests {
 
     #[test]
     fn quasar_improves_jobs_and_utilization() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         assert!(!r.jobs.is_empty());
         assert!(
             r.mean_speedup_pct() > 0.0,

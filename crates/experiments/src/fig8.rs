@@ -187,12 +187,6 @@ fn best_node_qps() -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Runs all three load scenarios under both managers serially
-/// (equivalent to `run_with(scale, 1)`).
-pub fn run(scale: Scale) -> Fig8Result {
-    run_with(scale, 1)
-}
-
 /// Runs all three load scenarios, fanning the six (pattern × manager)
 /// replications out over up to `threads` workers (bit-identical to
 /// serial for any count: each replication owns a fresh simulation with
@@ -314,7 +308,7 @@ mod tests {
 
     #[test]
     fn quasar_tracks_load_at_least_as_well_as_autoscale() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         assert_eq!(r.traces.len(), 6);
         for pattern in ["flat", "fluctuating", "spike"] {
             let q = r.trace(pattern, "quasar").unwrap();

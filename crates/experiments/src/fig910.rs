@@ -235,12 +235,6 @@ fn run_day(scale: Scale, quasar: bool) -> RunOutput {
     }
 }
 
-/// Runs the 24-hour scenario under both managers serially (equivalent
-/// to `run_with(scale, 1)`).
-pub fn run(scale: Scale) -> Fig910Result {
-    run_with(scale, 1)
-}
-
 /// Runs the 24-hour scenario, fanning the two manager runs out over up
 /// to `threads` workers (bit-identical to serial for any count: each
 /// run owns a fresh simulation with fixed seeds).
@@ -323,7 +317,7 @@ mod tests {
 
     #[test]
     fn quasar_meets_more_qos_than_autoscale() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         for service in ["memcached", "cassandra"] {
             let q = r.outcome(service, "quasar").unwrap();
             let a = r.outcome(service, "autoscale").unwrap();

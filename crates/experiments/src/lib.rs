@@ -2,7 +2,7 @@
 //! Quasar paper's evaluation (§6) against the simulated cluster.
 //!
 //! Each module corresponds to one figure/table (see DESIGN.md §4 for the
-//! full index) and exposes `run(scale) -> <result struct>` whose
+//! full index) and exposes `run_with(scale, threads) -> <result struct>` whose
 //! `Display` prints the same rows/series the paper reports. The
 //! `quasar-experiments` binary dispatches by id.
 //!
@@ -85,17 +85,12 @@ pub const EXPERIMENT_IDS: &[&str] = &[
     "adaptation",
 ];
 
-/// Runs one experiment by id, returning its printed report.
-/// Equivalent to [`run_experiment_with`] at 1 thread.
+/// Runs one experiment by id on up to `threads` workers, returning its
+/// printed report.
 ///
 /// `"fig7"` reruns the Fig. 6 scenario and prints its utilization view;
 /// `"fig9"` also covers Fig. 10 (same 24-hour run), and `"fig5"` also
-/// prints Table 3. Unknown ids return `None`.
-pub fn run_experiment(id: &str, scale: Scale) -> Option<String> {
-    run_experiment_with(id, scale, 1)
-}
-
-/// [`run_experiment`] with an explicit worker-thread count. Every
+/// prints Table 3. Unknown ids return `None`. Every
 /// experiment fans its replications (days, jobs, manager runs, waves)
 /// out over the deterministic parallel runner; the report text is
 /// bit-identical for every `threads` value. (`fig3`'s decision-time

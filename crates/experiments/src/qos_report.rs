@@ -37,7 +37,7 @@ impl QosLedger {
         sim.world_mut().finish_qos();
         QosLedger {
             manager: manager.to_string(),
-            episodes: sim.world().qos().episodes().to_vec(),
+            episodes: sim.world().qos_episodes().to_vec(),
             incidents: sim.world_mut().take_incidents(),
         }
     }

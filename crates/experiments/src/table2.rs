@@ -76,11 +76,6 @@ impl Table2Result {
     }
 }
 
-/// Runs the validation serially (equivalent to `run_with(scale, 1)`).
-pub fn run(scale: Scale) -> Table2Result {
-    run_with(scale, 1)
-}
-
 /// Runs the validation, fanning workloads out over up to `threads`
 /// workers. Each workload item is validated in its own twin worlds with
 /// RNG streams seeded from `(sweep seed, item index)` alone, so the
@@ -198,7 +193,7 @@ mod tests {
 
     #[test]
     fn classification_errors_are_small() {
-        let r = run(Scale::Quick);
+        let r = run_with(Scale::Quick, 1);
         assert_eq!(r.rows.len(), 4);
         // The paper's average errors are < 8%; the simulated substrate's
         // response surfaces are deliberately more violent (memory cliffs,

@@ -64,14 +64,6 @@ impl Microbenchmark {
         p.set(self.resource, self.intensity);
         p
     }
-
-    /// One microbenchmark per shared resource at the given intensity.
-    pub fn full_suite(intensity: f64) -> Vec<Microbenchmark> {
-        SharedResource::ALL
-            .into_iter()
-            .map(|r| Microbenchmark::new(r, intensity))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -92,15 +84,5 @@ mod tests {
         b.ramp(50.0);
         assert!(b.saturated());
         assert_eq!(b.intensity(), 100.0);
-    }
-
-    #[test]
-    fn full_suite_covers_all_resources() {
-        let suite = Microbenchmark::full_suite(25.0);
-        assert_eq!(suite.len(), SharedResource::ALL.len());
-        for (bench, resource) in suite.iter().zip(SharedResource::ALL) {
-            assert_eq!(bench.resource(), resource);
-            assert_eq!(bench.intensity(), 25.0);
-        }
     }
 }

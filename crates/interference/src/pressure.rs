@@ -73,11 +73,6 @@ impl PressureVector {
         self.values.iter().sum()
     }
 
-    /// The largest single-resource pressure.
-    pub fn max_component(&self) -> f64 {
-        self.values.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Iterates over `(resource, pressure)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (SharedResource, f64)> + '_ {
         SharedResource::ALL
@@ -160,7 +155,7 @@ mod tests {
     fn uniform_and_total() {
         let p = PressureVector::uniform(10.0);
         assert_eq!(p.total(), 100.0);
-        assert_eq!(p.max_component(), 10.0);
+        assert!(p.iter().all(|(_, v)| v == 10.0));
     }
 
     #[test]
@@ -178,7 +173,7 @@ mod tests {
     fn addition_saturates() {
         let a = PressureVector::uniform(70.0);
         let b = PressureVector::uniform(70.0);
-        assert_eq!((a + b).max_component(), 100.0);
+        assert!((a + b).iter().all(|(_, v)| v == 100.0));
     }
 
     #[test]

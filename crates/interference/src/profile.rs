@@ -70,14 +70,6 @@ impl InterferenceProfile {
         InterferenceProfile { tolerated, caused }
     }
 
-    /// A profile that neither causes nor suffers from interference.
-    pub fn insensitive() -> InterferenceProfile {
-        InterferenceProfile {
-            tolerated: PressureVector::uniform(PressureVector::MAX),
-            caused: PressureVector::zero(),
-        }
-    }
-
     /// The pressure this workload tolerates in each resource before its
     /// performance degrades past the QoS point.
     pub fn tolerated(&self) -> &PressureVector {
@@ -122,12 +114,6 @@ impl InterferenceProfile {
         let overload = qos_loss / (1.0 - MIN_RESOURCE_PENALTY);
         (tol + overload * span).min(PressureVector::MAX)
     }
-
-    /// Whether this workload, under `external` pressure, stays within a
-    /// `qos_loss` fraction of its isolated performance.
-    pub fn within_qos(&self, external: &PressureVector, qos_loss: f64) -> bool {
-        self.penalty(external) >= 1.0 - qos_loss
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +157,7 @@ mod tests {
 
     #[test]
     fn insensitive_profile_never_slows() {
-        let p = InterferenceProfile::insensitive();
+        let p = profile(PressureVector::MAX);
         assert_eq!(p.penalty(&PressureVector::uniform(100.0)), 1.0);
     }
 
@@ -190,12 +176,5 @@ mod tests {
             p.sensitivity_point(SharedResource::Cpu, 0.05),
             PressureVector::MAX
         );
-    }
-
-    #[test]
-    fn within_qos_respects_loss_budget() {
-        let p = profile(50.0);
-        assert!(p.within_qos(&PressureVector::uniform(50.0), 0.05));
-        assert!(!p.within_qos(&PressureVector::uniform(100.0), 0.05));
     }
 }

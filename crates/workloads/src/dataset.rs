@@ -64,11 +64,6 @@ impl Dataset {
         self.complexity
     }
 
-    /// Total relative work implied by this dataset (size × complexity).
-    pub fn work_scale(&self) -> f64 {
-        self.size_gb * self.complexity
-    }
-
     /// The three Hadoop datasets of Table 1: Netflix (2.1 GB), Mahout
     /// (10 GB), Wikipedia (55 GB).
     pub fn hadoop_catalog() -> Vec<Dataset> {
@@ -105,12 +100,6 @@ mod tests {
     fn catalogs_have_three_entries() {
         assert_eq!(Dataset::hadoop_catalog().len(), 3);
         assert_eq!(Dataset::memcached_catalog().len(), 3);
-    }
-
-    #[test]
-    fn work_scale_multiplies() {
-        let d = Dataset::new("x", 4.0, 0.5);
-        assert_eq!(d.work_scale(), 2.0);
     }
 
     #[test]

@@ -91,18 +91,6 @@ impl FrameworkParams {
         }
     }
 
-    /// The configuration Quasar selects for job H8 in Table 3: 12
-    /// mappers/node, 0.75 GB heap, gzip.
-    pub fn quasar_h8() -> FrameworkParams {
-        FrameworkParams {
-            mappers_per_node: 12,
-            heap_gb: 0.75,
-            block_size_mb: 64,
-            replication: 2,
-            compression: Compression::Gzip,
-        }
-    }
-
     /// Memory footprint per node implied by these parameters, in GB.
     pub fn memory_per_node_gb(&self) -> f64 {
         self.mappers_per_node as f64 * self.heap_gb
@@ -171,14 +159,6 @@ mod tests {
         assert_eq!(p.heap_gb, 1.0);
         assert_eq!(p.compression, Compression::Lzo);
         assert_eq!(p.compression.ratio(), 5.1);
-    }
-
-    #[test]
-    fn quasar_h8_matches_paper_table3() {
-        let p = FrameworkParams::quasar_h8();
-        assert_eq!(p.mappers_per_node, 12);
-        assert_eq!(p.heap_gb, 0.75);
-        assert_eq!(p.compression.ratio(), 7.6);
     }
 
     #[test]

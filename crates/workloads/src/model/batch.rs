@@ -152,17 +152,6 @@ impl BatchModel {
         &self.interference
     }
 
-    /// Whether framework parameters (mappers, heap, compression) affect
-    /// this job.
-    pub fn uses_framework(&self) -> bool {
-        self.uses_framework
-    }
-
-    /// Number of map tasks implied by the dataset and block size.
-    pub fn num_tasks(&self, params: &FrameworkParams) -> usize {
-        ((self.dataset.size_gb() * 1024.0 / params.block_size_mb as f64).ceil() as usize).max(1)
-    }
-
     /// Work rate (work units/second) of one node, given the job runs on
     /// `nodes_in_job` nodes total (which determines the per-node working
     /// set).
@@ -428,13 +417,6 @@ mod tests {
             max_spread > 4.0,
             "expected >4x heterogeneity spread, got {max_spread:.1}x"
         );
-    }
-
-    #[test]
-    fn num_tasks_scales_with_dataset() {
-        let m = model(6);
-        let p64 = FrameworkParams::default();
-        assert_eq!(m.num_tasks(&p64), (10.0f64 * 1024.0 / 64.0).ceil() as usize);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Integration tests for the experiment harness itself: every id
 //! dispatches, and the fast experiments produce sane reports.
 
-use quasar::experiments::{run_experiment, Scale, EXPERIMENT_IDS};
+use quasar::experiments::{run_experiment_with, Scale, EXPERIMENT_IDS};
 
 #[test]
 fn unknown_ids_are_rejected() {
     // `fig12` (the removed sharded-admission sweep) is no id any more.
     for id in ["fig99", "", "fig12"] {
-        assert!(run_experiment(id, Scale::Quick).is_none(), "{id:?}");
+        assert!(run_experiment_with(id, Scale::Quick, 1).is_none(), "{id:?}");
     }
 }
 
@@ -28,14 +28,14 @@ fn every_experiment_id_is_dispatched() {
             id == canonical,
             "only canonical ids are listed: {id}"
         );
-        let report = run_experiment(id, Scale::Quick).expect(id);
+        let report = run_experiment_with(id, Scale::Quick, 1).expect(id);
         assert!(!report.is_empty(), "{id} must produce a report");
     }
 }
 
 #[test]
 fn fig2_report_mentions_every_sweep() {
-    let report = run_experiment("fig2", Scale::Quick).unwrap();
+    let report = run_experiment_with("fig2", Scale::Quick, 1).unwrap();
     for needle in [
         "heterogeneity",
         "interference@A",
