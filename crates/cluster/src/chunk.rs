@@ -19,11 +19,10 @@
 //!     events: vec![(1.5, JournalEvent::Completed { workload: WorkloadId(7) })],
 //! };
 //! let mut store = MemoryChunks::new();
-//! store.store(&chunk).unwrap();
+//! store.store(chunk.index, &chunk.serialize()).unwrap();
 //! assert_eq!(store.load(0).unwrap().unwrap(), chunk);
 //! ```
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
 
@@ -42,8 +41,13 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// running FNV-1a digest. A `\n` byte is folded after the line so the
 /// digest is a digest of the byte stream, independent of how lines are
 /// grouped into chunks.
-pub fn fold_line(mut digest: u64, line: &str) -> u64 {
-    for byte in line.bytes().chain(std::iter::once(b'\n')) {
+pub fn fold_line(digest: u64, line: &str) -> u64 {
+    fold_bytes(fold_bytes(digest, line.as_bytes()), b"\n")
+}
+
+/// Folds raw stream bytes into a running FNV-1a digest.
+pub(crate) fn fold_bytes(mut digest: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
         digest ^= byte as u64;
         digest = digest.wrapping_mul(FNV_PRIME);
     }
@@ -56,7 +60,37 @@ pub fn digest_seed() -> u64 {
 }
 
 pub(crate) fn bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+    let mut out = String::with_capacity(16);
+    push_bits(&mut out, v);
+    out
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `v`'s IEEE-754 bits as 16 lowercase hex digits (the text of
+/// `{:016x}`), without allocating.
+fn push_bits(out: &mut String, v: f64) {
+    let bits = v.to_bits();
+    let mut buf = [0u8; 16];
+    for (i, digit) in buf.iter_mut().enumerate() {
+        *digit = HEX_DIGITS[(bits >> (60 - 4 * i) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
+}
+
+/// Appends `v` in decimal (the same text as `{}`), without allocating.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"));
 }
 
 pub(crate) fn parse_bits(s: &str) -> io::Result<f64> {
@@ -74,30 +108,38 @@ pub(crate) fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> io::Result
         .map_err(|_| bad(format!("bad {what} field: {s:?}")))
 }
 
-/// Serializes one `(time, event)` pair as a single line (no newline).
+/// Appends one `(time, event)` pair to `out` as a single line (no
+/// newline), creating no intermediate `String`.
 ///
 /// Format: `<time bits> <kind> <fields...>`, all space-separated; floats
-/// travel as hex bit patterns.
-pub fn serialize_event(at_s: f64, event: &JournalEvent) -> String {
-    let mut line = format!("{} {}", bits(at_s), event.kind());
-    match event {
+/// travel as hex bit patterns, integers as decimal.
+pub fn write_event(out: &mut String, at_s: f64, event: &JournalEvent) {
+    let num = |out: &mut String, v: u64| {
+        out.push(' ');
+        push_u64(out, v);
+    };
+    let float = |out: &mut String, v: f64| {
+        out.push(' ');
+        push_bits(out, v);
+    };
+    push_bits(out, at_s);
+    out.push(' ');
+    out.push_str(event.kind());
+    match *event {
         JournalEvent::Placed {
             workload,
             nodes,
             cores,
             delay_s,
         } => {
-            let _ = write!(
-                line,
-                " {} {} {} {}",
-                workload.0,
-                nodes,
-                cores,
-                bits(*delay_s)
-            );
+            num(out, workload.0);
+            num(out, nodes as u64);
+            num(out, cores.into());
+            float(out, delay_s);
         }
         JournalEvent::Evicted { workload, requeued } => {
-            let _ = write!(line, " {} {}", workload.0, u8::from(*requeued));
+            num(out, workload.0);
+            num(out, requeued.into());
         }
         JournalEvent::NodeAdded {
             workload,
@@ -109,23 +151,21 @@ pub fn serialize_event(at_s: f64, event: &JournalEvent) -> String {
             server,
             resources,
         } => {
-            let _ = write!(
-                line,
-                " {} {} {} {}",
-                workload.0,
-                server.0,
-                resources.cores,
-                bits(resources.memory_gb)
-            );
+            num(out, workload.0);
+            num(out, server.0 as u64);
+            num(out, resources.cores.into());
+            float(out, resources.memory_gb);
         }
         JournalEvent::NodeRemoved { workload, server } => {
-            let _ = write!(line, " {} {}", workload.0, server.0);
+            num(out, workload.0);
+            num(out, server.0 as u64);
         }
         JournalEvent::ParamsSet { workload } | JournalEvent::Completed { workload } => {
-            let _ = write!(line, " {}", workload.0);
+            num(out, workload.0);
         }
         JournalEvent::IsolationSet { workload, isolated } => {
-            let _ = write!(line, " {} {}", workload.0, u8::from(*isolated));
+            num(out, workload.0);
+            num(out, isolated.into());
         }
         JournalEvent::QosEpisode {
             workload,
@@ -134,21 +174,17 @@ pub fn serialize_event(at_s: f64, event: &JournalEvent) -> String {
             duration_s,
             peak_depth,
         } => {
-            let _ = write!(
-                line,
-                " {} {} {} {} {}",
-                workload.0,
-                cause.as_str(),
-                bits(*start_s),
-                bits(*duration_s),
-                bits(*peak_depth)
-            );
+            num(out, workload.0);
+            out.push(' ');
+            out.push_str(cause.as_str());
+            float(out, start_s);
+            float(out, duration_s);
+            float(out, peak_depth);
         }
     }
-    line
 }
 
-/// Parses one line produced by [`serialize_event`].
+/// Parses one line produced by [`write_event`].
 ///
 /// # Errors
 ///
@@ -242,22 +278,20 @@ impl SealedChunk {
         self.events.last().map(|(t, _)| *t).unwrap_or(f64::NAN)
     }
 
-    /// Renders the chunk as its stored text form: an index header line
-    /// (`quasar.journal.chunk.v1 index=N events=M first=<bits>
-    /// last=<bits>`) followed by one event line each.
+    /// Renders the chunk as its stored text form (see [`chunk_text`]).
     pub fn serialize(&self) -> String {
-        let mut out = format!(
-            "{CHUNK_SCHEMA} index={} events={} first={} last={}\n",
+        let mut body = String::new();
+        for (t, e) in &self.events {
+            write_event(&mut body, *t, e);
+            body.push('\n');
+        }
+        chunk_text(
             self.index,
             self.events.len(),
-            bits(self.first_s()),
-            bits(self.last_s()),
-        );
-        for (t, e) in &self.events {
-            out.push_str(&serialize_event(*t, e));
-            out.push('\n');
-        }
-        out
+            self.first_s(),
+            self.last_s(),
+            &body,
+        )
     }
 
     /// Parses a chunk from its stored text form, validating the header
@@ -303,18 +337,48 @@ impl SealedChunk {
     }
 }
 
+/// The stored text of a chunk: an index header line
+/// (`quasar.journal.chunk.v1 index=N events=M first=<bits> last=<bits>`)
+/// followed by `body`, the chunk's `events` lines, each ending in `\n`.
+pub(crate) fn chunk_text(
+    index: u64,
+    events: usize,
+    first_s: f64,
+    last_s: f64,
+    body: &str,
+) -> String {
+    // The header line is under 128 bytes.
+    let mut out = String::with_capacity(128 + body.len());
+    out.push_str(CHUNK_SCHEMA);
+    out.push_str(" index=");
+    push_u64(&mut out, index);
+    out.push_str(" events=");
+    push_u64(&mut out, events as u64);
+    out.push_str(" first=");
+    push_bits(&mut out, first_s);
+    out.push_str(" last=");
+    push_bits(&mut out, last_s);
+    out.push('\n');
+    out.push_str(body);
+    out
+}
+
 /// Storage backend for sealed journal chunks.
 ///
 /// Providers own durability and lookup; the journal owns sealing and
 /// digests. Implementations must store chunks retrievably by their
 /// stream index.
 pub trait ChunkProvider: Send {
-    /// Persists a sealed chunk.
+    /// Persists the stored text of the chunk at stream position `index`
+    /// (the [`SealedChunk::serialize`] form). Chunks arrive in index
+    /// order; a failed store leaves the count unchanged, so the next
+    /// chunk is offered at the same index.
     ///
     /// # Errors
     ///
-    /// Propagates storage failures.
-    fn store(&mut self, chunk: &SealedChunk) -> io::Result<()>;
+    /// Propagates storage failures, and rejects an `index` other than
+    /// [`count`](ChunkProvider::count).
+    fn store(&mut self, index: u64, text: &str) -> io::Result<()>;
 
     /// Loads the chunk at `index`, or `None` past the end of the stream.
     ///
@@ -343,15 +407,14 @@ impl MemoryChunks {
 }
 
 impl ChunkProvider for MemoryChunks {
-    fn store(&mut self, chunk: &SealedChunk) -> io::Result<()> {
-        if chunk.index != self.chunks.len() as u64 {
+    fn store(&mut self, index: u64, text: &str) -> io::Result<()> {
+        if index != self.chunks.len() as u64 {
             return Err(bad(format!(
-                "chunk {} stored out of order (have {})",
-                chunk.index,
+                "chunk {index} stored out of order (have {})",
                 self.chunks.len()
             )));
         }
-        self.chunks.push(chunk.serialize());
+        self.chunks.push(text.to_owned());
         Ok(())
     }
 
@@ -404,14 +467,14 @@ fn chunk_file(index: u64) -> String {
 }
 
 impl ChunkProvider for FileChunks {
-    fn store(&mut self, chunk: &SealedChunk) -> io::Result<()> {
-        if chunk.index != self.count {
+    fn store(&mut self, index: u64, text: &str) -> io::Result<()> {
+        if index != self.count {
             return Err(bad(format!(
-                "chunk {} stored out of order (have {})",
-                chunk.index, self.count
+                "chunk {index} stored out of order (have {})",
+                self.count
             )));
         }
-        std::fs::write(self.dir.join(chunk_file(chunk.index)), chunk.serialize())?;
+        std::fs::write(self.dir.join(chunk_file(index)), text)?;
         self.count += 1;
         Ok(())
     }
@@ -430,26 +493,28 @@ impl ChunkProvider for FileChunks {
     }
 }
 
-/// Replays every chunk in a provider, folding each event line into a
-/// digest exactly as the live stream did. Equal digests mean the stored
-/// stream is byte-identical to the one the run journaled.
+/// Replays every chunk in a provider, parsing each stored event line
+/// and folding its re-serialized form into a digest exactly as the live
+/// stream did. Equal digests mean the stored stream is byte-identical to
+/// the one the run journaled, and that every stored line round-trips
+/// through the parser.
 ///
 /// # Errors
 ///
 /// Propagates provider load failures.
 pub fn replay_digest(provider: &dyn ChunkProvider) -> io::Result<u64> {
     let mut digest = FNV_OFFSET;
-    let mut events = 0u64;
+    let mut line = String::new();
     for index in 0..provider.count() {
         let chunk = provider
             .load(index)
             .and_then(|c| c.ok_or_else(|| bad(format!("missing chunk {index}"))))?;
         for (t, e) in &chunk.events {
-            digest = fold_line(digest, &serialize_event(*t, e));
-            events += 1;
+            line.clear();
+            write_event(&mut line, *t, e);
+            digest = fold_line(digest, &line);
         }
     }
-    let _ = events;
     Ok(digest)
 }
 
@@ -472,6 +537,185 @@ pub fn replay(provider: &dyn ChunkProvider) -> io::Result<Vec<(f64, JournalEvent
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qos::QosCause;
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    /// The `format!` form of a float's bits.
+    fn hex(v: f64) -> String {
+        format!("{:016x}", v.to_bits())
+    }
+
+    fn line(at_s: f64, event: &JournalEvent) -> String {
+        let mut out = String::new();
+        write_event(&mut out, at_s, event);
+        out
+    }
+
+    /// The `format!`-based serializer [`write_event`] replaced, kept as
+    /// the reference its bytes must equal.
+    fn reference_line(at_s: f64, event: &JournalEvent) -> String {
+        let mut line = format!("{} {}", hex(at_s), event.kind());
+        match event {
+            JournalEvent::Placed {
+                workload,
+                nodes,
+                cores,
+                delay_s,
+            } => {
+                let _ = write!(
+                    line,
+                    " {} {} {} {}",
+                    workload.0,
+                    nodes,
+                    cores,
+                    hex(*delay_s)
+                );
+            }
+            JournalEvent::Evicted { workload, requeued } => {
+                let _ = write!(line, " {} {}", workload.0, u8::from(*requeued));
+            }
+            JournalEvent::NodeAdded {
+                workload,
+                server,
+                resources,
+            }
+            | JournalEvent::NodeResized {
+                workload,
+                server,
+                resources,
+            } => {
+                let _ = write!(
+                    line,
+                    " {} {} {} {}",
+                    workload.0,
+                    server.0,
+                    resources.cores,
+                    hex(resources.memory_gb)
+                );
+            }
+            JournalEvent::NodeRemoved { workload, server } => {
+                let _ = write!(line, " {} {}", workload.0, server.0);
+            }
+            JournalEvent::ParamsSet { workload } | JournalEvent::Completed { workload } => {
+                let _ = write!(line, " {}", workload.0);
+            }
+            JournalEvent::IsolationSet { workload, isolated } => {
+                let _ = write!(line, " {} {}", workload.0, u8::from(*isolated));
+            }
+            JournalEvent::QosEpisode {
+                workload,
+                cause,
+                start_s,
+                duration_s,
+                peak_depth,
+            } => {
+                let _ = write!(
+                    line,
+                    " {} {} {} {} {}",
+                    workload.0,
+                    cause.as_str(),
+                    hex(*start_s),
+                    hex(*duration_s),
+                    hex(*peak_depth)
+                );
+            }
+        }
+        line
+    }
+
+    /// Ids and counts at both ends of their range, and anything between.
+    fn edge_u64() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>(), 0u64..1000]
+    }
+
+    /// NaNs with payloads, signed zeros, infinities, subnormals, and
+    /// arbitrary bit patterns.
+    fn edge_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(-f64::NAN),
+            (1u64..1 << 51).prop_map(|payload| f64::from_bits(0x7ff8_0000_0000_0000 | payload)),
+            (1u64..1 << 51).prop_map(|payload| f64::from_bits(0xfff0_0000_0000_0000 | payload)),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            (1u64..1 << 52).prop_map(|m| -f64::from_bits(m)),
+            any::<u64>().prop_map(f64::from_bits),
+            0.0..1e6f64,
+        ]
+    }
+
+    fn any_event() -> impl Strategy<Value = JournalEvent> {
+        let ids = (edge_u64(), edge_u64(), edge_u64(), any::<bool>());
+        (0usize..9, ids, any::<u32>(), 0usize..QosCause::ALL.len()).prop_flat_map(
+            |(kind, (w, s, n, flag), cores, cause)| {
+                (edge_f64(), edge_f64(), edge_f64()).prop_map(move |(a, b, c)| {
+                    let workload = WorkloadId(w);
+                    let server = ServerId(s as usize);
+                    let resources = NodeResources {
+                        cores,
+                        memory_gb: a,
+                    };
+                    match kind {
+                        0 => JournalEvent::Placed {
+                            workload,
+                            nodes: n as usize,
+                            cores,
+                            delay_s: a,
+                        },
+                        1 => JournalEvent::Evicted {
+                            workload,
+                            requeued: flag,
+                        },
+                        2 => JournalEvent::NodeAdded {
+                            workload,
+                            server,
+                            resources,
+                        },
+                        3 => JournalEvent::NodeRemoved { workload, server },
+                        4 => JournalEvent::NodeResized {
+                            workload,
+                            server,
+                            resources,
+                        },
+                        5 => JournalEvent::ParamsSet { workload },
+                        6 => JournalEvent::IsolationSet {
+                            workload,
+                            isolated: flag,
+                        },
+                        7 => JournalEvent::Completed { workload },
+                        _ => JournalEvent::QosEpisode {
+                            workload,
+                            cause: QosCause::ALL[cause],
+                            start_s: a,
+                            duration_s: b,
+                            peak_depth: c,
+                        },
+                    }
+                })
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn write_event_bytes_equal_the_format_serializer(
+            at_s in edge_f64(),
+            event in any_event(),
+            prefix in 0usize..3,
+        ) {
+            // Appends after whatever the buffer already holds.
+            let mut out = "x\n".repeat(prefix);
+            let start = out.len();
+            write_event(&mut out, at_s, &event);
+            prop_assert_eq!(&out[start..], reference_line(at_s, &event));
+        }
+    }
 
     fn sample_events() -> Vec<(f64, JournalEvent)> {
         vec![
@@ -549,7 +793,7 @@ mod tests {
     #[test]
     fn every_event_kind_round_trips_bitwise() {
         for (t, e) in sample_events() {
-            let line = serialize_event(t, &e);
+            let line = line(t, &e);
             let (t2, e2) = parse_event(&line).unwrap();
             assert_eq!(t.to_bits(), t2.to_bits(), "time bits for {line}");
             assert_eq!(e, e2, "event for {line}");
@@ -564,6 +808,17 @@ mod tests {
         };
         let text = chunk.serialize();
         assert!(text.starts_with("quasar.journal.chunk.v1 index=5 events=9 "));
+        let header = format!(
+            "{CHUNK_SCHEMA} index=5 events=9 first={} last={}\n",
+            hex(chunk.first_s()),
+            hex(chunk.last_s())
+        );
+        let body: String = chunk
+            .events
+            .iter()
+            .map(|(t, e)| reference_line(*t, e) + "\n")
+            .collect();
+        assert_eq!(text, header + &body, "stored text is unchanged");
         let parsed = SealedChunk::parse(&text).unwrap();
         assert_eq!(parsed, chunk);
     }
@@ -587,14 +842,9 @@ mod tests {
             index: 0,
             events: sample_events(),
         };
-        store.store(&a).unwrap();
+        store.store(0, &a.serialize()).unwrap();
         assert!(
-            store
-                .store(&SealedChunk {
-                    index: 7,
-                    events: sample_events(),
-                })
-                .is_err(),
+            store.store(7, &a.serialize()).is_err(),
             "out-of-order store must fail"
         );
         assert_eq!(store.count(), 1);
@@ -608,12 +858,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = FileChunks::open(&dir).unwrap();
         for index in 0..3 {
-            store
-                .store(&SealedChunk {
-                    index,
-                    events: sample_events(),
-                })
-                .unwrap();
+            let chunk = SealedChunk {
+                index,
+                events: sample_events(),
+            };
+            store.store(index, &chunk.serialize()).unwrap();
         }
         assert_eq!(store.count(), 3);
         // Reopen resumes the count from disk.
@@ -624,7 +873,7 @@ mod tests {
             let mut d = digest_seed();
             for _ in 0..3 {
                 for (t, e) in sample_events() {
-                    d = fold_line(d, &serialize_event(t, &e));
+                    d = fold_line(d, &reference_line(t, &e));
                 }
             }
             d
@@ -637,18 +886,18 @@ mod tests {
     fn digest_is_chunk_boundary_independent() {
         let events = sample_events();
         let mut one = MemoryChunks::new();
-        one.store(&SealedChunk {
+        let whole = SealedChunk {
             index: 0,
             events: events.clone(),
-        })
-        .unwrap();
+        };
+        one.store(0, &whole.serialize()).unwrap();
         let mut many = MemoryChunks::new();
         for (i, (t, e)) in events.iter().enumerate() {
-            many.store(&SealedChunk {
+            let single = SealedChunk {
                 index: i as u64,
                 events: vec![(*t, *e)],
-            })
-            .unwrap();
+            };
+            many.store(single.index, &single.serialize()).unwrap();
         }
         assert_eq!(
             replay_digest(&one).unwrap(),

@@ -24,39 +24,44 @@ use std::sync::OnceLock;
 use quasar_obs::registry::{Counter, Registry};
 use quasar_workloads::{NodeResources, WorkloadId};
 
-use crate::chunk::{self, ChunkProvider, SealedChunk};
+use crate::chunk::{self, ChunkProvider};
 use crate::qos::QosCause;
 use crate::server::ServerId;
 
+/// Every event kind as `(kind tag, trace event name)`, indexed by
+/// [`JournalEvent::slot`].
+const KINDS: [(&str, &str); 9] = [
+    ("placed", "cluster.journal.placed"),
+    ("evicted", "cluster.journal.evicted"),
+    ("node_added", "cluster.journal.node_added"),
+    ("node_removed", "cluster.journal.node_removed"),
+    ("node_resized", "cluster.journal.node_resized"),
+    ("params_set", "cluster.journal.params_set"),
+    ("isolation_set", "cluster.journal.isolation_set"),
+    ("completed", "cluster.journal.completed"),
+    ("qos_episode", "cluster.journal.qos_episode"),
+];
+
 /// Registry handles for the journal counters: one total plus one per
-/// event kind (`quasar.cluster.journal.<kind>`).
+/// event kind (`quasar.cluster.journal.<kind>`, indexed like [`KINDS`]).
 struct JournalMetrics {
     total: Counter,
-    per_kind: [(&'static str, Counter); 9],
+    per_kind: [Counter; 9],
     chunk_flushes: Counter,
     chunk_events: Counter,
+    chunk_store_failures: Counter,
 }
 
 fn journal_metrics() -> &'static JournalMetrics {
     static METRICS: OnceLock<JournalMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let reg = Registry::global();
-        let kind = |k: &'static str| (k, reg.counter(&format!("quasar.cluster.journal.{k}")));
         JournalMetrics {
             total: reg.counter("quasar.cluster.journal.events"),
-            per_kind: [
-                kind("placed"),
-                kind("evicted"),
-                kind("node_added"),
-                kind("node_removed"),
-                kind("node_resized"),
-                kind("params_set"),
-                kind("isolation_set"),
-                kind("completed"),
-                kind("qos_episode"),
-            ],
+            per_kind: KINDS.map(|(k, _)| reg.counter(&format!("quasar.cluster.journal.{k}"))),
             chunk_flushes: reg.counter("quasar.cluster.journal.chunk_flushes"),
             chunk_events: reg.counter("quasar.cluster.journal.chunk_events"),
+            chunk_store_failures: reg.counter("quasar.cluster.journal.chunk_store_failures"),
         }
     })
 }
@@ -205,36 +210,31 @@ impl fmt::Display for JournalEvent {
 }
 
 impl JournalEvent {
+    /// The event's row in [`KINDS`] and its per-kind counter.
+    fn slot(&self) -> usize {
+        match self {
+            JournalEvent::Placed { .. } => 0,
+            JournalEvent::Evicted { .. } => 1,
+            JournalEvent::NodeAdded { .. } => 2,
+            JournalEvent::NodeRemoved { .. } => 3,
+            JournalEvent::NodeResized { .. } => 4,
+            JournalEvent::ParamsSet { .. } => 5,
+            JournalEvent::IsolationSet { .. } => 6,
+            JournalEvent::Completed { .. } => 7,
+            JournalEvent::QosEpisode { .. } => 8,
+        }
+    }
+
     /// Machine-readable kind tag, matching the per-kind registry
     /// counter and trace event suffixes.
     pub fn kind(&self) -> &'static str {
-        match self {
-            JournalEvent::Placed { .. } => "placed",
-            JournalEvent::Evicted { .. } => "evicted",
-            JournalEvent::NodeAdded { .. } => "node_added",
-            JournalEvent::NodeRemoved { .. } => "node_removed",
-            JournalEvent::NodeResized { .. } => "node_resized",
-            JournalEvent::ParamsSet { .. } => "params_set",
-            JournalEvent::IsolationSet { .. } => "isolation_set",
-            JournalEvent::Completed { .. } => "completed",
-            JournalEvent::QosEpisode { .. } => "qos_episode",
-        }
+        KINDS[self.slot()].0
     }
 
     /// Trace event name (`cluster.journal.<kind>`), static so it can be
     /// recorded without allocation.
     fn trace_name(&self) -> &'static str {
-        match self {
-            JournalEvent::Placed { .. } => "cluster.journal.placed",
-            JournalEvent::Evicted { .. } => "cluster.journal.evicted",
-            JournalEvent::NodeAdded { .. } => "cluster.journal.node_added",
-            JournalEvent::NodeRemoved { .. } => "cluster.journal.node_removed",
-            JournalEvent::NodeResized { .. } => "cluster.journal.node_resized",
-            JournalEvent::ParamsSet { .. } => "cluster.journal.params_set",
-            JournalEvent::IsolationSet { .. } => "cluster.journal.isolation_set",
-            JournalEvent::Completed { .. } => "cluster.journal.completed",
-            JournalEvent::QosEpisode { .. } => "cluster.journal.qos_episode",
-        }
+        KINDS[self.slot()].1
     }
 }
 
@@ -248,12 +248,20 @@ pub struct Journal {
     /// Chunk streaming state; `None` keeps the journal a pure ring.
     provider: Option<Box<dyn ChunkProvider>>,
     chunk_cap: usize,
-    open_chunk: Vec<(f64, JournalEvent)>,
+    /// The open chunk's body: each event formatted once, as its stored
+    /// line plus `\n`. The buffer is reused across chunks.
+    open_text: String,
+    open_events: usize,
+    open_first_s: f64,
+    open_last_s: f64,
+    /// Index of the next chunk to store; advances only when a store
+    /// succeeds, so it tracks the provider's count.
     next_chunk_index: u64,
     /// FNV-1a over every serialized event line streamed so far,
     /// chunk-boundary independent (see [`crate::chunk::fold_line`]).
     stream_digest: u64,
     streamed: u64,
+    store_failures: u64,
 }
 
 impl fmt::Debug for Journal {
@@ -264,6 +272,7 @@ impl fmt::Debug for Journal {
             .field("dropped", &self.dropped)
             .field("chunked", &self.provider.is_some())
             .field("streamed", &self.streamed)
+            .field("store_failures", &self.store_failures)
             .finish()
     }
 }
@@ -282,10 +291,14 @@ impl Journal {
             dropped: 0,
             provider: None,
             chunk_cap: 0,
-            open_chunk: Vec::new(),
+            open_text: String::new(),
+            open_events: 0,
+            open_first_s: f64::NAN,
+            open_last_s: f64::NAN,
             next_chunk_index: 0,
             stream_digest: chunk::digest_seed(),
             streamed: 0,
+            store_failures: 0,
         }
     }
 
@@ -303,7 +316,8 @@ impl Journal {
         self.next_chunk_index = provider.count();
         self.provider = Some(provider);
         self.chunk_cap = chunk_cap;
-        self.open_chunk = Vec::with_capacity(chunk_cap);
+        self.open_text.clear();
+        self.open_events = 0;
     }
 
     /// Appends an event at simulation time `at_s`. Besides the in-memory
@@ -312,22 +326,30 @@ impl Journal {
     /// attached, and — when tracing is enabled — a structured instant
     /// record in the JSONL/Chrome exporters, keyed by the event's
     /// logical time.
+    ///
+    /// With a provider, the event is formatted once, straight into the
+    /// open chunk's text, and the stream digest folds exactly the bytes
+    /// appended.
     pub fn record(&mut self, at_s: f64, event: JournalEvent) {
         let metrics = journal_metrics();
         metrics.total.inc();
-        let kind = event.kind();
-        if let Some((_, c)) = metrics.per_kind.iter().find(|(k, _)| *k == kind) {
-            c.inc();
-        }
+        metrics.per_kind[event.slot()].inc();
         if quasar_obs::tracing_enabled() {
             quasar_obs::trace::record_instant(event.trace_name(), event.to_string(), at_s);
         }
         if self.provider.is_some() {
+            let start = self.open_text.len();
+            chunk::write_event(&mut self.open_text, at_s, &event);
+            self.open_text.push('\n');
             self.stream_digest =
-                chunk::fold_line(self.stream_digest, &chunk::serialize_event(at_s, &event));
+                chunk::fold_bytes(self.stream_digest, &self.open_text.as_bytes()[start..]);
             self.streamed += 1;
-            self.open_chunk.push((at_s, event));
-            if self.open_chunk.len() >= self.chunk_cap {
+            if self.open_events == 0 {
+                self.open_first_s = at_s;
+            }
+            self.open_last_s = at_s;
+            self.open_events += 1;
+            if self.open_events >= self.chunk_cap {
                 self.seal_open_chunk();
             }
         }
@@ -342,29 +364,43 @@ impl Journal {
     /// run, or a snapshot boundary). No-op when empty or unchunked.
     /// Chunk boundaries do not affect the stream digest, so a run that
     /// sealed early and one that didn't still fold to the same digest.
+    ///
+    /// A failed store costs that chunk only: the failure is counted
+    /// (`quasar.cluster.journal.chunk_store_failures`,
+    /// [`store_failures`](Journal::store_failures)) and the next chunk is
+    /// offered at the same index, so the stored stream stays contiguous
+    /// while the live digest still covers the lost lines.
     pub fn seal_open_chunk(&mut self) {
         let Some(provider) = self.provider.as_mut() else {
             return;
         };
-        if self.open_chunk.is_empty() {
+        if self.open_events == 0 {
             return;
         }
-        let chunk = SealedChunk {
-            index: self.next_chunk_index,
-            events: std::mem::take(&mut self.open_chunk),
-        };
-        let events = chunk.events.len() as u64;
-        if let Err(e) = provider.store(&chunk) {
-            // Persistence is best-effort from the physics loop's point
-            // of view: a full disk must not corrupt simulation state.
-            // The gap is visible (count stops advancing) and the live
-            // digest still covers the lost lines.
-            eprintln!("journal chunk {} store failed: {e}", chunk.index);
-        }
-        self.next_chunk_index += 1;
+        let index = self.next_chunk_index;
+        let text = chunk::chunk_text(
+            index,
+            self.open_events,
+            self.open_first_s,
+            self.open_last_s,
+            &self.open_text,
+        );
         let metrics = journal_metrics();
+        match provider.store(index, &text) {
+            Ok(()) => self.next_chunk_index += 1,
+            Err(e) => {
+                // Persistence is best-effort from the physics loop's
+                // point of view: a full disk must not corrupt simulation
+                // state.
+                eprintln!("journal chunk {index} store failed: {e}");
+                self.store_failures += 1;
+                metrics.chunk_store_failures.inc();
+            }
+        }
         metrics.chunk_flushes.inc();
-        metrics.chunk_events.add(events);
+        metrics.chunk_events.add(self.open_events as u64);
+        self.open_text.clear();
+        self.open_events = 0;
     }
 
     /// The chunk provider, for replay after a run. `None` when the
@@ -383,6 +419,12 @@ impl Journal {
     /// Events streamed to the chunk layer over the journal's lifetime.
     pub fn streamed(&self) -> u64 {
         self.streamed
+    }
+
+    /// Chunks whose store failed (their events are missing from the
+    /// provider, so its replay digest differs from the live one).
+    pub fn store_failures(&self) -> u64 {
+        self.store_failures
     }
 
     /// Checkpoints the streaming state for a snapshot:
@@ -418,12 +460,6 @@ impl Journal {
     /// Iterates over `(time, event)` pairs, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &(f64, JournalEvent)> {
         self.entries.iter()
-    }
-
-    /// The last `n` retained `(time, event)` pairs, oldest first (all of
-    /// them when fewer are retained).
-    pub(crate) fn tail(&self, n: usize) -> impl Iterator<Item = &(f64, JournalEvent)> {
-        self.entries.range(self.entries.len().saturating_sub(n)..)
     }
 
     /// Events affecting one workload, oldest first.
@@ -520,6 +556,139 @@ mod tests {
         // The in-memory ring keeps its own independent bound.
         assert_eq!(j.len(), 4);
         assert_eq!(j.dropped(), 1);
+    }
+
+    /// One event of every kind, at times `t .. t + 9`.
+    fn every_kind(t: f64, w: u64) -> Vec<(f64, JournalEvent)> {
+        let workload = WorkloadId(w);
+        let server = ServerId(w as usize % 7);
+        let resources = NodeResources::new(4, 8.5 + w as f64);
+        let events = [
+            placed(w),
+            JournalEvent::Evicted {
+                workload,
+                requeued: w.is_multiple_of(2),
+            },
+            JournalEvent::NodeAdded {
+                workload,
+                server,
+                resources,
+            },
+            JournalEvent::NodeRemoved { workload, server },
+            JournalEvent::NodeResized {
+                workload,
+                server,
+                resources,
+            },
+            JournalEvent::ParamsSet { workload },
+            JournalEvent::IsolationSet {
+                workload,
+                isolated: w.is_multiple_of(3),
+            },
+            JournalEvent::Completed { workload },
+            JournalEvent::QosEpisode {
+                workload,
+                cause: QosCause::ALL[w as usize % QosCause::ALL.len()],
+                start_s: t - 0.1,
+                duration_s: 0.1 + 0.2,
+                peak_depth: -0.0,
+            },
+        ];
+        events
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| (t + i as f64, e))
+            .collect()
+    }
+
+    #[test]
+    fn live_digest_equals_replay_for_every_cap_and_provider() {
+        let events: Vec<(f64, JournalEvent)> = (0..1000)
+            .flat_map(|w| every_kind(w as f64 * 10.0, w))
+            .collect();
+        for cap in [1, 3, 4096] {
+            let dir = std::env::temp_dir().join(format!(
+                "quasar-journal-replay-{}-{cap}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let providers: [Box<dyn ChunkProvider>; 2] = [
+                Box::new(crate::chunk::MemoryChunks::new()),
+                Box::new(crate::chunk::FileChunks::open(&dir).unwrap()),
+            ];
+            for provider in providers {
+                let mut j = Journal::new(16);
+                j.attach_provider(cap, provider);
+                for (t, e) in &events {
+                    j.record(*t, *e);
+                }
+                j.seal_open_chunk();
+                let stored = j.provider().unwrap();
+                assert_eq!(stored.count(), events.len().div_ceil(cap) as u64);
+                assert_eq!(
+                    crate::chunk::replay_digest(stored).unwrap(),
+                    j.stream_digest(),
+                    "cap {cap}"
+                );
+                assert_eq!(crate::chunk::replay(stored).unwrap(), events, "cap {cap}");
+                assert_eq!(j.store_failures(), 0);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A provider whose second store fails, once.
+    struct FailSecondStore {
+        inner: crate::chunk::MemoryChunks,
+        stores: u32,
+    }
+
+    impl ChunkProvider for FailSecondStore {
+        fn store(&mut self, index: u64, text: &str) -> std::io::Result<()> {
+            self.stores += 1;
+            if self.stores == 2 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.inner.store(index, text)
+        }
+
+        fn load(&self, index: u64) -> std::io::Result<Option<crate::chunk::SealedChunk>> {
+            self.inner.load(index)
+        }
+
+        fn count(&self) -> u64 {
+            self.inner.count()
+        }
+    }
+
+    #[test]
+    fn one_failed_store_loses_only_that_chunk() {
+        let mut j = Journal::new(4);
+        j.attach_provider(
+            2,
+            Box::new(FailSecondStore {
+                inner: crate::chunk::MemoryChunks::new(),
+                stores: 0,
+            }),
+        );
+        for i in 0..10 {
+            j.record(i as f64, placed(i));
+        }
+        j.seal_open_chunk();
+        assert_eq!(j.store_failures(), 1);
+        let stored = j.provider().unwrap();
+        assert_eq!(stored.count(), 4, "every chunk after the failed one stored");
+        let times: Vec<f64> = crate::chunk::replay(stored)
+            .unwrap()
+            .iter()
+            .map(|(t, _)| *t)
+            .collect();
+        assert_eq!(times, [0.0, 1.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
+        assert_ne!(
+            crate::chunk::replay_digest(stored).unwrap(),
+            j.stream_digest(),
+            "the lost chunk shows as a digest gap"
+        );
     }
 
     #[test]

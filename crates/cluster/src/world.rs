@@ -32,7 +32,9 @@ const ISOLATION_PRESSURE_FACTOR: f64 = 0.5;
 const ISOLATION_OVERHEAD_FACTOR: f64 = 0.93;
 
 /// How far back in the journal an incident looks for its window: the
-/// most recent retained events, a few minutes of decisions.
+/// most recent events, a few minutes of decisions. It is also the
+/// journal's in-memory ring capacity, since the incident window is the
+/// ring's only library reader; the full history is the chunk stream.
 const INCIDENT_WINDOW_EVENTS: usize = 512;
 
 /// Incident window margin around an episode, in ticks: the incident
@@ -336,7 +338,7 @@ impl World {
             rng: StdRng::seed_from_u64(seed),
             noise,
             metrics: MetricsRecorder::new(metrics_interval_s),
-            journal: Journal::new(100_000),
+            journal: Journal::new(INCIDENT_WINDOW_EVENTS),
             retention: Retention::KeepAll,
             completion_digest: FNV_OFFSET,
             retired: 0,
@@ -816,7 +818,9 @@ impl World {
     }
 
     /// The decision journal: every placement, eviction, resize,
-    /// scale-out, isolation flip, and completion, timestamped.
+    /// scale-out, isolation flip, and completion, timestamped. Its ring
+    /// keeps the last 512 events; attach a chunk provider for the whole
+    /// stream.
     pub fn journal(&self) -> &Journal {
         &self.journal
     }
@@ -888,9 +892,11 @@ impl World {
         }
         if incident {
             let margin = INCIDENT_MARGIN_TICKS * self.tick_s;
+            // The journal's ring holds exactly the last
+            // `INCIDENT_WINDOW_EVENTS` events.
             let events = self
                 .journal
-                .tail(INCIDENT_WINDOW_EVENTS)
+                .iter()
                 .filter(|(t, _)| *t >= episode.start_s - margin && *t <= episode.end_s + margin)
                 .copied()
                 .collect();
@@ -1589,13 +1595,17 @@ mod tests {
         assert_eq!(completions, 1);
     }
 
-    /// An incident's events are the journal's last 512 retained entries
-    /// filtered to the episode ±2 ticks. The first incident has old
-    /// events inside the tail (pins the margin), the second has more
-    /// than 512 events inside the time window (pins the bound).
+    /// An incident's events are the journal's last 512 events filtered
+    /// to the episode ±2 ticks, and the journal's ring holds exactly
+    /// those 512; the whole stream is read back from a chunk provider.
+    /// The first incident has old events inside the tail (pins the
+    /// margin), the second has more than 512 events inside the time
+    /// window (pins the bound).
     #[test]
     fn incident_window_is_the_filtered_journal_tail() {
         let mut w = world();
+        w.journal_mut()
+            .attach_provider(1, Box::new(crate::chunk::MemoryChunks::new()));
         let job = batch_workload(12);
         let id = job.id();
         w.submit(job);
@@ -1616,12 +1626,15 @@ mod tests {
             w.advance(5.0);
             w.evict(id, true);
             let incident = w.incidents().last().expect("depth 10 is severe").clone();
-            let all: Vec<(f64, JournalEvent)> = w.journal().iter().copied().collect();
+            let all = crate::chunk::replay(w.journal().provider().unwrap()).unwrap();
+            let tail = &all[all.len().saturating_sub(512)..];
+            let ring: Vec<(f64, JournalEvent)> = w.journal().iter().copied().collect();
+            assert_eq!(ring, tail, "the ring is the stream's last 512 events");
             let (lo, hi) = (
                 incident.episode.start_s - 10.0,
                 incident.episode.end_s + 10.0,
             );
-            let want: Vec<_> = all[all.len().saturating_sub(512)..]
+            let want: Vec<_> = tail
                 .iter()
                 .filter(|(t, _)| (lo..=hi).contains(t))
                 .copied()

@@ -174,6 +174,8 @@ fn counters_left_at_zero_by_a_manager_run_are_allowlisted() {
         // fig9 keeps its journal in memory; no chunk store is attached.
         "quasar.cluster.journal.chunk_events",
         "quasar.cluster.journal.chunk_flushes",
+        // A chunk store failure is a storage fault, never a manager run.
+        "quasar.cluster.journal.chunk_store_failures",
         // fig9's services set neither isolation nor framework parameters.
         "quasar.cluster.journal.isolation_set",
         "quasar.cluster.journal.params_set",

@@ -60,12 +60,6 @@ impl Generator {
         id
     }
 
-    /// Positions the generator so the next workload gets id `id` (for
-    /// index-addressable streams; see [`bench_job`]).
-    fn seek(&mut self, id: u64) {
-        self.next_id = id;
-    }
-
     /// A distributed analytics job (Hadoop/Spark/Storm).
     ///
     /// The job is calibrated so the *stock* configuration on `ref_nodes`
@@ -108,36 +102,15 @@ impl Generator {
         duration_s: f64,
         priority: Priority,
     ) -> Workload {
-        let size_gb = self.rng.random_range(0.5..8.0);
-        let dataset = Dataset::new("synthetic", size_gb, self.rng.random_range(0.5..2.0));
-        let mut model = BatchModel::sample(dataset.clone(), false, &mut self.rng);
-        model.calibrate_work(self.catalog.highest_end(), 1, duration_s);
-        // IPS target: half the best single-node rate across platforms —
-        // an attainable floor that still requires a decent assignment
-        // (an exclusive top-end server per job would be unreasonable).
-        let best_rate = self
-            .catalog
-            .iter()
-            .map(|p| {
-                model.node_rate(
-                    p,
-                    NodeResources::all_of(p),
-                    &FrameworkParams::default(),
-                    &PressureVector::zero(),
-                    1,
-                )
-            })
-            .fold(0.0, f64::max);
-        let spec = WorkloadSpec {
-            id: self.fresh_id(),
-            name: name.into(),
-            class: WorkloadClass::SingleNode,
-            dataset,
-            target: QosTarget::ips(best_rate * 0.5),
+        let id = self.fresh_id();
+        single_node(
+            &self.catalog,
+            &mut self.rng,
+            id,
+            name.into(),
+            duration_s,
             priority,
-            cost_limit_per_hour: None,
-        };
-        Workload::new(spec, PerfModel::Batch(model), None)
+        )
     }
 
     /// A latency-critical service of the given class.
@@ -341,12 +314,55 @@ impl Generator {
 /// needs in O(1) each instead of replaying a sequential generator
 /// stream from the start.
 pub fn bench_job(catalog: &PlatformCatalog, seed: u64, k: u64, duration_s: f64) -> Workload {
-    let mut generator = Generator::new(
-        catalog.clone(),
-        seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    );
-    generator.seek(k);
-    generator.single_node_job(format!("bench-{k}"), duration_s, Priority::Guaranteed)
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    single_node(
+        catalog,
+        &mut rng,
+        WorkloadId(k),
+        format!("bench-{k}"),
+        duration_s,
+        Priority::Guaranteed,
+    )
+}
+
+/// The body of [`Generator::single_node_job`], drawing from `rng`.
+fn single_node(
+    catalog: &PlatformCatalog,
+    rng: &mut StdRng,
+    id: WorkloadId,
+    name: String,
+    duration_s: f64,
+    priority: Priority,
+) -> Workload {
+    let size_gb = rng.random_range(0.5..8.0);
+    let dataset = Dataset::new("synthetic", size_gb, rng.random_range(0.5..2.0));
+    let mut model = BatchModel::sample(dataset.clone(), false, rng);
+    model.calibrate_work(catalog.highest_end(), 1, duration_s);
+    // IPS target: half the best single-node rate across platforms —
+    // an attainable floor that still requires a decent assignment
+    // (an exclusive top-end server per job would be unreasonable).
+    let best_rate = catalog
+        .iter()
+        .map(|p| {
+            model.node_rate(
+                p,
+                NodeResources::all_of(p),
+                &FrameworkParams::default(),
+                &PressureVector::zero(),
+                1,
+            )
+        })
+        .fold(0.0, f64::max);
+    let spec = WorkloadSpec {
+        id,
+        name,
+        class: WorkloadClass::SingleNode,
+        dataset,
+        target: QosTarget::ips(best_rate * 0.5),
+        priority,
+        cost_limit_per_hour: None,
+    };
+    Workload::new(spec, PerfModel::Batch(model), None)
 }
 
 /// Best completion time for `model` over any platform and framework
@@ -379,6 +395,24 @@ mod tests {
 
     fn generator() -> Generator {
         Generator::new(PlatformCatalog::local(), 7)
+    }
+
+    #[test]
+    fn bench_job_equals_a_generator_positioned_at_k() {
+        for (catalog, seed) in [
+            (PlatformCatalog::local(), 3),
+            (PlatformCatalog::ec2(), u64::MAX),
+        ] {
+            for k in 0..64u64 {
+                let mut g = Generator::new(
+                    catalog.clone(),
+                    seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                );
+                g.next_id = k;
+                let want = g.single_node_job(format!("bench-{k}"), 30.0, Priority::Guaranteed);
+                assert_eq!(bench_job(&catalog, seed, k, 30.0), want, "k = {k}");
+            }
+        }
     }
 
     #[test]

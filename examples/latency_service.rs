@@ -82,7 +82,9 @@ fn main() {
         s.classifications, s.adaptations, s.evictions
     );
 
-    // The decision journal explains how the spike was absorbed.
+    // The decision journal explains how the spike was absorbed. Its
+    // in-memory ring keeps the last 512 events, so `for_workload` sees
+    // the service's decisions among those.
     println!("\nlast decisions for the service:");
     for (t, event) in sim
         .world()
