@@ -108,6 +108,18 @@ pub(crate) fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> io::Result
         .map_err(|_| bad(format!("bad {what} field: {s:?}")))
 }
 
+/// Fails with `InvalidData` unless `fields` is exhausted, so a record
+/// line parses only if every one of its fields was consumed.
+pub(crate) fn no_trailing<'a>(
+    mut fields: impl Iterator<Item = &'a str>,
+    line: &str,
+) -> io::Result<()> {
+    match fields.next() {
+        None => Ok(()),
+        Some(extra) => Err(bad(format!("trailing fields from {extra:?} in {line:?}"))),
+    }
+}
+
 /// Appends one `(time, event)` pair to `out` as a single line (no
 /// newline), creating no intermediate `String`.
 ///
@@ -163,10 +175,6 @@ pub fn write_event(out: &mut String, at_s: f64, event: &JournalEvent) {
         JournalEvent::ParamsSet { workload } | JournalEvent::Completed { workload } => {
             num(out, workload.0);
         }
-        JournalEvent::IsolationSet { workload, isolated } => {
-            num(out, workload.0);
-            num(out, isolated.into());
-        }
         JournalEvent::QosEpisode {
             workload,
             cause,
@@ -188,7 +196,8 @@ pub fn write_event(out: &mut String, at_s: f64, event: &JournalEvent) {
 ///
 /// # Errors
 ///
-/// Fails with `InvalidData` on unknown kinds or malformed fields.
+/// Fails with `InvalidData` on unknown kinds, malformed fields, or
+/// fields left over after the kind's last one.
 pub fn parse_event(line: &str) -> io::Result<(f64, JournalEvent)> {
     let mut f = line.split(' ');
     let mut next = |what: &str| f.next().ok_or_else(|| bad(format!("missing {what}")));
@@ -233,10 +242,6 @@ pub fn parse_event(line: &str) -> io::Result<(f64, JournalEvent)> {
         "params_set" => JournalEvent::ParamsSet {
             workload: WorkloadId(parse_num(next("workload")?, "workload")?),
         },
-        "isolation_set" => JournalEvent::IsolationSet {
-            workload: WorkloadId(parse_num(next("workload")?, "workload")?),
-            isolated: parse_num::<u8>(next("isolated")?, "isolated")? != 0,
-        },
         "completed" => JournalEvent::Completed {
             workload: WorkloadId(parse_num(next("workload")?, "workload")?),
         },
@@ -255,6 +260,7 @@ pub fn parse_event(line: &str) -> io::Result<(f64, JournalEvent)> {
         }
         other => return Err(bad(format!("unknown event kind: {other:?}"))),
     };
+    no_trailing(f, line)?;
     Ok((at_s, event))
 }
 
@@ -320,6 +326,7 @@ impl SealedChunk {
         let count: usize = parse_num(field("events")?, "events")?;
         let first = parse_bits(field("first")?)?;
         let last = parse_bits(field("last")?)?;
+        no_trailing(fields, header)?;
         let events: Vec<(f64, JournalEvent)> = lines.map(parse_event).collect::<io::Result<_>>()?;
         let chunk = SealedChunk { index, events };
         if chunk.events.len() != count
@@ -600,9 +607,6 @@ mod tests {
             JournalEvent::ParamsSet { workload } | JournalEvent::Completed { workload } => {
                 let _ = write!(line, " {}", workload.0);
             }
-            JournalEvent::IsolationSet { workload, isolated } => {
-                let _ = write!(line, " {} {}", workload.0, u8::from(*isolated));
-            }
             JournalEvent::QosEpisode {
                 workload,
                 cause,
@@ -650,7 +654,7 @@ mod tests {
 
     fn any_event() -> impl Strategy<Value = JournalEvent> {
         let ids = (edge_u64(), edge_u64(), edge_u64(), any::<bool>());
-        (0usize..9, ids, any::<u32>(), 0usize..QosCause::ALL.len()).prop_flat_map(
+        (0usize..8, ids, any::<u32>(), 0usize..QosCause::ALL.len()).prop_flat_map(
             |(kind, (w, s, n, flag), cores, cause)| {
                 (edge_f64(), edge_f64(), edge_f64()).prop_map(move |(a, b, c)| {
                     let workload = WorkloadId(w);
@@ -682,11 +686,7 @@ mod tests {
                             resources,
                         },
                         5 => JournalEvent::ParamsSet { workload },
-                        6 => JournalEvent::IsolationSet {
-                            workload,
-                            isolated: flag,
-                        },
-                        7 => JournalEvent::Completed { workload },
+                        6 => JournalEvent::Completed { workload },
                         _ => JournalEvent::QosEpisode {
                             workload,
                             cause: QosCause::ALL[cause],
@@ -766,19 +766,12 @@ mod tests {
             ),
             (
                 6.0,
-                JournalEvent::IsolationSet {
-                    workload: WorkloadId(4),
-                    isolated: false,
-                },
-            ),
-            (
-                7.0,
                 JournalEvent::Completed {
                     workload: WorkloadId(3),
                 },
             ),
             (
-                8.0,
+                7.0,
                 JournalEvent::QosEpisode {
                     workload: WorkloadId(3),
                     cause: crate::qos::QosCause::QueueWait,
@@ -807,9 +800,9 @@ mod tests {
             events: sample_events(),
         };
         let text = chunk.serialize();
-        assert!(text.starts_with("quasar.journal.chunk.v1 index=5 events=9 "));
+        assert!(text.starts_with("quasar.journal.chunk.v1 index=5 events=8 "));
         let header = format!(
-            "{CHUNK_SCHEMA} index=5 events=9 first={} last={}\n",
+            "{CHUNK_SCHEMA} index=5 events=8 first={} last={}\n",
             hex(chunk.first_s()),
             hex(chunk.last_s())
         );
@@ -824,13 +817,45 @@ mod tests {
     }
 
     #[test]
+    fn a_trailing_field_is_rejected_on_every_line() {
+        let chunk = SealedChunk {
+            index: 0,
+            events: sample_events(),
+        };
+        let text = chunk.serialize();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1 + sample_events().len());
+        for (i, line) in lines.iter().enumerate() {
+            let mut padded = lines.clone();
+            let extended = format!("{line} 99");
+            padded[i] = &extended;
+            let err = SealedChunk::parse(&(padded.join("\n") + "\n")).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains("trailing fields"),
+                "line {i}: {err}"
+            );
+        }
+        assert_eq!(SealedChunk::parse(&text).unwrap(), chunk);
+    }
+
+    #[test]
+    fn an_unknown_event_kind_is_rejected() {
+        let mut line = String::new();
+        push_bits(&mut line, 4.0);
+        line.push_str(" retired_kind 7 1");
+        let err = parse_event(&line).unwrap_err();
+        assert!(err.to_string().contains("unknown event kind"), "{err}");
+    }
+
+    #[test]
     fn header_body_disagreement_is_rejected() {
         let chunk = SealedChunk {
             index: 0,
             events: sample_events(),
         };
         let mut text = chunk.serialize();
-        // Drop the last event line; the header still claims 9 events.
+        // Drop the last event line; the header still claims 8 events.
         text.truncate(text.trim_end().rfind('\n').unwrap() + 1);
         assert!(SealedChunk::parse(&text).is_err());
     }

@@ -292,21 +292,6 @@ impl ClusterState {
         Ok(())
     }
 
-    /// Enables or disables hardware partitioning for a placement (§4.4
-    /// extension).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the workload is not placed.
-    pub fn set_isolation(&mut self, id: WorkloadId, isolated: bool) -> Result<(), PlaceError> {
-        let placement = self
-            .placements
-            .get_mut(&id)
-            .ok_or(PlaceError::NotPlaced(id))?;
-        placement.isolated = isolated;
-        Ok(())
-    }
-
     /// Updates the framework parameters of a placement.
     ///
     /// # Errors

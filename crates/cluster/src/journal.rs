@@ -1,7 +1,7 @@
 //! A decision journal: every mutating manager action on the [`crate::World`]
 //! is recorded with its timestamp, so experiments and operators can audit
 //! *why* the cluster looks the way it does — placements, evictions,
-//! resizes, scale-outs, isolation flips.
+//! resizes, scale-outs, completions and QoS episodes.
 //!
 //! # Examples
 //!
@@ -30,14 +30,13 @@ use crate::server::ServerId;
 
 /// Every event kind as `(kind tag, trace event name)`, indexed by
 /// [`JournalEvent::slot`].
-const KINDS: [(&str, &str); 9] = [
+const KINDS: [(&str, &str); 8] = [
     ("placed", "cluster.journal.placed"),
     ("evicted", "cluster.journal.evicted"),
     ("node_added", "cluster.journal.node_added"),
     ("node_removed", "cluster.journal.node_removed"),
     ("node_resized", "cluster.journal.node_resized"),
     ("params_set", "cluster.journal.params_set"),
-    ("isolation_set", "cluster.journal.isolation_set"),
     ("completed", "cluster.journal.completed"),
     ("qos_episode", "cluster.journal.qos_episode"),
 ];
@@ -46,7 +45,7 @@ const KINDS: [(&str, &str); 9] = [
 /// event kind (`quasar.cluster.journal.<kind>`, indexed like [`KINDS`]).
 struct JournalMetrics {
     total: Counter,
-    per_kind: [Counter; 9],
+    per_kind: [Counter; 8],
     chunk_flushes: Counter,
     chunk_events: Counter,
     chunk_store_failures: Counter,
@@ -117,13 +116,6 @@ pub enum JournalEvent {
         /// Workload reconfigured.
         workload: WorkloadId,
     },
-    /// Hardware partitioning was toggled.
-    IsolationSet {
-        /// Workload affected.
-        workload: WorkloadId,
-        /// New isolation state.
-        isolated: bool,
-    },
     /// A batch workload completed.
     Completed {
         /// Workload that finished.
@@ -187,13 +179,6 @@ impl fmt::Display for JournalEvent {
             JournalEvent::ParamsSet { workload } => {
                 write!(f, "{workload} framework parameters updated")
             }
-            JournalEvent::IsolationSet { workload, isolated } => {
-                if *isolated {
-                    write!(f, "{workload} partitioning enabled")
-                } else {
-                    write!(f, "{workload} partitioning disabled")
-                }
-            }
             JournalEvent::Completed { workload } => write!(f, "{workload} completed"),
             JournalEvent::QosEpisode {
                 workload,
@@ -219,9 +204,8 @@ impl JournalEvent {
             JournalEvent::NodeRemoved { .. } => 3,
             JournalEvent::NodeResized { .. } => 4,
             JournalEvent::ParamsSet { .. } => 5,
-            JournalEvent::IsolationSet { .. } => 6,
-            JournalEvent::Completed { .. } => 7,
-            JournalEvent::QosEpisode { .. } => 8,
+            JournalEvent::Completed { .. } => 6,
+            JournalEvent::QosEpisode { .. } => 7,
         }
     }
 
@@ -462,28 +446,6 @@ impl Journal {
         self.entries.iter()
     }
 
-    /// Events affecting one workload, oldest first.
-    pub fn for_workload(&self, id: WorkloadId) -> Vec<&(f64, JournalEvent)> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| {
-                matches!(
-                    e,
-                    JournalEvent::Placed { workload, .. }
-                    | JournalEvent::Evicted { workload, .. }
-                    | JournalEvent::NodeAdded { workload, .. }
-                    | JournalEvent::NodeRemoved { workload, .. }
-                    | JournalEvent::NodeResized { workload, .. }
-                    | JournalEvent::ParamsSet { workload }
-                    | JournalEvent::IsolationSet { workload, .. }
-                    | JournalEvent::Completed { workload }
-                    | JournalEvent::QosEpisode { workload, .. }
-                    if *workload == id
-                )
-            })
-            .collect()
-    }
-
     /// Renders the journal as one line per event.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -558,7 +520,7 @@ mod tests {
         assert_eq!(j.dropped(), 1);
     }
 
-    /// One event of every kind, at times `t .. t + 9`.
+    /// One event of every kind, at times `t .. t + 8`.
     fn every_kind(t: f64, w: u64) -> Vec<(f64, JournalEvent)> {
         let workload = WorkloadId(w);
         let server = ServerId(w as usize % 7);
@@ -581,10 +543,6 @@ mod tests {
                 resources,
             },
             JournalEvent::ParamsSet { workload },
-            JournalEvent::IsolationSet {
-                workload,
-                isolated: w.is_multiple_of(3),
-            },
             JournalEvent::Completed { workload },
             JournalEvent::QosEpisode {
                 workload,
@@ -692,23 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn per_workload_filter() {
-        let mut j = Journal::new(8);
-        j.record(1.0, placed(1));
-        j.record(2.0, placed(2));
-        j.record(
-            3.0,
-            JournalEvent::Evicted {
-                workload: WorkloadId(1),
-                requeued: false,
-            },
-        );
-        assert_eq!(j.for_workload(WorkloadId(1)).len(), 2);
-        assert_eq!(j.for_workload(WorkloadId(2)).len(), 1);
-        assert_eq!(j.for_workload(WorkloadId(9)).len(), 0);
-    }
-
-    #[test]
     fn every_event_renders_nonempty() {
         let events = [
             placed(1),
@@ -732,10 +673,6 @@ mod tests {
             },
             JournalEvent::ParamsSet {
                 workload: WorkloadId(1),
-            },
-            JournalEvent::IsolationSet {
-                workload: WorkloadId(1),
-                isolated: true,
             },
             JournalEvent::Completed {
                 workload: WorkloadId(1),

@@ -43,11 +43,6 @@ pub struct Placement {
     pub nodes: Vec<NodeAlloc>,
     /// Framework parameters in force.
     pub params: FrameworkParams,
-    /// Whether hardware partitioning (cache ways, NIC rate limits) is
-    /// enabled for this placement — the §4.4 extension. Partitioning
-    /// halves interference in both directions at a small capacity
-    /// overhead.
-    pub isolated: bool,
 }
 
 impl Placement {
@@ -67,7 +62,6 @@ impl Placement {
             workload,
             nodes,
             params,
-            isolated: false,
         }
     }
 

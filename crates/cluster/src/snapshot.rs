@@ -37,7 +37,7 @@ use std::io;
 
 use quasar_workloads::{Compression, FrameworkParams, NodeResources, Workload, WorkloadId};
 
-use crate::chunk::{bad, bits, parse_bits, parse_num, ChunkProvider};
+use crate::chunk::{bad, bits, no_trailing, parse_bits, parse_num, ChunkProvider};
 use crate::cluster::ClusterSpec;
 use crate::managers::Manager;
 use crate::placement::{NodeAlloc, Placement};
@@ -46,7 +46,7 @@ use crate::sim::{SimConfig, Simulation};
 use crate::world::{Entry, JobState, Retention};
 
 /// Schema tag on the first line of every snapshot.
-pub const SNAPSHOT_SCHEMA: &str = "quasar.sim.snapshot.v1";
+pub const SNAPSHOT_SCHEMA: &str = "quasar.sim.snapshot.v2";
 
 /// Renders a snapshot of the simulation's dynamic state.
 ///
@@ -152,9 +152,8 @@ pub fn snapshot(sim: &mut Simulation) -> io::Result<String> {
         };
         let _ = write!(
             out,
-            "{} {} {} {} {} {} {codec} {}",
+            "{} {} {} {} {} {codec} {}",
             p.workload.0,
-            u8::from(p.isolated),
             p.params.mappers_per_node,
             bits(p.params.heap_gb),
             p.params.block_size_mb,
@@ -242,6 +241,7 @@ pub fn resume(
     };
     let tick = parse_bits(field("tick")?)?;
     let interval = parse_bits(field("interval")?)?;
+    no_trailing(fields, header)?;
     if tick.to_bits() != config.tick_s.to_bits() {
         return Err(bad(format!(
             "config tick {} does not match snapshot tick {tick}",
@@ -289,6 +289,7 @@ pub fn resume(
         let time_s = parse_bits(take("event time")?)?;
         let seq: u64 = parse_num(take("event seq")?, "event seq")?;
         let id = WorkloadId(parse_num(take("event workload")?, "event workload")?);
+        no_trailing(f, line)?;
         let workload = workload_for(id);
         if workload.id() != id {
             return Err(bad(format!(
@@ -340,6 +341,7 @@ pub fn resume(
                 Some((parse_num(c, "reserved cores")?, parse_bits(m)?))
             }
         };
+        no_trailing(f, line)?;
         let workload = workload_for(id);
         if workload.id() != id {
             return Err(bad(format!(
@@ -380,7 +382,6 @@ pub fn resume(
         let mut f = line.split(' ');
         let mut take = |what: &str| f.next().ok_or_else(|| bad(format!("missing {what}")));
         let id = WorkloadId(parse_num(take("placement id")?, "placement id")?);
-        let isolated = parse_num::<u8>(take("isolated")?, "isolated")? != 0;
         let params = FrameworkParams {
             mappers_per_node: parse_num(take("mappers")?, "mappers")?,
             heap_gb: parse_bits(take("heap")?)?,
@@ -410,9 +411,8 @@ pub fn resume(
                 active_after: parse_bits(parts[3])?,
             });
         }
-        let mut placement = Placement::new(id, nodes, params);
-        placement.isolated = isolated;
-        placements.push(placement);
+        no_trailing(f, line)?;
+        placements.push(Placement::new(id, nodes, params));
     }
 
     let n_qos: usize = parse_num(&one(keyed(&mut lines, "qos")?, "qos")?, "qos count")?;
@@ -435,6 +435,7 @@ pub fn resume(
                 queue_wait_s: parse_bits(take("qos queue wait")?)?,
             },
         ));
+        no_trailing(f, line)?;
     }
 
     if next_line(&mut lines, "end")? != "end" {
@@ -528,6 +529,14 @@ mod tests {
             .collect()
     }
 
+    /// Regenerates job `id` of [`jobs`].
+    fn regenerate(id: WorkloadId) -> Workload {
+        jobs(5)
+            .into_iter()
+            .find(|w| w.id() == id)
+            .expect("a job of the run")
+    }
+
     type Outcome = (u64, Vec<crate::world::CompletionRecord>, u64, u64, u64, u64);
 
     fn outcome(sim: &Simulation) -> Outcome {
@@ -586,6 +595,16 @@ mod tests {
             b.run_until(1_200.0);
             let text = snapshot(&mut b).unwrap();
             drop(b);
+            assert!(text.starts_with("quasar.sim.snapshot.v2 tick="));
+
+            // A v1 text (which carried a placement column v2 dropped) is
+            // refused at the header, before any line is misparsed.
+            let v1 = text.replacen("quasar.sim.snapshot.v2", "quasar.sim.snapshot.v1", 1);
+            let err = resume(spec(), fifo(), config(), &v1, None, &mut regenerate)
+                .err()
+                .expect("a v1 header must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("bad snapshot schema"), "{err}");
 
             // Resume from text + the chunk directory + regenerated jobs.
             let mut pool: HashMap<WorkloadId, Workload> =
@@ -612,6 +631,36 @@ mod tests {
                 c.world().journal().stream_digest(),
             );
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_trailing_field_is_rejected_on_every_line() {
+        let mut sim = Simulation::new(spec(), fifo(), config());
+        for (w, at) in jobs(5).into_iter().zip([0.0, 120.0, 650.0, 700.0, 1_500.0]) {
+            sim.submit_at(w, at);
+        }
+        sim.run_until(1_200.0);
+        let text = snapshot(&mut sim).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        // Every record section holds at least one line to extend.
+        for section in ["events", "entries", "placements", "qos"] {
+            let count = lines
+                .iter()
+                .find_map(|l| l.strip_prefix(section)?.strip_prefix(' '))
+                .expect("section header");
+            assert_ne!(count, "0", "{section} section is empty");
+        }
+        let resumed = |text: &str| resume(spec(), fifo(), config(), text, None, &mut regenerate);
+        assert!(resumed(&text).is_ok());
+        for i in 0..lines.len() {
+            let mut extended = lines.clone();
+            let line = format!("{} 7", lines[i]);
+            extended[i] = &line;
+            let err = resumed(&(extended.join("\n") + "\n"))
+                .err()
+                .unwrap_or_else(|| panic!("line {i} accepted a trailing field: {line:?}"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "line {i}");
         }
     }
 

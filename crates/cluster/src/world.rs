@@ -22,15 +22,6 @@ use crate::profile::{ProfileConfig, ProfileResult};
 use crate::qos::{self, EpisodeRecord, Incident, QosEvidence, SloTracker};
 use crate::server::{Server, ServerId};
 
-/// How much of its neighbours' (and its own outgoing) pressure a
-/// partitioned placement still sees/exerts (§4.4 extension: cache
-/// partitioning and NIC rate limiting cut contention roughly in half).
-const ISOLATION_PRESSURE_FACTOR: f64 = 0.5;
-
-/// Capacity retained under partitioning (reserved ways/slices are not
-/// free).
-const ISOLATION_OVERHEAD_FACTOR: f64 = 0.93;
-
 /// How far back in the journal an incident looks for its window: the
 /// most recent events, a few minutes of decisions. It is also the
 /// journal's in-memory ring capacity, since the incident window is the
@@ -104,17 +95,6 @@ pub struct CompletionRecord {
 }
 
 impl CompletionRecord {
-    /// Mean achieved work rate over the execution (work units/second),
-    /// amortized from submission (includes scheduling wait and profiling).
-    pub fn achieved_rate(&self) -> Option<f64> {
-        let exec = self.execution_s()?;
-        if exec > 0.0 && self.total_work.is_finite() {
-            Some(self.total_work / exec)
-        } else {
-            None
-        }
-    }
-
     /// Mean achieved work rate while actually placed (work units/second)
     /// — the metric an IPS *floor* is checked against.
     pub fn achieved_rate_running(&self) -> Option<f64> {
@@ -621,25 +601,6 @@ impl World {
         Ok(())
     }
 
-    /// Enables or disables hardware partitioning for a placement (§4.4):
-    /// halves interference in both directions at a small capacity
-    /// overhead.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the workload has no placement.
-    pub fn set_isolation(&mut self, id: WorkloadId, isolated: bool) -> Result<(), PlaceError> {
-        self.cluster.set_isolation(id, isolated)?;
-        self.journal.record(
-            self.now,
-            JournalEvent::IsolationSet {
-                workload: id,
-                isolated,
-            },
-        );
-        Ok(())
-    }
-
     /// Records the resources a reservation-based manager *reserved* for a
     /// workload; only used for the used-vs-reserved metrics (Figs. 1, 11d).
     pub fn report_reservation(&mut self, id: WorkloadId, cores: u32, memory_gb: f64) {
@@ -818,7 +779,7 @@ impl World {
     }
 
     /// The decision journal: every placement, eviction, resize,
-    /// scale-out, isolation flip, and completion, timestamped. Its ring
+    /// scale-out, and completion, timestamped. Its ring
     /// keeps the last 512 events; attach a chunk provider for the whole
     /// stream.
     pub fn journal(&self) -> &Journal {
@@ -1156,12 +1117,7 @@ impl World {
                 continue;
             }
             let share = (node.resources.cores as f64 / total_cores).min(1.0);
-            let outgoing = if placement.isolated {
-                ISOLATION_PRESSURE_FACTOR
-            } else {
-                1.0
-            };
-            pressure += entry.interference().caused().scaled(share * outgoing);
+            pressure += entry.interference().caused().scaled(share);
         }
         for inj in &self.injections {
             if inj.server == server && inj.until_s > self.now {
@@ -1210,16 +1166,9 @@ impl World {
         for &id in &running {
             let noise = self.sample_noise();
             let placement = self.cluster.placement(id);
-            // A partitioned placement sees only a fraction of the ambient
-            // pressure, at a small capacity overhead.
-            let (incoming, iso) = if placement.is_some_and(|p| p.isolated) {
-                (ISOLATION_PRESSURE_FACTOR, ISOLATION_OVERHEAD_FACTOR)
-            } else {
-                (1.0, 1.0)
-            };
             let held_cores = placement.map_or(0, Placement::total_cores);
             let params = placement.map(|p| p.params).unwrap_or_default();
-            // One ground-truth pressure per active node: scaled for the
+            // One ground-truth pressure per active node: raw for the
             // physics, normalized for the QoS evidence.
             let mut allocs: Vec<(&Platform, NodeResources, PressureVector)> =
                 Vec::with_capacity(placement.map_or(0, Placement::node_count));
@@ -1227,11 +1176,7 @@ impl World {
             for node in placement.into_iter().flat_map(|p| p.active_nodes(self.now)) {
                 let raw = self.server_pressure(node.server, Some(id));
                 pressure += QosEvidence::normalize_pressure(&raw);
-                allocs.push((
-                    self.cluster.platform_of(node.server),
-                    node.resources,
-                    raw.scaled(incoming),
-                ));
+                allocs.push((self.cluster.platform_of(node.server), node.resources, raw));
             }
             let interference = if allocs.is_empty() {
                 0.0
@@ -1242,7 +1187,7 @@ impl World {
             entry.peak_cores = entry.peak_cores.max(held_cores);
             match entry.workload.model() {
                 PerfModel::Batch(model) => {
-                    let rate = model.cluster_rate(&allocs, &params) * entry.rate_factor * iso;
+                    let rate = model.cluster_rate(&allocs, &params) * entry.rate_factor;
                     let done_before = entry.remaining_work <= 0.0;
                     entry.remaining_work -= rate * dt;
                     let total = model.total_work();
@@ -1275,17 +1220,6 @@ impl World {
                 PerfModel::Service(model) => {
                     let offered = entry.workload.offered_qps(self.now);
                     let mut obs = model.observe(offered, &allocs);
-                    if iso < 1.0 {
-                        // Partitioning reserves capacity: effective
-                        // utilization rises and the achievable throughput
-                        // drops by the overhead.
-                        obs.utilization = (obs.utilization / iso).min(1.0);
-                        obs.achieved_qps = obs
-                            .achieved_qps
-                            .min(offered.min(model.total_capacity(&allocs) * iso));
-                        obs.mean_latency_us /= iso;
-                        obs.p99_latency_us /= iso;
-                    }
                     obs.achieved_qps *= noise;
                     obs.p99_latency_us *= noise;
                     obs.mean_latency_us *= noise;
@@ -1520,7 +1454,7 @@ mod tests {
 
     /// Satellite guarantee for the structured journal: every mutating
     /// `World` action — place, resize, scale-out, reclaim, params,
-    /// isolation, evict, completion — appends exactly one journal event
+    /// evict, completion — appends exactly one journal event
     /// of the matching kind, and failed mutations append none.
     #[test]
     fn every_mutating_action_journals_exactly_one_event() {
@@ -1549,7 +1483,6 @@ mod tests {
         w.add_node(id, NodeAlloc::immediate(other, small)).unwrap();
         w.remove_node(id, other).unwrap();
         w.set_params(id, FrameworkParams::default()).unwrap();
-        w.set_isolation(id, true).unwrap();
         w.evict(id, true);
 
         let kinds: Vec<&str> = w.journal().iter().map(|(_, e)| e.kind()).collect();
@@ -1561,7 +1494,6 @@ mod tests {
                 "node_added",
                 "node_removed",
                 "params_set",
-                "isolation_set",
                 "evicted"
             ],
             "one event per mutating action, in order"

@@ -4,8 +4,8 @@ use crate::similarity::SimilarityConfig;
 
 /// Tunables of the Quasar manager; defaults follow the paper. The
 /// paper's fixed constants (adaptation miss threshold, proactive sweep
-/// interval and fraction, probe QoS loss, best-effort slice, prediction
-/// lead) are constants of the manager itself.
+/// interval and fraction, probe QoS loss, best-effort slice) are
+/// constants of the manager itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuasarConfig {
     /// Profiling entries per classification row (the input-matrix density
@@ -21,15 +21,6 @@ pub struct QuasarConfig {
     pub adapt_interval_s: f64,
     /// Maximum nodes the greedy scheduler will allocate to one workload.
     pub max_nodes: usize,
-    /// Enable the resource-partitioning extension (§4.4): when a
-    /// latency-critical workload is off track and the manager's estimated
-    /// interference penalty on its servers is severe, enable hardware
-    /// partitioning instead of (before) adding resources.
-    pub resource_partitioning: bool,
-    /// Enable the load-prediction extension (§4.1 future work): scale
-    /// user-facing services when the *forecast* load outgrows the current
-    /// provisioning point, before latency degrades.
-    pub predictive_scaling: bool,
     /// Seed for profiling-configuration randomization.
     pub seed: u64,
     /// Worker threads for the per-axis classification fan-out
@@ -53,8 +44,6 @@ impl Default for QuasarConfig {
             qos_slack: 0.05,
             adapt_interval_s: 30.0,
             max_nodes: 32,
-            resource_partitioning: false,
-            predictive_scaling: false,
             seed: 0x9A5A,
             threads: 1,
             similarity: SimilarityConfig::default(),
@@ -69,15 +58,6 @@ impl QuasarConfig {
         QuasarConfig {
             training_workloads: 8,
             adapt_interval_s: 15.0,
-            ..QuasarConfig::default()
-        }
-    }
-
-    /// The default configuration with the predictive-scaling extension
-    /// enabled.
-    pub fn predictive() -> QuasarConfig {
-        QuasarConfig {
-            predictive_scaling: true,
             ..QuasarConfig::default()
         }
     }

@@ -48,7 +48,6 @@ pub mod history;
 mod manager;
 pub mod ordering;
 pub mod par;
-pub mod predict;
 pub mod profile;
 pub mod similarity;
 pub mod straggler;

@@ -18,7 +18,6 @@ use crate::estimate::{Estimator, PlannedNode};
 use crate::greedy::{AllocationPlan, CandidateServer, GreedyScheduler};
 use crate::history::HistorySet;
 use crate::ordering::desirability;
-use crate::predict::LoadPredictor;
 use crate::profile::Profiler;
 use crate::similarity::SimilarityIndex;
 
@@ -34,8 +33,6 @@ pub(crate) const PROBE_QOS_LOSS: f64 = 0.05;
 const BEST_EFFORT_CORES: u32 = 2;
 /// Memory given to a best-effort job slice, in GB.
 const BEST_EFFORT_MEMORY_GB: f64 = 2.0;
-/// How far ahead the load predictor looks, in seconds.
-const PREDICTION_LEAD_S: f64 = 120.0;
 
 /// Counters describing what the manager did during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,7 +59,6 @@ struct WorkloadState {
     headroom_ticks: u32,
     pending_since: f64,
     active_after: f64,
-    predictor: LoadPredictor,
 }
 
 /// A point-in-time copy of the manager's mutable state, for the
@@ -222,8 +218,8 @@ impl QuasarManager {
 
     /// Builds a hot-standby manager from a snapshot. It resumes with the
     /// same classifications, queues, and counters; transient monitoring
-    /// state (miss counters, predictors) restarts cleanly, as it would on
-    /// a real failover.
+    /// state (miss counters) restarts cleanly, as it would on a real
+    /// failover.
     pub fn restore(
         history: HistorySet,
         config: QuasarConfig,
@@ -241,7 +237,6 @@ impl QuasarManager {
                     headroom_ticks: 0,
                     pending_since: s.pending_since,
                     active_after: s.active_after,
-                    predictor: LoadPredictor::new(8),
                 },
             );
         }
@@ -567,28 +562,8 @@ impl QuasarManager {
             };
             self.feedback_calibrate(world, id);
             let target = world.spec(id).target;
-            let mut on_track = obs.on_track(&target, self.config.qos_slack);
+            let on_track = obs.on_track(&target, self.config.qos_slack);
             let overprovisioned = is_overprovisioned(&obs, &target);
-
-            // Load-prediction extension (§4.1 future work): feed the
-            // service's offered load to its forecaster, and treat a
-            // predicted near-future overload as an off-track signal so
-            // scaling happens before the knee.
-            if self.config.predictive_scaling {
-                if let (Observation::Service(svc), Some(state)) = (&obs, self.states.get_mut(&id)) {
-                    state.predictor.observe(world.now(), svc.offered_qps);
-                    if on_track && svc.utilization > 0.0 {
-                        let capacity = svc.achieved_qps / svc.utilization.max(0.02);
-                        if let Some(ahead) =
-                            state.predictor.forecast(world.now() + PREDICTION_LEAD_S)
-                        {
-                            if ahead > capacity * 0.85 {
-                                on_track = false;
-                            }
-                        }
-                    }
-                }
-            }
 
             let state = self.states.get_mut(&id).expect("checked above");
             if on_track {
@@ -649,29 +624,6 @@ impl QuasarManager {
             }
         }
 
-        // Resource-partitioning extension (§4.4): when the estimated
-        // interference penalty on the workload's servers is the dominant
-        // problem, turn on hardware partitioning before adding resources.
-        if self.config.resource_partitioning && world.spec(id).class.is_latency_critical() {
-            if let Some(placement) = world.placement(id) {
-                if !placement.isolated {
-                    if let Some(state) = self.states.get(&id) {
-                        let worst_penalty = placement
-                            .nodes
-                            .iter()
-                            .map(|n| {
-                                let pressure = self.estimated_pressure(world, n.server, Some(id));
-                                penalty_for(&state.class.tolerated, &pressure)
-                            })
-                            .fold(1.0_f64, f64::min);
-                        if worst_penalty < 0.80 {
-                            let _ = world.set_isolation(id, true);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
         let axes = self.history.axes().clone();
         let Some(state) = self.states.get(&id) else {
             return;
@@ -1114,7 +1066,6 @@ impl Manager for QuasarManager {
                 headroom_ticks: 0,
                 pending_since: world.now(),
                 active_after: f64::INFINITY,
-                predictor: LoadPredictor::new(8),
             },
         );
 
@@ -1195,7 +1146,6 @@ mod tests {
             headroom_ticks: 1,
             pending_since,
             active_after,
-            predictor: LoadPredictor::new(8),
         }
     }
 

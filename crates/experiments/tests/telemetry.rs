@@ -176,8 +176,7 @@ fn counters_left_at_zero_by_a_manager_run_are_allowlisted() {
         "quasar.cluster.journal.chunk_flushes",
         // A chunk store failure is a storage fault, never a manager run.
         "quasar.cluster.journal.chunk_store_failures",
-        // fig9's services set neither isolation nor framework parameters.
-        "quasar.cluster.journal.isolation_set",
+        // fig9's services never set framework parameters.
         "quasar.cluster.journal.params_set",
         // QoS causes this scenario does not produce.
         "quasar.cluster.qos.cause.calibration_drift",

@@ -1,5 +1,5 @@
-//! Integration tests for the §4.4 extensions: cost targets, predictive
-//! scaling, and manager failover.
+//! Integration tests for the §4.4 extensions: cost targets and manager
+//! failover.
 
 use quasar::cluster::{ClusterSpec, Observation, SimConfig, Simulation};
 use quasar::core::{HistorySet, QuasarConfig, QuasarManager};
@@ -84,23 +84,6 @@ fn cost_limits_constrain_the_allocation() {
 }
 
 #[test]
-fn predictive_scaling_provisions_ahead_of_a_ramp() {
-    // A steady ramp: reactive scaling waits for misses; predictive should
-    // hold capacity ahead of the offered load.
-    let load = LoadPattern::Fluctuating {
-        base_qps: 120_000.0,
-        amplitude_qps: 100_000.0,
-        period_s: 3_600.0,
-    };
-    let (served_reactive, _, _) = run_service(QuasarConfig::default(), load, None, 3_600.0);
-    let (served_predictive, _, _) = run_service(QuasarConfig::predictive(), load, None, 3_600.0);
-    assert!(
-        served_predictive >= served_reactive - 0.01,
-        "prediction must not hurt: {served_predictive:.3} vs {served_reactive:.3}"
-    );
-}
-
-#[test]
 fn failover_restores_classifications_and_queues() {
     let catalog = PlatformCatalog::local();
     let manager = QuasarManager::with_history(shared_history(), QuasarConfig::default());
@@ -160,76 +143,4 @@ fn failover_restores_classifications_and_queues() {
         sim.world().observation(id),
         Some(Observation::Service(_))
     ));
-}
-
-#[test]
-fn isolation_pays_off_under_heavy_contention() {
-    use quasar::cluster::{managers::NullManager, NodeAlloc, ServerId};
-    use quasar::interference::PressureVector;
-    use quasar::workloads::{Dataset, FrameworkParams, NodeResources};
-
-    let catalog = PlatformCatalog::local();
-    let mut sim = Simulation::new(
-        ClusterSpec::uniform(catalog.clone(), 1),
-        Box::new(NullManager),
-        SimConfig {
-            noise: 0.0,
-            ..SimConfig::default()
-        },
-    );
-    let mut generator = Generator::new(catalog, 0xE50);
-    let victim = generator.analytics_job(
-        WorkloadClass::Hadoop,
-        "victim",
-        Dataset::new("d", 6.0, 1.0),
-        1,
-        4_000.0,
-        Priority::Guaranteed,
-    );
-    let vid = victim.id();
-    sim.submit_at(victim, 0.0);
-    sim.run_until(10.0);
-
-    let sid = ServerId(
-        sim.world()
-            .servers()
-            .iter()
-            .max_by_key(|s| s.total_cores())
-            .unwrap()
-            .id()
-            .0,
-    );
-    sim.world_mut()
-        .place(
-            vid,
-            vec![NodeAlloc::immediate(sid, NodeResources::new(8, 16.0))],
-            FrameworkParams::default(),
-        )
-        .unwrap();
-
-    let rate_of = |sim: &mut Simulation, until: f64| -> f64 {
-        sim.run_until(until);
-        match sim.world().observation(vid) {
-            Some(Observation::Batch { rate, .. }) => rate,
-            _ => panic!("victim must be running"),
-        }
-    };
-    let clean_rate = rate_of(&mut sim, 60.0);
-
-    // A sustained iBench-style bully saturates the shared resources.
-    sim.world_mut()
-        .inject_pressure(sid, PressureVector::uniform(85.0), 1_000_000.0);
-    let noisy_rate = rate_of(&mut sim, 120.0);
-    assert!(noisy_rate < clean_rate * 0.7, "the bully must hurt");
-
-    // Partitioning halves the incoming pressure at a small overhead; under
-    // heavy contention that trade is strongly positive.
-    sim.world_mut().set_isolation(vid, true).unwrap();
-    let isolated_rate = rate_of(&mut sim, 180.0);
-    assert!(
-        isolated_rate > noisy_rate * 1.1,
-        "isolation should pay off: {noisy_rate:.2} -> {isolated_rate:.2}"
-    );
-    // But it is not free: still below the uncontended rate.
-    assert!(isolated_rate < clean_rate);
 }
