@@ -138,30 +138,6 @@ impl DenseMatrix {
         DenseMatrix::from_vec(self.cols, self.rows, data)
     }
 
-    /// Matrix product `self × rhs`.
-    ///
-    /// Accumulates `a_ik · rhs[k, ·]` into the output row slice (the
-    /// classic ikj loop order on contiguous rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul(&self, rhs: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.cols, rhs.rows, "inner dimensions must match");
-        let mut data = vec![0.0; self.rows * rhs.cols];
-        for (i, out_row) in data.chunks_exact_mut(rhs.cols).enumerate() {
-            for (k, &a) in self.row(i).iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
-                    *o += a * b;
-                }
-            }
-        }
-        DenseMatrix::from_vec(self.rows, rhs.cols, data)
-    }
-
     /// Mean of each column.
     pub fn col_means(&self) -> Vec<f64> {
         let mut means = vec![0.0; self.cols];
@@ -230,22 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_identity() {
-        let m = DenseMatrix::from_fn(3, 3, |r, c| (r * c) as f64 + 1.0);
-        let i = DenseMatrix::identity(3);
-        assert_eq!(m.matmul(&i), m);
-        assert_eq!(i.matmul(&m), m);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = DenseMatrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
-        let p = a.matmul(&b);
-        assert_eq!(p.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
     fn col_means_are_correct() {
         let m = DenseMatrix::from_vec(2, 2, vec![1.0, 10.0, 3.0, 20.0]);
         assert_eq!(m.col_means(), vec![2.0, 15.0]);
@@ -255,13 +215,5 @@ mod tests {
     #[should_panic(expected = "index out of bounds")]
     fn get_out_of_bounds_panics() {
         DenseMatrix::zeros(2, 2).get(2, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimensions must match")]
-    fn matmul_shape_mismatch_panics() {
-        let a = DenseMatrix::zeros(2, 3);
-        let b = DenseMatrix::zeros(2, 3);
-        let _ = a.matmul(&b);
     }
 }

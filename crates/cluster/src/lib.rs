@@ -53,7 +53,7 @@ pub use cluster::{ClusterSpec, ClusterState, PlaceError};
 pub use journal::{Journal, JournalEvent};
 pub use managers::{FifoGreedy, Manager};
 pub use metrics::{HeatmapSample, MetricsRecorder, UtilizationSummary};
-pub use observe::Observation;
+pub use observe::{Observation, QOS_SLACK};
 pub use placement::{NodeAlloc, Placement};
 pub use profile::{ProfileConfig, ProfileResult};
 pub use qos::{EpisodeRecord, Incident, QosCause, QosEvidence, SloTracker};

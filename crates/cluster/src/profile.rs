@@ -1,12 +1,11 @@
 //! Sandboxed profiling runs.
 
-use quasar_interference::PressureVector;
 use quasar_workloads::{FrameworkParams, NodeResources, PlatformId};
 
 /// One sandboxed profiling configuration: which platform, how much of it,
-/// how many copies, which framework parameters, and how much injected
-/// contention (paper §3.2 and §4.2 — profiling copies run in sandboxes so
-/// they are side-effect free).
+/// how many copies and which framework parameters (paper §3.2 and §4.2 —
+/// profiling copies run in quiet sandboxes so they are side-effect free;
+/// interference is measured by the world's probes instead).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileConfig {
     /// Platform to profile on.
@@ -18,8 +17,6 @@ pub struct ProfileConfig {
     pub nodes: usize,
     /// Framework parameters in force during the run.
     pub params: FrameworkParams,
-    /// Contention injected by microbenchmarks during the run.
-    pub injected_pressure: PressureVector,
 }
 
 impl ProfileConfig {
@@ -30,7 +27,6 @@ impl ProfileConfig {
             resources,
             nodes: 1,
             params: FrameworkParams::default(),
-            injected_pressure: PressureVector::zero(),
         }
     }
 
@@ -44,12 +40,6 @@ impl ProfileConfig {
     /// Sets the framework parameters (builder style).
     pub fn with_params(mut self, params: FrameworkParams) -> ProfileConfig {
         self.params = params;
-        self
-    }
-
-    /// Sets injected contention (builder style).
-    pub fn with_pressure(mut self, pressure: PressureVector) -> ProfileConfig {
-        self.injected_pressure = pressure;
         self
     }
 }
@@ -80,10 +70,10 @@ mod tests {
     fn builder_chains() {
         let c = ProfileConfig::single(PlatformId(2), NodeResources::new(4, 8.0))
             .with_nodes(3)
-            .with_pressure(PressureVector::uniform(10.0));
+            .with_params(FrameworkParams::hadoop_default());
         assert_eq!(c.nodes, 3);
         assert_eq!(c.platform, PlatformId(2));
-        assert_eq!(c.injected_pressure, PressureVector::uniform(10.0));
+        assert_eq!(c.params, FrameworkParams::hadoop_default());
     }
 
     #[test]

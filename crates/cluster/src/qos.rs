@@ -1,14 +1,15 @@
 //! The QoS violation ledger: violation *episodes* with cause
 //! attribution, and deterministic incident reports for the severe ones.
 //!
-//! [`crate::observe::Observation::on_track`] can say whether one tick
-//! met its target; this module says *when* a workload fell out of QoS,
-//! *for how long*, *how deep*, and *why* (paper §3.1/§5: Quasar monitors
-//! workload performance and adjusts allocations when needed — the ledger
-//! is how every adjustment policy gets judged). An [`SloTracker`]
-//! consumes each tick's observation plus evidence the world already has
-//! (host interference pressure, admission queue wait, rate-factor drift,
-//! cluster utilization), opens an episode on the first violating tick,
+//! [`crate::observe::Observation::violation`] says whether, and how
+//! deeply, one tick missed its target; this module says *when* a
+//! workload fell out of QoS, *for how long*, *how deep*, and *why*
+//! (paper §3.1/§5: Quasar monitors workload performance and adjusts
+//! allocations when needed — the ledger is how every adjustment
+//! policy gets judged). An [`SloTracker`] consumes each tick's
+//! observation plus evidence the world already has (host interference
+//! pressure, admission queue wait, rate-factor drift, cluster
+//! utilization), opens an episode on the first violating tick,
 //! accumulates evidence while the violation lasts, and attributes a
 //! [`QosCause`] when the episode closes. Every closed episode is
 //! journalled ([`crate::journal::JournalEvent::QosEpisode`]), counted
@@ -192,9 +193,6 @@ fn qos_metrics() -> &'static QosMetrics {
     })
 }
 
-/// Slack tolerance for on-track checks (matches the manager's
-/// `qos_slack`).
-const SLACK: f64 = 0.05;
 /// Mean rate deviation above this is straggler-grade.
 const STRAGGLER_DEVIATION: f64 = 0.6;
 /// Mean rate deviation above this attributes to calibration drift.
@@ -227,50 +225,6 @@ impl SloTracker {
         }
     }
 
-    /// How far `obs` violates `target`, as a fraction past the (slacked)
-    /// bound; `None` when on track or when the kinds mismatch (the
-    /// mismatch itself is counted by
-    /// [`Observation::on_track`]).
-    pub fn violation_depth(&self, obs: &Observation, target: &QosTarget) -> Option<f64> {
-        match (obs, target) {
-            (
-                Observation::Batch {
-                    projected_total_s, ..
-                },
-                QosTarget::CompletionTime { seconds },
-            ) => {
-                let bound = seconds * (1.0 + SLACK);
-                (*projected_total_s > bound).then(|| {
-                    if projected_total_s.is_finite() {
-                        projected_total_s / bound - 1.0
-                    } else {
-                        // A stalled job projects to infinity; report a
-                        // large-but-finite depth so sums stay meaningful.
-                        10.0
-                    }
-                })
-            }
-            (Observation::Batch { rate, .. }, QosTarget::Ips { ips }) => {
-                (*rate < *ips).then(|| 1.0 - rate / ips)
-            }
-            (Observation::Service(o), QosTarget::Throughput { p99_latency_us, .. }) => {
-                let served_short = if o.offered_qps > 0.0 {
-                    1.0 - (o.achieved_qps / o.offered_qps).min(1.0) / 0.95
-                } else {
-                    0.0
-                };
-                let latency_over = if o.p99_latency_us.is_finite() {
-                    o.p99_latency_us / p99_latency_us - 1.0
-                } else {
-                    10.0
-                };
-                let depth = served_short.max(latency_over);
-                (depth > 0.0).then_some(depth.min(10.0))
-            }
-            _ => None,
-        }
-    }
-
     /// Feeds one tick's observation plus evidence for a workload.
     /// Returns the episode closed by this tick, if any (the caller
     /// journals it).
@@ -282,7 +236,7 @@ impl SloTracker {
         target: &QosTarget,
         evidence: QosEvidence,
     ) -> Option<EpisodeRecord> {
-        match self.violation_depth(obs, target) {
+        match obs.violation(target) {
             Some(depth) => {
                 qos_metrics().violating_ticks.inc();
                 let open = self.open.entry(id).or_insert(OpenEpisode {
@@ -539,29 +493,6 @@ mod tests {
         assert_eq!(t.attribute(&e), QosCause::CalibrationDrift);
         e.rate_deviation = 0.8;
         assert_eq!(t.attribute(&e), QosCause::Straggler);
-    }
-
-    #[test]
-    fn service_depth_tracks_latency_and_shortfall() {
-        let t = tracker();
-        let target = QosTarget::throughput(1000.0, 500.0);
-        let good = Observation::Service(quasar_workloads::ServiceObservation {
-            offered_qps: 1000.0,
-            achieved_qps: 990.0,
-            mean_latency_us: 100.0,
-            p99_latency_us: 400.0,
-            utilization: 0.5,
-        });
-        assert!(t.violation_depth(&good, &target).is_none());
-        let slow = Observation::Service(quasar_workloads::ServiceObservation {
-            offered_qps: 1000.0,
-            achieved_qps: 990.0,
-            mean_latency_us: 100.0,
-            p99_latency_us: 750.0,
-            utilization: 0.5,
-        });
-        let depth = t.violation_depth(&slow, &target).expect("latency over");
-        assert!((depth - 0.5).abs() < 1e-12);
     }
 
     #[test]

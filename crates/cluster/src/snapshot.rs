@@ -21,8 +21,8 @@
 //! * measurement noise must be 0 (the RNG state is not captured; with
 //!   noise disabled the RNG is never drawn from),
 //! * only batch workloads (service QoS accounting is not serialized),
-//! * no queued phase changes, no active pressure injections, and no
-//!   phase-override interference profiles.
+//! * no queued phase changes and no phase-override interference
+//!   profiles.
 //!
 //! The manager's own state is also not captured: resume with a
 //! stateless manager (one that derives its decisions from the world,
@@ -66,11 +66,6 @@ pub fn snapshot(sim: &mut Simulation) -> io::Result<String> {
     if world.noise() > 0.0 {
         return Err(bad(
             "snapshots require noise = 0 (RNG state is not captured)".into(),
-        ));
-    }
-    if world.injections_active() {
-        return Err(bad(
-            "active pressure injections cannot be snapshotted".into()
         ));
     }
 
@@ -363,7 +358,6 @@ pub fn resume(
             offered_queries: 0.0,
             served_queries: 0.0,
             queries_meeting_qos: 0.0,
-            windows_met: 0,
             windows_total: 0,
             util_sum: 0.0,
             peak_cores,

@@ -132,8 +132,6 @@ pub struct QosRecord {
     pub served_queries: f64,
     /// Queries served within the latency bound.
     pub queries_meeting_qos: f64,
-    /// Measurement windows meeting the full QoS target.
-    pub windows_met: u64,
     /// Total measurement windows while placed.
     pub windows_total: u64,
     /// Mean utilization of allocated capacity across windows.
@@ -177,7 +175,6 @@ pub(crate) struct Entry {
     pub(crate) offered_queries: f64,
     pub(crate) served_queries: f64,
     pub(crate) queries_meeting_qos: f64,
-    pub(crate) windows_met: u64,
     pub(crate) windows_total: u64,
     pub(crate) util_sum: f64,
     pub(crate) peak_cores: u32,
@@ -205,7 +202,6 @@ impl Entry {
             offered_queries: 0.0,
             served_queries: 0.0,
             queries_meeting_qos: 0.0,
-            windows_met: 0,
             windows_total: 0,
             util_sum: 0.0,
             peak_cores: 0,
@@ -219,15 +215,6 @@ impl Entry {
             .as_ref()
             .unwrap_or_else(|| self.workload.model().interference())
     }
-}
-
-/// An active contention injection on a server (microbenchmarks used for
-/// in-place classification, phase detection, and straggler checks).
-#[derive(Debug, Clone, Copy)]
-struct Injection {
-    server: ServerId,
-    pressure: PressureVector,
-    until_s: f64,
 }
 
 /// What the world keeps for jobs after they finish.
@@ -275,7 +262,6 @@ pub struct World {
     /// produced — so per-job RNG draws happen in an identical sequence.
     pending: BTreeSet<WorkloadId>,
     running: BTreeSet<WorkloadId>,
-    injections: Vec<Injection>,
     rng: StdRng,
     noise: f64,
     metrics: MetricsRecorder,
@@ -314,7 +300,6 @@ impl World {
             entries: HashMap::new(),
             pending: BTreeSet::new(),
             running: BTreeSet::new(),
-            injections: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             noise,
             metrics: MetricsRecorder::new(metrics_interval_s),
@@ -700,16 +685,6 @@ impl World {
         Some((after / before.max(1e-9)) * noise)
     }
 
-    /// Injects sustained contention on a server for `duration_s` seconds
-    /// (a running iBench microbenchmark). Affects every workload there.
-    pub fn inject_pressure(&mut self, server: ServerId, pressure: PressureVector, duration_s: f64) {
-        self.injections.push(Injection {
-            server,
-            pressure,
-            until_s: self.now + duration_s,
-        });
-    }
-
     // ------------------------------------------------------------------
     // Results API.
     // ------------------------------------------------------------------
@@ -758,7 +733,6 @@ impl World {
                 offered_queries: e.offered_queries,
                 served_queries: e.served_queries,
                 queries_meeting_qos: e.queries_meeting_qos,
-                windows_met: e.windows_met,
                 windows_total: e.windows_total,
                 mean_utilization: if e.windows_total > 0 {
                     e.util_sum / e.windows_total as f64
@@ -974,10 +948,6 @@ impl World {
         self.retention
     }
 
-    pub(crate) fn injections_active(&self) -> bool {
-        !self.injections.is_empty()
-    }
-
     /// All entries sorted by id, for deterministic snapshot output.
     pub(crate) fn snapshot_entries(&self) -> Vec<(WorkloadId, &Entry)> {
         let mut out: Vec<_> = self.entries.iter().map(|(id, e)| (*id, e)).collect();
@@ -1119,11 +1089,6 @@ impl World {
             let share = (node.resources.cores as f64 / total_cores).min(1.0);
             pressure += entry.interference().caused().scaled(share);
         }
-        for inj in &self.injections {
-            if inj.server == server && inj.until_s > self.now {
-                pressure += inj.pressure;
-            }
-        }
         pressure
     }
 
@@ -1150,7 +1115,6 @@ impl World {
         quasar_obs::set_sim_time(self.now);
         let _span = quasar_obs::span!("cluster.world.tick");
         world_metrics().ticks.inc();
-        self.injections.retain(|inj| inj.until_s > self.now);
 
         let total_cores = self.cluster.total_cores();
         let utilization = if total_cores > 0 {
@@ -1233,9 +1197,6 @@ impl World {
                     }
                     entry.windows_total += 1;
                     entry.util_sum += obs.utilization;
-                    if obs.meets(&target) {
-                        entry.windows_met += 1;
-                    }
                     entry.last_obs = Some(Observation::Service(obs));
                 }
             }
@@ -1347,7 +1308,7 @@ impl World {
 /// Ground-truth performance value in goal units for a profiling config.
 fn ground_truth_value(entry: &Entry, platform: &Platform, config: &ProfileConfig) -> f64 {
     let allocs: Vec<(&Platform, NodeResources, PressureVector)> = (0..config.nodes)
-        .map(|_| (platform, config.resources, config.injected_pressure))
+        .map(|_| (platform, config.resources, PressureVector::zero()))
         .collect();
     match entry.workload.model() {
         PerfModel::Batch(model) => {
@@ -1759,18 +1720,6 @@ mod tests {
         .unwrap();
         let p = w.server_pressure(sid, Some(ida));
         assert!(p.total() > 0.0, "co-located workload must exert pressure");
-    }
-
-    #[test]
-    fn injected_pressure_expires() {
-        let mut w = world();
-        let sid = big_server(&w);
-        w.inject_pressure(sid, PressureVector::uniform(50.0), 7.0);
-        assert!(w.server_pressure(sid, None).total() > 0.0);
-        w.advance(5.0);
-        assert!(w.server_pressure(sid, None).total() > 0.0);
-        w.advance(5.0);
-        assert!(w.server_pressure(sid, None).is_zero());
     }
 
     #[test]

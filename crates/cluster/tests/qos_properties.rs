@@ -90,11 +90,6 @@ fn thresholds_attribute_in_priority_order() {
     let tracker = SloTracker::new(TICK_S);
     assert!(tracker.is_incident(&one_tick_episode(50.0, QosEvidence::default())));
     assert!(!tracker.is_incident(&one_tick_episode(50.5, QosEvidence::default())));
-
-    // Slack: a completion projected 5 % past its target is still on track.
-    let target = QosTarget::completion(1000.0);
-    let depth = |projected| tracker.violation_depth(&batch_obs(1.0, projected), &target);
-    assert!(depth(1049.0).is_none() && depth(1051.0).is_some());
 }
 
 proptest! {

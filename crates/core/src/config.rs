@@ -2,10 +2,10 @@
 
 use crate::similarity::SimilarityConfig;
 
-/// Tunables of the Quasar manager; defaults follow the paper. The
-/// paper's fixed constants (adaptation miss threshold, proactive sweep
-/// interval and fraction, probe QoS loss, best-effort slice) are
-/// constants of the manager itself.
+/// Tunables of the Quasar manager; defaults follow the paper. Its fixed
+/// constants (adaptation interval and miss threshold, proactive sweep
+/// interval and fraction, probe QoS loss, best-effort slice) live in the
+/// manager, and the QoS slack is [`quasar_cluster::QOS_SLACK`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuasarConfig {
     /// Profiling entries per classification row (the input-matrix density
@@ -14,11 +14,6 @@ pub struct QuasarConfig {
     /// Offline-characterized training workloads per goal kind (the paper
     /// exhaustively profiles 20–30 workload types offline).
     pub training_workloads: usize,
-    /// QoS slack: a workload within this fraction of its target counts as
-    /// on track (the paper quotes ~5% deviations).
-    pub qos_slack: f64,
-    /// Seconds between adaptation scans.
-    pub adapt_interval_s: f64,
     /// Maximum nodes the greedy scheduler will allocate to one workload.
     pub max_nodes: usize,
     /// Seed for profiling-configuration randomization.
@@ -41,8 +36,6 @@ impl Default for QuasarConfig {
         QuasarConfig {
             profiling_entries: 2,
             training_workloads: 24,
-            qos_slack: 0.05,
-            adapt_interval_s: 30.0,
             max_nodes: 32,
             seed: 0x9A5A,
             threads: 1,
@@ -52,12 +45,10 @@ impl Default for QuasarConfig {
 }
 
 impl QuasarConfig {
-    /// A configuration with smaller training pools and coarser intervals,
-    /// for fast tests.
+    /// A configuration with a smaller training pool, for fast tests.
     pub fn fast_test() -> QuasarConfig {
         QuasarConfig {
             training_workloads: 8,
-            adapt_interval_s: 15.0,
             ..QuasarConfig::default()
         }
     }
@@ -67,13 +58,15 @@ impl QuasarConfig {
 mod tests {
     use super::*;
     use crate::manager::{
-        MISS_THRESHOLD, PROACTIVE_FRACTION, PROACTIVE_INTERVAL_S, PROBE_QOS_LOSS,
+        ADAPT_INTERVAL_S, MISS_THRESHOLD, PROACTIVE_FRACTION, PROACTIVE_INTERVAL_S, PROBE_QOS_LOSS,
     };
 
     #[test]
     fn defaults_match_paper_constants() {
         let c = QuasarConfig::default();
         assert_eq!(c.profiling_entries, 2);
+        assert_eq!(ADAPT_INTERVAL_S, 30.0);
+        assert_eq!(quasar_cluster::QOS_SLACK, 0.05);
         assert_eq!(MISS_THRESHOLD, 2);
         assert_eq!(PROACTIVE_INTERVAL_S, 600.0);
         assert!((PROACTIVE_FRACTION - 0.2).abs() < 1e-12);

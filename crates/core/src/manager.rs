@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::{Rng, SeedableRng};
 
-use quasar_cluster::{Manager, NodeAlloc, Observation, Server, ServerId, World};
+use quasar_cluster::{Manager, NodeAlloc, Observation, Server, ServerId, World, QOS_SLACK};
 use quasar_interference::{penalty_for, PressureVector};
 use quasar_workloads::{FrameworkParams, NodeResources, PlatformCatalog, QosTarget, WorkloadId};
 
@@ -21,6 +21,8 @@ use crate::ordering::desirability;
 use crate::profile::Profiler;
 use crate::similarity::SimilarityIndex;
 
+/// Seconds between adaptation scans.
+pub(crate) const ADAPT_INTERVAL_S: f64 = 30.0;
 /// Consecutive off-track observations before adaptation kicks in.
 pub(crate) const MISS_THRESHOLD: u32 = 2;
 /// Seconds between proactive phase-detection sweeps (10 min in §4.1).
@@ -325,7 +327,7 @@ impl QuasarManager {
             }
             let tenant_pressure = self.estimated_pressure(world, sid, Some(tenant)) + added;
             let penalty = penalty_for(&state.class.tolerated, &tenant_pressure);
-            if penalty < 1.0 - self.config.qos_slack {
+            if penalty < 1.0 - QOS_SLACK {
                 victim_factor = victim_factor.min(penalty.max(0.05));
             }
         }
@@ -562,11 +564,11 @@ impl QuasarManager {
             };
             self.feedback_calibrate(world, id);
             let target = world.spec(id).target;
-            let on_track = obs.on_track(&target, self.config.qos_slack);
+            let in_qos = obs.violation(&target).is_none();
             let overprovisioned = is_overprovisioned(&obs, &target);
 
             let state = self.states.get_mut(&id).expect("checked above");
-            if on_track {
+            if in_qos {
                 state.misses = 0;
                 if overprovisioned {
                     state.headroom_ticks += 1;
@@ -1080,7 +1082,7 @@ impl Manager for QuasarManager {
     }
 
     fn on_tick(&mut self, world: &mut World) {
-        if world.now() - self.last_adapt_s >= self.config.adapt_interval_s {
+        if world.now() - self.last_adapt_s >= ADAPT_INTERVAL_S {
             self.last_adapt_s = world.now();
             self.adapt_all(world);
             self.try_place_all_pending(world);

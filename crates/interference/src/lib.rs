@@ -13,34 +13,31 @@
 //! * [`InterferenceProfile`] — per-workload *tolerated* and *caused*
 //!   pressure, plus the slowdown law that converts external pressure into a
 //!   performance penalty.
-//! * [`Microbenchmark`] — a synthetic contention source that generates
-//!   pressure in exactly one resource at a tunable intensity, used by the
-//!   profiler for interference classification and in-place phase detection.
 //!
 //! # Examples
 //!
 //! ```
-//! use quasar_interference::{InterferenceProfile, Microbenchmark, PressureVector, SharedResource};
+//! use quasar_interference::{InterferenceProfile, PressureVector, SharedResource};
 //!
 //! // A workload that tolerates little LLC pressure.
 //! let mut tolerated = PressureVector::uniform(80.0);
 //! tolerated.set(SharedResource::LlcCapacity, 20.0);
 //! let profile = InterferenceProfile::new(tolerated, PressureVector::uniform(10.0));
 //!
-//! let bench = Microbenchmark::new(SharedResource::LlcCapacity, 60.0);
-//! let penalty = profile.penalty(&bench.caused_pressure());
+//! // An iBench-style probe: 60 % pressure in the LLC, none elsewhere.
+//! let mut probe = PressureVector::zero();
+//! probe.set(SharedResource::LlcCapacity, 60.0);
+//! let penalty = profile.penalty(&probe);
 //! assert!(penalty < 1.0, "pressure above tolerance must slow the workload down");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod microbench;
 mod pressure;
 mod profile;
 mod resource;
 
-pub use microbench::Microbenchmark;
 pub use pressure::PressureVector;
 pub use profile::{penalty_for, InterferenceProfile};
 pub use resource::SharedResource;

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use quasar_interference::{
-    penalty_for, InterferenceProfile, Microbenchmark, PressureVector, SharedResource,
-};
+use quasar_interference::{penalty_for, InterferenceProfile, PressureVector, SharedResource};
 
 fn pressure_vec() -> impl Strategy<Value = PressureVector> {
     proptest::collection::vec(0.0..100.0f64, 10)
@@ -60,14 +58,5 @@ proptest! {
                 prop_assert!((0.0..=100.0).contains(&x));
             }
         }
-    }
-
-    /// A microbenchmark pressures exactly one resource at its intensity.
-    #[test]
-    fn microbenchmark_is_single_resource(idx in 0usize..10, intensity in 0.0..100.0f64) {
-        let bench = Microbenchmark::new(SharedResource::from_index(idx), intensity);
-        let p = bench.caused_pressure();
-        prop_assert!((p.total() - intensity).abs() < 1e-12);
-        prop_assert!((p.get(bench.resource()) - intensity).abs() < 1e-12);
     }
 }

@@ -7,7 +7,6 @@ use quasar_interference::{InterferenceProfile, PressureVector};
 use crate::dataset::Dataset;
 use crate::model::{platform_speed, NodeResources};
 use crate::platform::{Platform, LATENT_DIM};
-use crate::target::QosTarget;
 
 /// Latency multiplier applied when a service is driven past saturation.
 const OVERLOAD_LATENCY_FACTOR: f64 = 60.0;
@@ -40,22 +39,6 @@ impl ServiceObservation {
             mean_latency_us: f64::INFINITY,
             p99_latency_us: f64::INFINITY,
             utilization: 1.0,
-        }
-    }
-
-    /// Whether this window met a throughput + tail-latency target.
-    ///
-    /// Follows the paper's accounting: the fraction of queries meeting QoS
-    /// is tracked per window; a window counts as meeting QoS when it
-    /// served the offered load (to within measurement tolerance — achieved
-    /// throughput is a noisy measurement) within the latency bound.
-    pub fn meets(&self, target: &QosTarget) -> bool {
-        match *target {
-            QosTarget::Throughput { p99_latency_us, .. } => {
-                self.achieved_qps >= self.offered_qps * 0.95
-                    && self.p99_latency_us <= p99_latency_us
-            }
-            QosTarget::CompletionTime { .. } | QosTarget::Ips { .. } => false,
         }
     }
 }
@@ -369,40 +352,10 @@ mod tests {
     }
 
     #[test]
-    fn meets_checks_both_throughput_and_latency() {
-        let target = QosTarget::throughput(1000.0, 500.0);
-        let good = ServiceObservation {
-            offered_qps: 1000.0,
-            achieved_qps: 1000.0,
-            mean_latency_us: 100.0,
-            p99_latency_us: 400.0,
-            utilization: 0.5,
-        };
-        assert!(good.meets(&target));
-        let slow = ServiceObservation {
-            p99_latency_us: 900.0,
-            ..good
-        };
-        assert!(!slow.meets(&target));
-        let dropped = ServiceObservation {
-            achieved_qps: 500.0,
-            ..good
-        };
-        assert!(!dropped.meets(&target));
-        // Small measurement noise on achieved throughput is tolerated.
-        let noisy = ServiceObservation {
-            achieved_qps: 970.0,
-            ..good
-        };
-        assert!(noisy.meets(&target));
-    }
-
-    #[test]
     fn starved_observation_is_infinite_latency() {
         let m = memcached(7);
         let obs = m.observe(100.0, &[]);
         assert_eq!(obs.achieved_qps, 0.0);
         assert!(obs.p99_latency_us.is_infinite());
-        assert!(!obs.meets(&QosTarget::throughput(100.0, 1e9)));
     }
 }
