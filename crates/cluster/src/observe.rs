@@ -199,6 +199,22 @@ mod tests {
     }
 
     #[test]
+    fn batch_on_track_respects_slack() {
+        let target = QosTarget::completion(1000.0);
+        assert!(batch(1.0, 1040.0).violation(&target).is_none());
+        let depth = batch(1.0, 1071.0).violation(&target).expect("past slack");
+        assert!((depth - 0.02).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ips_on_track_is_a_floor() {
+        let obs = batch(90.0, 100.0);
+        assert!(obs.violation(&QosTarget::ips(90.0)).is_none());
+        assert!(obs.violation(&QosTarget::ips(85.0)).is_none());
+        assert!(obs.violation(&QosTarget::ips(92.0)).is_some());
+    }
+
+    #[test]
     #[cfg_attr(
         debug_assertions,
         should_panic(expected = "observation/target kind mismatch")

@@ -460,6 +460,31 @@ mod tests {
     }
 
     #[test]
+    fn service_depth_tracks_latency_and_shortfall() {
+        let target = QosTarget::throughput(1000.0, 500.0);
+        let window = |achieved_qps, p99_latency_us| {
+            Observation::Service(quasar_workloads::ServiceObservation {
+                offered_qps: 1000.0,
+                achieved_qps,
+                mean_latency_us: 100.0,
+                p99_latency_us,
+                utilization: 0.5,
+            })
+        };
+        let peak = |obs: Observation| {
+            let mut t = tracker();
+            let id = WorkloadId(3);
+            t.observe(0.0, id, &obs, &target, QosEvidence::default());
+            t.terminate(id, 5.0).map(|e| e.peak_depth)
+        };
+        assert!(peak(window(990.0, 400.0)).is_none());
+        let slow = peak(window(990.0, 750.0)).expect("latency over");
+        assert!((slow - 0.5).abs() < 1e-12);
+        let short = peak(window(855.0, 400.0)).expect("served short");
+        assert!((short - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
     fn terminate_closes_open_episode_once() {
         let mut t = tracker();
         let id = WorkloadId(2);
