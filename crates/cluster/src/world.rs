@@ -1672,6 +1672,50 @@ mod tests {
         assert_eq!(w.used_cores(), 0);
     }
 
+    /// A pending workload holds no slice anywhere, whether it was only
+    /// submitted or evicted back to the queue: managers estimate a
+    /// server's pressure once for every queued job on that invariant.
+    #[test]
+    fn pending_workloads_hold_no_slice() {
+        let mut w = world();
+        let mut generator = Generator::new(PlatformCatalog::local(), 4);
+        let mut job = |name: &str| {
+            generator.analytics_job(
+                WorkloadClass::Hadoop,
+                name,
+                quasar_workloads::Dataset::new("d", 10.0, 1.0),
+                2,
+                600.0,
+                Priority::Guaranteed,
+            )
+        };
+        let (placed, queued) = (job("placed"), job("queued"));
+        let (a, b) = (placed.id(), queued.id());
+        w.submit(placed);
+        w.submit(queued);
+        let holds_a_slice = |w: &World, id| {
+            w.servers()
+                .iter()
+                .any(|s| w.workloads_on(s.id()).contains(&id))
+        };
+        assert!(w.placement(b).is_none());
+        assert!(!holds_a_slice(&w, b), "a submitted workload is on a server");
+        let sid = big_server(&w);
+        w.place(
+            a,
+            vec![NodeAlloc::immediate(sid, NodeResources::new(4, 8.0))],
+            FrameworkParams::default(),
+        )
+        .unwrap();
+        assert!(holds_a_slice(&w, a));
+        w.advance(5.0);
+        w.evict(a, true);
+        assert_eq!(w.state(a), JobState::Pending);
+        assert!(w.placement(a).is_none());
+        assert!(!holds_a_slice(&w, a), "an evicted workload is on a server");
+        assert!(!holds_a_slice(&w, b));
+    }
+
     #[test]
     fn colocation_creates_pressure() {
         let mut w = world();

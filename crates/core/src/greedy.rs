@@ -39,6 +39,15 @@ pub struct CandidateServer {
     pub hourly_price: f64,
 }
 
+impl CandidateServer {
+    /// Whether the server has room for the smallest slice the planner
+    /// considers (one core, 1 GB); the planner ignores every other
+    /// candidate.
+    pub(crate) fn has_room(&self) -> bool {
+        self.free_cores >= 1 && self.free_memory_gb >= 1.0
+    }
+}
+
 /// The scheduler's output: per-server slices, chosen framework-parameter
 /// column, and the performance prediction.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,10 +134,8 @@ impl GreedyScheduler {
 
         // Rank candidates by quality: estimated platform speed on a quiet
         // node, degraded by estimated interference and victim impact.
-        let mut ranked: Vec<&CandidateServer> = candidates
-            .iter()
-            .filter(|c| c.free_cores >= 1 && c.free_memory_gb >= 1.0)
-            .collect();
+        let mut ranked: Vec<&CandidateServer> =
+            candidates.iter().filter(|c| c.has_room()).collect();
         if ranked.is_empty() {
             return None;
         }

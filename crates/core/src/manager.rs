@@ -76,6 +76,10 @@ pub struct ManagerSnapshot {
     pending: Vec<WorkloadId>,
     pending_best_effort: Vec<WorkloadId>,
     stats: ManagerStats,
+    /// When the last adaptation scan and proactive sweep ran, so that a
+    /// standby keeps the primary's monitoring schedule.
+    last_adapt_s: f64,
+    last_proactive_s: f64,
 }
 
 #[derive(Clone)]
@@ -109,6 +113,7 @@ impl ManagerSnapshot {
             })
             .sum::<usize>()
             + (self.pending.len() + self.pending_best_effort.len()) * 8
+            + 2 * 8
     }
 }
 
@@ -132,6 +137,10 @@ pub struct QuasarManager {
     /// quantized profile duplicates a cached one reuses its
     /// classification.
     similarity: Option<SimilarityIndex>,
+    /// Test hook: when set, every plan of a pending job checks the shared
+    /// view's candidate list against a freshly built one.
+    #[cfg(test)]
+    view_audit: Option<tests::ViewAudit>,
 }
 
 impl QuasarManager {
@@ -160,6 +169,8 @@ impl QuasarManager {
                 .similarity
                 .enabled
                 .then(|| SimilarityIndex::new(config.similarity)),
+            #[cfg(test)]
+            view_audit: None,
             history,
             config,
         }
@@ -215,13 +226,15 @@ impl QuasarManager {
             pending: self.pending.iter().copied().collect(),
             pending_best_effort: self.pending_best_effort.iter().copied().collect(),
             stats: self.stats(),
+            last_adapt_s: self.last_adapt_s,
+            last_proactive_s: self.last_proactive_s,
         }
     }
 
     /// Builds a hot-standby manager from a snapshot. It resumes with the
-    /// same classifications, queues, and counters; transient monitoring
-    /// state (miss counters) restarts cleanly, as it would on a real
-    /// failover.
+    /// same classifications, queues, counters and monitoring schedule;
+    /// transient monitoring state (miss counters) restarts cleanly, as it
+    /// would on a real failover.
     pub fn restore(
         history: HistorySet,
         config: QuasarConfig,
@@ -245,12 +258,31 @@ impl QuasarManager {
         manager.pending = snapshot.pending.iter().copied().collect();
         manager.pending_best_effort = snapshot.pending_best_effort.iter().copied().collect();
         *manager.stats_mut() = snapshot.stats;
+        manager.last_adapt_s = snapshot.last_adapt_s;
+        manager.last_proactive_s = snapshot.last_proactive_s;
         manager
     }
 
     // ------------------------------------------------------------------
     // Pressure and candidate estimation.
     // ------------------------------------------------------------------
+
+    /// The classified pressure each placed workload on a server adds to
+    /// it, in tenant order: its caused-pressure vector scaled by its core
+    /// share of the server.
+    fn pressure_terms<'a>(
+        &'a self,
+        world: &'a World,
+        server: ServerId,
+    ) -> impl Iterator<Item = (WorkloadId, PressureVector)> + 'a {
+        let total_cores = world.server(server).total_cores() as f64;
+        world.workloads_on(server).iter().filter_map(move |&id| {
+            let state = self.states.get(&id)?;
+            let node = world.placement(id)?.node_on(server)?;
+            let share = (node.resources.cores as f64 / total_cores).min(1.0);
+            Some((id, state.class.caused.scaled(share)))
+        })
+    }
 
     /// Estimated external pressure on a server from the *classified*
     /// caused-pressure vectors of the workloads the manager placed there
@@ -261,87 +293,62 @@ impl QuasarManager {
         server: ServerId,
         exclude: Option<WorkloadId>,
     ) -> PressureVector {
-        let total_cores = world.server(server).total_cores() as f64;
-        let mut pressure = PressureVector::zero();
-        for &id in world.workloads_on(server) {
-            if Some(id) == exclude {
-                continue;
-            }
-            let Some(state) = self.states.get(&id) else {
-                continue;
-            };
-            let Some(placement) = world.placement(id) else {
-                continue;
-            };
-            let Some(node) = placement.node_on(server) else {
-                continue;
-            };
-            let share = (node.resources.cores as f64 / total_cores).min(1.0);
-            pressure += state.class.caused.scaled(share);
-        }
-        pressure
+        sum_pressure(self.pressure_terms(world, server), exclude)
     }
 
-    /// Builds the candidate-server list for scheduling workload `for_id`.
-    fn candidates(&self, world: &World, for_id: WorkloadId) -> Vec<CandidateServer> {
-        let caused = self
-            .states
-            .get(&for_id)
-            .map(|s| s.class.caused)
-            .unwrap_or_else(PressureVector::zero);
-        world
-            .servers()
-            .iter()
-            .map(|server| self.candidate_for(world, server, for_id, &caused))
-            .collect()
-    }
-
-    fn candidate_for(
-        &self,
-        world: &World,
-        server: &Server,
-        for_id: WorkloadId,
-        caused: &PressureVector,
-    ) -> CandidateServer {
-        let sid = server.id();
-        // Safety factor on the estimated pressure: classification errors
-        // on tolerances/caused pressure are amplified by the multiplicative
-        // penalty law, so plan against a pessimistic view of contention.
-        let pressure = self
-            .estimated_pressure(world, sid, Some(for_id))
-            .scaled(1.25);
-        // Victim check: would our pressure push an existing guaranteed
-        // tenant past its classified tolerance? Assume a half-server
-        // footprint before sizing.
-        let added = caused.scaled(0.5);
-        let mut victim_factor = 1.0_f64;
-        for &tenant in world.workloads_on(sid) {
-            if tenant == for_id {
-                continue;
+    /// Builds the manager's view of every server for scheduling: what is
+    /// free there, what the incoming workload would feel, and what each
+    /// guaranteed tenant tolerates. `exclude` is a placed workload being
+    /// grown elsewhere (`adapt_up`); its own slices neither add pressure
+    /// nor count as a tenant to protect. A pending workload holds no
+    /// slice, so a view built with `exclude = None` serves every queued
+    /// job until the world changes.
+    fn server_view(&self, world: &World, exclude: Option<WorkloadId>) -> ServerView {
+        let axes = self.history.axes();
+        let all = world.servers();
+        let tenants_on = |server: &Server| world.workloads_on(server.id()).len();
+        let mut servers = Vec::with_capacity(all.len());
+        let mut tenants = Vec::with_capacity(all.iter().map(tenants_on).sum());
+        let mut terms = Vec::with_capacity(all.iter().map(tenants_on).max().unwrap_or(0));
+        for server in all {
+            let sid = server.id();
+            terms.clear();
+            terms.extend(self.pressure_terms(world, sid));
+            let first_tenant = tenants.len();
+            for &tenant in world.workloads_on(sid) {
+                if Some(tenant) == exclude {
+                    continue;
+                }
+                let Some(state) = self.states.get(&tenant) else {
+                    continue;
+                };
+                if world.spec(tenant).is_best_effort() {
+                    continue;
+                }
+                let others = sum_pressure(terms.iter().copied(), Some(tenant));
+                tenants.push((state.class.tolerated, others));
             }
-            let Some(state) = self.states.get(&tenant) else {
-                continue;
-            };
-            if world.spec(tenant).is_best_effort() {
-                continue;
-            }
-            let tenant_pressure = self.estimated_pressure(world, sid, Some(tenant)) + added;
-            let penalty = penalty_for(&state.class.tolerated, &tenant_pressure);
-            if penalty < 1.0 - QOS_SLACK {
-                victim_factor = victim_factor.min(penalty.max(0.05));
-            }
+            servers.push(ViewedServer {
+                candidate: CandidateServer {
+                    server: sid.0,
+                    platform_index: axes.platform_index(server.platform()),
+                    free_cores: server.free_cores(),
+                    free_memory_gb: server.free_memory_gb(),
+                    // Safety factor on the estimated pressure:
+                    // classification errors on tolerances/caused pressure
+                    // are amplified by the multiplicative penalty law, so
+                    // plan against a pessimistic view of contention.
+                    pressure: sum_pressure(terms.iter().copied(), exclude).scaled(1.25),
+                    victim_factor: 1.0,
+                    hourly_price: world.platform_of(sid).price_per_hour(),
+                },
+                tenants: first_tenant..tenants.len(),
+            });
         }
-        CandidateServer {
-            server: sid.0,
-            platform_index: self
-                .history
-                .axes()
-                .platform_index(world.server(sid).platform()),
-            free_cores: server.free_cores(),
-            free_memory_gb: server.free_memory_gb(),
-            pressure,
-            victim_factor,
-            hourly_price: world.platform_of(sid).price_per_hour(),
+        ServerView {
+            servers,
+            tenants,
+            utilization: world.used_cores() as f64 / world.total_cores() as f64,
         }
     }
 
@@ -349,25 +356,22 @@ impl QuasarManager {
     // Placement.
     // ------------------------------------------------------------------
 
-    /// Attempts to place a classified guaranteed workload. Returns whether
-    /// a placement was committed.
-    fn try_place_guaranteed(&mut self, world: &mut World, id: WorkloadId, force: bool) -> bool {
-        let target = world.spec(id).target;
-        let axes = self.history.axes().clone();
+    /// Attempts to place a classified, pending guaranteed workload.
+    /// Returns whether a placement was committed. `view` is the admission
+    /// pass's server view: built here if absent, and dropped whenever this
+    /// call changes the world (an eviction or a committed placement).
+    fn try_place_guaranteed(
+        &mut self,
+        world: &mut World,
+        id: WorkloadId,
+        force: bool,
+        view: &mut Option<ServerView>,
+    ) -> bool {
         let Some(state) = self.states.get(&id) else {
             return false;
         };
-        let class = state.class.clone();
         let wall = state.profiling_wall_s;
-
-        let budget = world.spec(id).cost_limit_per_hour;
-        let mut plan = self.scheduler.plan_with_budget(
-            &axes,
-            &class,
-            &target,
-            &self.candidates(world, id),
-            budget,
-        );
+        let mut plan = self.plan_pending(world, id, view);
 
         // If the plan misses the target, try reclaiming best-effort
         // capacity server by server (best-effort jobs "may be migrated or
@@ -377,13 +381,8 @@ impl QuasarManager {
             if !self.evict_best_effort_somewhere(world) {
                 break;
             }
-            plan = self.scheduler.plan_with_budget(
-                &axes,
-                &class,
-                &target,
-                &self.candidates(world, id),
-                budget,
-            );
+            *view = None;
+            plan = self.plan_pending(world, id, view);
             attempts += 1;
         }
 
@@ -395,15 +394,57 @@ impl QuasarManager {
             // a cluster with headroom the plan is already close to the
             // best this hardware can do, so commit it and let monitoring,
             // feedback calibration, and adaptation close the gap (§4.1).
-            let utilization = world.used_cores() as f64 / world.total_cores() as f64;
-            if utilization > 0.75 {
+            if self.view(world, view).utilization > 0.75 {
                 return false;
             }
         }
         if !plan.meets {
             self.stats_mut().degraded_placements += 1;
         }
+        *view = None;
         self.commit(world, id, &plan, wall)
+    }
+
+    /// The pass's server view, built on first use.
+    fn view<'v>(&self, world: &World, view: &'v mut Option<ServerView>) -> &'v ServerView {
+        view.get_or_insert_with(|| self.server_view(world, None))
+    }
+
+    /// Plans a pending, classified workload against the pass's view.
+    fn plan_pending(
+        &self,
+        world: &World,
+        id: WorkloadId,
+        view: &mut Option<ServerView>,
+    ) -> Option<AllocationPlan> {
+        debug_assert!(
+            world.placement(id).is_none(),
+            "only pending jobs share a view"
+        );
+        let class = &self.states[&id].class;
+        #[cfg(test)]
+        let reused = view.is_some();
+        let candidates = self
+            .view(world, view)
+            .candidates(&class.caused, CandidateServer::has_room);
+        #[cfg(test)]
+        if let Some(audit) = &self.view_audit {
+            audit.check(
+                &candidates,
+                &self
+                    .server_view(world, None)
+                    .candidates(&class.caused, CandidateServer::has_room),
+                reused,
+            );
+        }
+        let spec = world.spec(id);
+        self.scheduler.plan_with_budget(
+            self.history.axes(),
+            class,
+            &spec.target,
+            &candidates,
+            spec.cost_limit_per_hour,
+        )
     }
 
     /// Commits a plan through the world, delaying activation by the
@@ -521,8 +562,21 @@ impl QuasarManager {
         now - self.states.get(&id).map(|s| s.pending_since).unwrap_or(now)
     }
 
+    /// Whether an adaptation scan is due at `now`.
+    fn adapt_due(&self, now: f64) -> bool {
+        now - self.last_adapt_s >= ADAPT_INTERVAL_S
+    }
+
+    /// Whether a proactive phase-detection sweep is due at `now`.
+    fn proactive_due(&self, now: f64) -> bool {
+        now - self.last_proactive_s >= PROACTIVE_INTERVAL_S
+    }
+
+    /// Re-plans the pending queue in FIFO order against one server view,
+    /// rebuilt only after an attempt changed the world.
     fn try_place_all_pending(&mut self, world: &mut World) {
         let mut still_pending = VecDeque::new();
+        let mut view = None;
         while let Some(id) = self.pending.pop_front() {
             if world.state(id) != quasar_cluster::JobState::Pending {
                 continue;
@@ -533,9 +587,8 @@ impl QuasarManager {
             // has headroom; on a saturated cluster the job keeps waiting
             // for completions ("wait time due to admission control counts
             // towards scheduling overheads", §5).
-            let utilization = world.used_cores() as f64 / world.total_cores() as f64;
-            let force = waited > 180.0 && utilization < 0.85;
-            if !self.try_place_guaranteed(world, id, force) {
+            let force = waited > 180.0 && self.view(world, &mut view).utilization < 0.85;
+            if !self.try_place_guaranteed(world, id, force, &mut view) {
                 still_pending.push_back(id);
             }
         }
@@ -680,7 +733,7 @@ impl QuasarManager {
         let class_is_single = class.scale_out_speed.is_none();
         if class_is_single {
             world.evict(id, true);
-            if !self.try_place_guaranteed(world, id, true) {
+            if !self.try_place_guaranteed(world, id, true, &mut None) {
                 if let Some(state) = self.states.get_mut(&id) {
                     state.pending_since = world.now();
                 }
@@ -696,11 +749,11 @@ impl QuasarManager {
             if added >= 3 {
                 return;
             }
-            let candidates: Vec<CandidateServer> = self
-                .candidates(world, id)
-                .into_iter()
-                .filter(|c| !used.contains(&c.server) && c.free_cores >= 2)
-                .collect();
+            let candidates = self
+                .server_view(world, Some(id))
+                .candidates(&class.caused, |c| {
+                    !used.contains(&c.server) && c.free_cores >= 2
+                });
             let best = candidates.iter().max_by(|a, b| {
                 let qa = est.hetero_factor(a.platform_index)
                     * est.penalty(&a.pressure)
@@ -1007,6 +1060,73 @@ impl QuasarManager {
     }
 }
 
+/// The sum of a server's pressure terms, in order, leaving one workload
+/// out.
+fn sum_pressure(
+    terms: impl Iterator<Item = (WorkloadId, PressureVector)>,
+    exclude: Option<WorkloadId>,
+) -> PressureVector {
+    let mut pressure = PressureVector::zero();
+    for (id, term) in terms {
+        if Some(id) != exclude {
+            pressure += term;
+        }
+    }
+    pressure
+}
+
+/// The manager's estimate of every server at one moment (§3.3's
+/// candidate ranking inputs), built once and shared by every plan until
+/// the world changes. Only the victim check depends on the incoming
+/// workload, so a candidate list costs one penalty per guaranteed tenant.
+struct ServerView {
+    servers: Vec<ViewedServer>,
+    /// `(tolerated, pressure from everything but that tenant)` of each
+    /// guaranteed tenant, server after server.
+    tenants: Vec<(PressureVector, PressureVector)>,
+    /// Cluster core utilization, which the admission gate reads.
+    utilization: f64,
+}
+
+struct ViewedServer {
+    /// The server as a candidate, before the victim check
+    /// (`victim_factor` 1.0).
+    candidate: CandidateServer,
+    /// This server's range of [`ServerView::tenants`].
+    tenants: std::ops::Range<usize>,
+}
+
+impl ServerView {
+    /// The candidate list for a workload that causes `caused`, over the
+    /// servers that pass `keep`. Victim check: would that pressure push an
+    /// existing guaranteed tenant past its classified tolerance? Assume a
+    /// half-server footprint before sizing.
+    fn candidates(
+        &self,
+        caused: &PressureVector,
+        keep: impl Fn(&CandidateServer) -> bool,
+    ) -> Vec<CandidateServer> {
+        let added = caused.scaled(0.5);
+        // Sized for every server up front: a filtered `collect` would
+        // regrow it step by step on every plan.
+        let mut candidates = Vec::with_capacity(self.servers.len());
+        candidates.extend(self.servers.iter().filter(|s| keep(&s.candidate)).map(|s| {
+            let mut victim_factor = 1.0_f64;
+            for (tolerated, others) in &self.tenants[s.tenants.clone()] {
+                let penalty = penalty_for(tolerated, &(*others + added));
+                if penalty < 1.0 - QOS_SLACK {
+                    victim_factor = victim_factor.min(penalty.max(0.05));
+                }
+            }
+            CandidateServer {
+                victim_factor,
+                ..s.candidate
+            }
+        }));
+        candidates
+    }
+}
+
 /// Whether an observation shows enough headroom to reclaim resources.
 fn is_overprovisioned(obs: &Observation, target: &QosTarget) -> bool {
     match (obs, target) {
@@ -1076,19 +1196,19 @@ impl Manager for QuasarManager {
             self.fill_best_effort(world);
             return;
         }
-        if !self.try_place_guaranteed(world, id, false) {
+        if !self.try_place_guaranteed(world, id, false, &mut None) {
             self.pending.push_back(id);
         }
     }
 
     fn on_tick(&mut self, world: &mut World) {
-        if world.now() - self.last_adapt_s >= ADAPT_INTERVAL_S {
+        if self.adapt_due(world.now()) {
             self.last_adapt_s = world.now();
             self.adapt_all(world);
             self.try_place_all_pending(world);
             self.fill_best_effort(world);
         }
-        if world.now() - self.last_proactive_s >= PROACTIVE_INTERVAL_S {
+        if self.proactive_due(world.now()) {
             self.last_proactive_s = world.now();
             self.proactive_sweep(world);
         }
@@ -1104,7 +1224,7 @@ impl Manager for QuasarManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     use quasar_cluster::{ClusterSpec, JobState, SimConfig, Simulation};
@@ -1187,6 +1307,9 @@ mod tests {
         manager.pending.extend([WorkloadId(2), WorkloadId(0)]);
         manager.pending_best_effort.push_back(WorkloadId(1));
         manager.stats_mut().adaptations = 7;
+        // The primary last adapted at 4,980 s and swept at 4,800 s.
+        manager.last_adapt_s = 4_980.0;
+        manager.last_proactive_s = 4_800.0;
 
         let snap = manager.snapshot();
         let standby =
@@ -1214,6 +1337,19 @@ mod tests {
             standby.pending_wait_s(100.0, WorkloadId(2)),
             manager.pending_wait_s(100.0, WorkloadId(2))
         );
+        // Same monitoring schedule: a standby taking over at 5,000 s
+        // adapts next at 5,010 s and sweeps at 5,400 s, as the primary
+        // would have, not on its first tick.
+        for now in [5_000.0, 5_009.0, 5_010.0, 5_399.0, 5_400.0] {
+            assert_eq!(standby.adapt_due(now), manager.adapt_due(now), "{now}");
+            assert_eq!(
+                standby.proactive_due(now),
+                manager.proactive_due(now),
+                "{now}"
+            );
+        }
+        assert!(!standby.adapt_due(5_000.0) && !standby.proactive_due(5_000.0));
+        assert!(standby.adapt_due(5_010.0) && standby.proactive_due(5_400.0));
     }
 
     #[test]
@@ -1332,6 +1468,67 @@ mod tests {
         fn needs_idle_ticks(&self) -> bool {
             self.0.borrow().needs_idle_ticks()
         }
+    }
+
+    /// Checks each shared-view candidate list against a fresh view.
+    #[derive(Default)]
+    pub(super) struct ViewAudit {
+        plans: Cell<usize>,
+        reused: Cell<usize>,
+    }
+
+    impl ViewAudit {
+        pub(super) fn check(
+            &self,
+            shared: &[CandidateServer],
+            fresh: &[CandidateServer],
+            reused: bool,
+        ) {
+            assert_eq!(shared, fresh, "plan {} read a stale view", self.plans.get());
+            self.plans.set(self.plans.get() + 1);
+            self.reused.set(self.reused.get() + usize::from(reused));
+        }
+    }
+
+    /// Overloaded: more guaranteed jobs than the cluster holds, next to
+    /// best-effort fill that admission evicts. Every plan of a queued job
+    /// sees exactly the candidates a view built at that moment would give
+    /// it, though most plans share a view built earlier in their pass.
+    #[test]
+    fn queued_jobs_plan_against_an_exact_server_view() {
+        let catalog = PlatformCatalog::local();
+        let mut manager = QuasarManager::bootstrap(&catalog, QuasarConfig::fast_test());
+        manager.view_audit = Some(ViewAudit::default());
+        let manager = Rc::new(RefCell::new(manager));
+        let mut sim = Simulation::new(
+            ClusterSpec::uniform(catalog.clone(), 1),
+            Box::new(Shared(Rc::clone(&manager))),
+            SimConfig::default(),
+        );
+        let mut generator = Generator::new(catalog, 31);
+        for (i, job) in generator.best_effort_fill(6).into_iter().enumerate() {
+            sim.submit_at(job, i as f64);
+        }
+        for i in 0..12 {
+            let job = generator.analytics_job(
+                WorkloadClass::Spark,
+                format!("s{i}"),
+                Dataset::new("d", 6.0, 1.0),
+                2,
+                400.0,
+                Priority::Guaranteed,
+            );
+            sim.submit_at(job, 10.0 + i as f64 * 5.0);
+        }
+        sim.run_until(6_000.0);
+        let manager = manager.borrow();
+        let audit = manager.view_audit.as_ref().expect("set above");
+        assert!(
+            audit.reused.get() >= 10,
+            "{} shared plans",
+            audit.reused.get()
+        );
+        assert!(manager.stats().evictions > 0, "no reclaim ran");
     }
 
     /// On a stream without duplicates every lookup misses, and a miss is
