@@ -62,6 +62,7 @@ const AUTOSCALE_COOLDOWN_S: f64 = 60.0;
 /// assert_eq!(manager.name(), "reservation+ll");
 /// # let _ = manager;
 /// ```
+#[derive(Clone)]
 pub struct BaselineManager {
     name: String,
     alloc: AllocationPolicy,
@@ -378,6 +379,10 @@ impl Manager for BaselineManager {
             p.remove(id);
         }
         self.retry_pending(world);
+    }
+
+    fn fork(&self) -> Option<Box<dyn Manager>> {
+        Some(Box::new(self.clone()))
     }
 }
 

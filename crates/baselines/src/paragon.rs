@@ -29,7 +29,7 @@ pub struct ParagonClass {
 }
 
 /// The Paragon classification/ranking engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ParagonEngine {
     history: HistorySet,
     classifier: Classifier,

@@ -91,7 +91,7 @@ const SLICE_MEMORY_GB: f64 = 4.0;
 /// Sizes reservations the way the paper's baselines do: one quick
 /// profiling run (the framework scheduler's own estimate) extrapolated
 /// with a linear-scaling assumption, then multiplied by the user error.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReservationSizer {
     error_model: UserErrorModel,
     rng: StdRng,

@@ -59,12 +59,6 @@ pub fn digest_seed() -> u64 {
     FNV_OFFSET
 }
 
-pub(crate) fn bits(v: f64) -> String {
-    let mut out = String::with_capacity(16);
-    push_bits(&mut out, v);
-    out
-}
-
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// Appends `v`'s IEEE-754 bits as 16 lowercase hex digits (the text of
@@ -93,27 +87,24 @@ fn push_u64(out: &mut String, mut v: u64) {
     out.push_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"));
 }
 
-pub(crate) fn parse_bits(s: &str) -> io::Result<f64> {
+fn parse_bits(s: &str) -> io::Result<f64> {
     u64::from_str_radix(s, 16)
         .map(f64::from_bits)
         .map_err(|_| bad(format!("bad f64 bits: {s:?}")))
 }
 
-pub(crate) fn bad(msg: String) -> io::Error {
+fn bad(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-pub(crate) fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> io::Result<T> {
+fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> io::Result<T> {
     s.parse()
         .map_err(|_| bad(format!("bad {what} field: {s:?}")))
 }
 
 /// Fails with `InvalidData` unless `fields` is exhausted, so a record
 /// line parses only if every one of its fields was consumed.
-pub(crate) fn no_trailing<'a>(
-    mut fields: impl Iterator<Item = &'a str>,
-    line: &str,
-) -> io::Result<()> {
+fn no_trailing<'a>(mut fields: impl Iterator<Item = &'a str>, line: &str) -> io::Result<()> {
     match fields.next() {
         None => Ok(()),
         Some(extra) => Err(bad(format!("trailing fields from {extra:?} in {line:?}"))),
@@ -396,12 +387,19 @@ pub trait ChunkProvider: Send {
 
     /// Number of chunks stored.
     fn count(&self) -> u64;
+
+    /// An independent copy of the store, for a forked run's journal
+    /// ([`Journal::fork`](crate::Journal::fork)), or `None` when the
+    /// store cannot be copied. Defaults to `None`.
+    fn fork(&self) -> Option<Box<dyn ChunkProvider>> {
+        None
+    }
 }
 
 /// In-memory provider: keeps every chunk in its serialized text form
 /// (so store→load still exercises the full parse path). For tests and
 /// short runs.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MemoryChunks {
     chunks: Vec<String>,
 }
@@ -435,11 +433,16 @@ impl ChunkProvider for MemoryChunks {
     fn count(&self) -> u64 {
         self.chunks.len() as u64
     }
+
+    fn fork(&self) -> Option<Box<dyn ChunkProvider>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 /// File-backed provider: one `chunk-NNNNNNNN.qjc` text file per chunk
 /// in a directory. Memory use is one open chunk regardless of run
-/// length.
+/// length. It does not [`fork`](ChunkProvider::fork): two branches of a
+/// run must never write one chunk directory.
 #[derive(Debug)]
 pub struct FileChunks {
     dir: PathBuf,

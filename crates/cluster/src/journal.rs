@@ -345,7 +345,7 @@ impl Journal {
     }
 
     /// Seals and stores the open chunk even if it is not full (end of
-    /// run, or a snapshot boundary). No-op when empty or unchunked.
+    /// run). No-op when empty or unchunked.
     /// Chunk boundaries do not affect the stream digest, so a run that
     /// sealed early and one that didn't still fold to the same digest.
     ///
@@ -387,6 +387,32 @@ impl Journal {
         self.open_events = 0;
     }
 
+    /// An independent copy: the ring, the open chunk, the stream
+    /// counters and digest, and a fork of the chunk provider, so both
+    /// copies go on storing the same stream separately. `None` when the
+    /// provider cannot fork ([`ChunkProvider::fork`]).
+    pub fn fork(&self) -> Option<Journal> {
+        let provider = match &self.provider {
+            Some(provider) => Some(provider.fork()?),
+            None => None,
+        };
+        Some(Journal {
+            capacity: self.capacity,
+            entries: self.entries.clone(),
+            dropped: self.dropped,
+            provider,
+            chunk_cap: self.chunk_cap,
+            open_text: self.open_text.clone(),
+            open_events: self.open_events,
+            open_first_s: self.open_first_s,
+            open_last_s: self.open_last_s,
+            next_chunk_index: self.next_chunk_index,
+            stream_digest: self.stream_digest,
+            streamed: self.streamed,
+            store_failures: self.store_failures,
+        })
+    }
+
     /// The chunk provider, for replay after a run. `None` when the
     /// journal is a pure ring.
     pub fn provider(&self) -> Option<&dyn ChunkProvider> {
@@ -409,21 +435,6 @@ impl Journal {
     /// provider, so its replay digest differs from the live one).
     pub fn store_failures(&self) -> u64 {
         self.store_failures
-    }
-
-    /// Checkpoints the streaming state for a snapshot:
-    /// `(next_chunk_index, streamed, stream_digest)`. The open chunk
-    /// should be sealed first so the stored stream covers everything.
-    pub fn checkpoint(&self) -> (u64, u64, u64) {
-        (self.next_chunk_index, self.streamed, self.stream_digest)
-    }
-
-    /// Restores the streaming state saved by
-    /// [`checkpoint`](Journal::checkpoint) after re-attaching a provider.
-    pub fn restore(&mut self, next_chunk_index: u64, streamed: u64, stream_digest: u64) {
-        self.next_chunk_index = next_chunk_index;
-        self.streamed = streamed;
-        self.stream_digest = stream_digest;
     }
 
     /// Number of retained events.

@@ -44,7 +44,6 @@ mod profile;
 pub mod qos;
 mod server;
 mod sim;
-pub mod snapshot;
 pub mod tasks;
 mod world;
 

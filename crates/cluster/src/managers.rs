@@ -36,6 +36,14 @@ pub trait Manager {
     fn needs_idle_ticks(&self) -> bool {
         true
     }
+
+    /// An independent copy of this manager for a forked run
+    /// ([`Simulation::fork`](crate::Simulation::fork)): it must decide
+    /// exactly as the original would from here on. Defaults to `None`,
+    /// which makes the run refuse to fork.
+    fn fork(&self) -> Option<Box<dyn Manager>> {
+        None
+    }
 }
 
 /// A stateless FIFO greedy baseline: places pending workloads in id
@@ -43,9 +51,8 @@ pub trait Manager {
 /// cores/memory slice, and stops at the first workload that does not
 /// fit (strict FIFO head-of-line blocking, so placement order is
 /// deterministic). It keeps no state of its own — every decision is
-/// derived from the world each call — which makes it safe to resume
-/// from a [`snapshot`](crate::snapshot): the snapshot tests and
-/// `benchmark/`'s `sim_stream` workload both drive it.
+/// derived from the world each call. `benchmark/`'s `sim_stream`
+/// workload drives it.
 #[derive(Debug, Clone, Copy)]
 pub struct FifoGreedy {
     slice: NodeResources,
@@ -104,6 +111,10 @@ impl Manager for FifoGreedy {
     fn needs_idle_ticks(&self) -> bool {
         false
     }
+
+    fn fork(&self) -> Option<Box<dyn Manager>> {
+        Some(Box::new(*self))
+    }
 }
 
 /// A manager that never places anything; useful for tests and for driving
@@ -124,5 +135,9 @@ impl Manager for NullManager {
 
     fn needs_idle_ticks(&self) -> bool {
         false
+    }
+
+    fn fork(&self) -> Option<Box<dyn Manager>> {
+        Some(Box::new(*self))
     }
 }

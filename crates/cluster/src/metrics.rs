@@ -76,9 +76,6 @@ pub struct MetricsRecorder {
     /// off the grid over long runs (the same bug class the simulation
     /// tick driver fixed by stepping on an integer tick index).
     next_index: u64,
-    /// Samples recorded before this recorder was restored from a
-    /// snapshot (they live in the snapshotted run's recorder).
-    prior_count: u64,
     samples: Vec<HeatmapSample>,
 }
 
@@ -93,7 +90,6 @@ impl MetricsRecorder {
         MetricsRecorder {
             interval_s,
             next_index: 0,
-            prior_count: 0,
             samples: Vec::new(),
         }
     }
@@ -117,27 +113,6 @@ impl MetricsRecorder {
         let passed = ((sample.time_s + 1e-9) / self.interval_s).floor() as u64;
         self.next_index = passed.max(self.next_index) + 1;
         self.samples.push(sample);
-    }
-
-    /// Resumes the schedule of a snapshotted recorder: `next_index` is
-    /// the grid index it would sample next, `prior_count` how many
-    /// samples it had recorded (they stay with the snapshotted run;
-    /// [`samples`](MetricsRecorder::samples) holds post-resume samples
-    /// only).
-    pub(crate) fn resume_at(&mut self, next_index: u64, prior_count: u64) {
-        self.next_index = next_index;
-        self.prior_count = prior_count;
-    }
-
-    /// The grid index of the next due sample (for snapshots).
-    pub(crate) fn next_index(&self) -> u64 {
-        self.next_index
-    }
-
-    /// Samples recorded over the whole run, including any recorded
-    /// before a snapshot/resume boundary.
-    pub fn total_count(&self) -> u64 {
-        self.prior_count + self.samples.len() as u64
     }
 
     /// All recorded samples, oldest first.
@@ -261,7 +236,7 @@ mod tests {
             assert_eq!(due.to_bits(), (i as f64 * 0.1).to_bits(), "sample {i}");
             assert!(r.due(due), "sample {i} due at its own grid point");
             r.record(sample(due, 0.5));
-            assert_eq!(r.next_index(), i + 1, "index advances by one on-grid");
+            assert_eq!(r.next_index, i + 1, "index advances by one on-grid");
             accumulated += 0.1;
             if r.samples.len() >= 4096 {
                 r.samples.clear(); // keep the test's memory flat

@@ -147,18 +147,16 @@ impl EpisodeRecord {
     }
 }
 
-/// State of one open episode. Plain data, carried as is across a
-/// snapshot/resume boundary so the resumed run closes the episode with
-/// exactly the record the uninterrupted run would have journalled.
+/// State of one open episode.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub(crate) struct OpenEpisode {
-    pub(crate) start_s: f64,
-    pub(crate) ticks: u64,
-    pub(crate) peak_depth: f64,
-    pub(crate) interference_sum: f64,
-    pub(crate) rate_dev_sum: f64,
-    pub(crate) util_sum: f64,
-    pub(crate) queue_wait_s: f64,
+struct OpenEpisode {
+    start_s: f64,
+    ticks: u64,
+    peak_depth: f64,
+    interference_sum: f64,
+    rate_dev_sum: f64,
+    util_sum: f64,
+    queue_wait_s: f64,
 }
 
 /// Registry handles for the ledger (`quasar.cluster.qos.*`): episode /
@@ -210,7 +208,7 @@ const INCIDENT_DEPTH: f64 = 0.5;
 /// Tracks per-workload violation episodes across ticks. It holds only
 /// the open episodes and hands each closed one back to its caller, which
 /// decides what to keep.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SloTracker {
     tick_s: f64,
     open: BTreeMap<WorkloadId, OpenEpisode>,
@@ -324,17 +322,6 @@ impl SloTracker {
     /// Whether a closed episode is severe enough for an incident dump.
     pub fn is_incident(&self, episode: &EpisodeRecord) -> bool {
         episode.peak_depth >= INCIDENT_DEPTH
-    }
-
-    /// Open episodes in workload-id order, for run snapshots.
-    pub(crate) fn export_open(&self) -> &BTreeMap<WorkloadId, OpenEpisode> {
-        &self.open
-    }
-
-    /// Re-opens an episode from a snapshot. Closed episodes live in the
-    /// journal stream; only open state affects future journal output.
-    pub(crate) fn restore_open(&mut self, id: WorkloadId, episode: OpenEpisode) {
-        self.open.insert(id, episode);
     }
 }
 

@@ -89,12 +89,13 @@ pub enum PhaseChange {
     Interference(InterferenceProfile),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum EventKind {
     Arrival(Box<Workload>),
     Phase(WorkloadId, PhaseChange),
 }
 
+#[derive(Clone)]
 struct Event {
     time_s: f64,
     seq: u64,
@@ -226,44 +227,23 @@ impl Simulation {
         self.manager.name().to_string()
     }
 
-    /// Queued arrivals as `(time, seq, id)` in submission order, for
-    /// snapshots. Errors if a phase change is queued: snapshots cover
-    /// arrival streams only (workloads are regenerated on resume; phase
-    /// payloads have no serial form).
-    pub(crate) fn queued_arrivals(&self) -> Result<Vec<(f64, u64, WorkloadId)>, String> {
-        let mut out = Vec::with_capacity(self.events.len());
-        for e in self.events.iter() {
-            match &e.kind {
-                EventKind::Arrival(w) => out.push((e.time_s, e.seq, w.id())),
-                EventKind::Phase(id, _) => {
-                    return Err(format!(
-                        "queued phase change for workload {} cannot be snapshotted",
-                        id.0
-                    ));
-                }
-            }
-        }
-        out.sort_by_key(|&(_, seq, _)| seq);
-        Ok(out)
-    }
-
-    pub(crate) fn event_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Rebuilds the event queue from a snapshot (arrivals only), keeping
-    /// the recorded per-event sequence numbers so heap tie-breaks replay
-    /// identically.
-    pub(crate) fn restore_queue(&mut self, arrivals: Vec<(f64, u64, Workload)>, next_seq: u64) {
-        for (time_s, seq, workload) in arrivals {
-            self.events.push(Event {
-                time_s,
-                seq,
-                kind: EventKind::Arrival(Box::new(workload)),
-            });
-        }
-        self.next_seq = next_seq;
-        sim_metrics().heap_depth.set_max(self.events.len() as u64);
+    /// An independent copy of the run at this instant: the world, with
+    /// its RNG, QoS ledger and journal; the manager; and every queued
+    /// event with its sequence number. Driving the copy and the original
+    /// to the same horizon gives both the outcome the uninterrupted run
+    /// would have had. Returns `None` when the manager cannot fork
+    /// ([`Manager::fork`]) or the journal's chunk provider cannot
+    /// ([`ChunkProvider::fork`](crate::ChunkProvider::fork)).
+    ///
+    /// Process-global state is not part of the run and is not copied:
+    /// the `quasar_obs` registry counters count both branches' work.
+    pub fn fork(&self) -> Option<Simulation> {
+        Some(Simulation {
+            world: self.world.fork()?,
+            manager: self.manager.fork()?,
+            events: self.events.clone(),
+            next_seq: self.next_seq,
+        })
     }
 
     /// Runs the simulation until `t_end_s` (inclusive of the final tick),

@@ -162,6 +162,7 @@ impl QosRecord {
     }
 }
 
+#[derive(Clone)]
 pub(crate) struct Entry {
     pub(crate) workload: Workload,
     pub(crate) state: JobState,
@@ -270,7 +271,7 @@ pub struct World {
     /// FNV-1a over every batch completion, folded in completion order:
     /// id, submitted/placed/finished bits, peak cores. The digest is the
     /// outcome identity of a run — identical streams through the tick
-    /// and event cores, or through a snapshot/resume boundary, must
+    /// and event cores, or through either branch of a fork, must
     /// reproduce it exactly.
     completion_digest: u64,
     /// Entries dropped under [`Retention::DropCompleted`].
@@ -761,7 +762,7 @@ impl World {
     }
 
     /// Mutable journal access for drivers that attach a chunk provider
-    /// or checkpoint/restore the stream.
+    /// or seal the open chunk at the end of a run.
     pub fn journal_mut(&mut self) -> &mut Journal {
         &mut self.journal
     }
@@ -894,7 +895,7 @@ impl World {
     /// Running FNV-1a digest over every batch completion so far (id,
     /// submitted/placed/finished time bits, peak cores, folded in
     /// completion order). Invariant across drivers and across a
-    /// snapshot/resume boundary.
+    /// [`Simulation::fork`](crate::Simulation::fork).
     pub fn completion_digest(&self) -> u64 {
         self.completion_digest
     }
@@ -936,83 +937,36 @@ impl World {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Snapshot support (crate-private; see the `snapshot` module).
-    // ------------------------------------------------------------------
-
-    pub(crate) fn noise(&self) -> f64 {
-        self.noise
-    }
-
-    pub(crate) fn retention(&self) -> Retention {
-        self.retention
-    }
-
-    /// All entries sorted by id, for deterministic snapshot output.
-    pub(crate) fn snapshot_entries(&self) -> Vec<(WorkloadId, &Entry)> {
-        let mut out: Vec<_> = self.entries.iter().map(|(id, e)| (*id, e)).collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
-    }
-
-    /// All placements sorted by workload id, for deterministic snapshot
-    /// output.
+    /// All placements sorted by workload id, for deterministic incident
+    /// reports.
     pub(crate) fn snapshot_placements(&self) -> Vec<&Placement> {
         let mut out: Vec<_> = self.cluster.placements().collect();
         out.sort_by_key(|p| p.workload);
         out
     }
 
-    /// Mutable tracker access for snapshot restore (open episodes must
-    /// survive a snapshot/resume boundary so the journal stream stays
-    /// bit-exact).
-    pub(crate) fn qos_mut(&mut self) -> &mut SloTracker {
-        &mut self.qos
-    }
-
-    pub(crate) fn restore_clock(&mut self, now: f64) {
-        self.now = now;
-        quasar_obs::set_sim_time(now);
-    }
-
-    pub(crate) fn restore_accounting(&mut self, digest: u64, retired: u64) {
-        self.completion_digest = digest;
-        self.retired = retired;
-    }
-
-    pub(crate) fn restore_metrics(&mut self, next_index: u64, prior_count: u64) {
-        self.metrics.resume_at(next_index, prior_count);
-    }
-
-    pub(crate) fn metrics_checkpoint(&self) -> (u64, u64) {
-        (self.metrics.next_index(), self.metrics.total_count())
-    }
-
-    /// Re-inserts an entry from a snapshot, maintaining the state
-    /// indexes. Bypasses [`submit`](World::submit): the entry keeps its
-    /// recorded submission time and lifecycle state.
-    pub(crate) fn restore_entry(&mut self, entry: Entry) {
-        let id = entry.workload.id();
-        assert!(
-            !self.entries.contains_key(&id),
-            "workload ids must be unique"
-        );
-        match entry.state {
-            JobState::Pending => {
-                self.pending.insert(id);
-            }
-            JobState::Running => {
-                self.running.insert(id);
-            }
-            JobState::Completed | JobState::Killed => {}
-        }
-        self.entries.insert(id, entry);
-    }
-
-    /// Re-commits a placement from a snapshot without journaling (the
-    /// pre-snapshot journal stream already carries its `placed` event).
-    pub(crate) fn restore_placement(&mut self, placement: Placement) -> Result<(), PlaceError> {
-        self.cluster.place(placement)
+    /// An independent copy of the world, RNG state included, for
+    /// [`Simulation::fork`](crate::Simulation::fork). `None` when the
+    /// journal cannot fork ([`Journal::fork`]).
+    pub(crate) fn fork(&self) -> Option<World> {
+        Some(World {
+            now: self.now,
+            tick_s: self.tick_s,
+            cluster: self.cluster.clone(),
+            entries: self.entries.clone(),
+            pending: self.pending.clone(),
+            running: self.running.clone(),
+            rng: self.rng.clone(),
+            noise: self.noise,
+            metrics: self.metrics.clone(),
+            journal: self.journal.fork()?,
+            retention: self.retention,
+            completion_digest: self.completion_digest,
+            retired: self.retired,
+            qos: self.qos.clone(),
+            episodes: self.episodes.clone(),
+            incidents: self.incidents.clone(),
+        })
     }
 
     // ------------------------------------------------------------------

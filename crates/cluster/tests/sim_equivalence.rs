@@ -13,7 +13,7 @@ use quasar_workloads::{PlatformCatalog, Priority};
 /// Runs the same submission schedule through one of the two drivers and
 /// returns every deterministic outcome: (completion digest, completed
 /// count, final clock bits, metrics sample count).
-fn run(dense: bool, jobs: &[(f64, f64)], tick_s: f64) -> (u64, usize, u64, u64) {
+fn run(dense: bool, jobs: &[(f64, f64)], tick_s: f64) -> (u64, usize, u64, usize) {
     let config = SimConfig {
         tick_s,
         noise: 0.0,
@@ -40,7 +40,7 @@ fn run(dense: bool, jobs: &[(f64, f64)], tick_s: f64) -> (u64, usize, u64, u64) 
         world.completion_digest(),
         world.completions().len(),
         world.now().to_bits(),
-        world.metrics().total_count(),
+        world.metrics().samples().len(),
     )
 }
 

@@ -58,6 +58,6 @@ pub use config::QuasarConfig;
 pub use estimate::Estimator;
 pub use greedy::GreedyScheduler;
 pub use history::HistorySet;
-pub use manager::{ManagerSnapshot, ManagerStats, QuasarManager};
+pub use manager::{ManagerStats, QuasarManager};
 pub use profile::{Profiler, ProfilingData};
 pub use similarity::{Signature, SimilarityConfig, SimilarityIndex, SimilarityOutcome};

