@@ -22,11 +22,14 @@
 //! * [`svd`] — one-sided Jacobi SVD (no external linear-algebra crates).
 //! * [`PqModel`] — latent-factor model trained with SGD.
 //! * [`Reconstructor`] — the end-to-end pipeline (mean-fill → SVD →
-//!   PQ-init → SGD → predict) used by Quasar's four classifications.
+//!   PQ-init → SGD → predict): the full retrain of history plus one row.
+//! * [`FoldIn`] — the history factored once; each new row is one small
+//!   ridge least-squares solve against the fixed column factors. Quasar's
+//!   four classifications run on it.
 //!
 //! The SVD and SGD kernels are flat-slice implementations with a strict
 //! **bit-identical-output contract** against the frozen pre-refactor
-//! scalar loops in [`reference`]; property tests enforce the contract
+//! scalar loops in [`reference`](mod@reference); property tests enforce the contract
 //! and `quasar-experiments bench-kernels` measures the speedup.
 //!
 //! # Examples
@@ -51,12 +54,14 @@
 #![warn(missing_docs)]
 
 mod dense;
+mod fold_in;
 mod pq;
 mod reconstruct;
 mod sparse;
 mod svd;
 
 pub use dense::DenseMatrix;
+pub use fold_in::FoldIn;
 pub use pq::{PqModel, SgdConfig};
 pub use reconstruct::{ReconstructError, Reconstructor};
 pub use sparse::SparseMatrix;

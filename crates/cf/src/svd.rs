@@ -135,7 +135,7 @@ pub fn rotate_cols_scalar(colp: &mut [f64], colq: &mut [f64], c: f64, s: f64) {
 }
 
 /// Applies the plane rotation `(x, y) ← (c·x − s·y, s·x + c·y)` to a
-/// column pair, blocked into [`ROTATE_LANES`]-wide bodies over fixed-size
+/// column pair, blocked into `ROTATE_LANES`-wide (4) bodies over fixed-size
 /// array chunks (so every lane is bounds-check-free and the block maps
 /// onto one SIMD register) with a scalar remainder. Each element is
 /// rotated independently — there is no cross-element accumulation to

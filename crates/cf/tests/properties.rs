@@ -288,3 +288,45 @@ fn single_entry_training_is_bit_identical_to_reference() {
         bits(slow.predict_all().as_slice())
     );
 }
+
+/// Threads racing to build the same cold visit schedule (a seed nothing
+/// else in this process trains with) train the same model as a serial
+/// run that then reads whatever they left in the memo. The shape is a
+/// live classification's: 24 dense history rows plus one row with two
+/// observations.
+#[test]
+fn racing_trainings_on_a_cold_schedule_match_serial() {
+    let mut a = SparseMatrix::from_dense_rows(&DenseMatrix::from_fn(24, 10, |r, c| {
+        ((r * 7 + c * 3) % 11) as f64 / 11.0 + 0.1 * c as f64
+    }));
+    let row = a.push_row();
+    a.insert(row, 1, 0.4);
+    a.insert(row, 6, 0.9);
+    for seed in [0xc01d_0001_u64, 0xc01d_0002] {
+        let config = SgdConfig {
+            seed,
+            ..SgdConfig::default()
+        };
+        let barrier = std::sync::Barrier::new(4);
+        let raced: Vec<PqModel> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        PqModel::train(&a, &config)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let serial = PqModel::train(&a, &config);
+        for model in &raced {
+            assert_eq!(model.epochs_run(), serial.epochs_run());
+            assert_eq!(
+                bits(model.predict_all().as_slice()),
+                bits(serial.predict_all().as_slice()),
+                "cold-memo training diverged (seed {seed:#x})"
+            );
+        }
+    }
+}

@@ -275,7 +275,8 @@ impl SealedChunk {
         self.events.last().map(|(t, _)| *t).unwrap_or(f64::NAN)
     }
 
-    /// Renders the chunk as its stored text form (see [`chunk_text`]).
+    /// Renders the chunk as its stored text form: an index header line,
+    /// then one line per event.
     pub fn serialize(&self) -> String {
         let mut body = String::new();
         for (t, e) in &self.events {

@@ -1190,7 +1190,11 @@ impl World {
         let mut memory = vec![0.0; n];
         let mut disk = vec![0.0; n];
 
-        for placement in self.cluster.placements() {
+        // Sums in workload-id order: hash-map order differs between runs
+        // built separately and would move a sum's last bit.
+        let mut placements: Vec<&Placement> = self.cluster.placements().collect();
+        placements.sort_unstable_by_key(|p| p.workload);
+        for placement in placements {
             let entry = match self.entries.get(&placement.workload) {
                 Some(e) => e,
                 None => continue,

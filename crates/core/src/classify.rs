@@ -1,19 +1,22 @@
 //! The four parallel classifications (and the exhaustive alternative).
 //!
-//! Each classification appends the workload's sparse profiling row to the
-//! dense offline history of its goal kind and reconstructs the missing
-//! entries with SVD + PQ/SGD (paper §3.2). Speed axes are reconstructed in
-//! log space; interference axes in linear pressure space.
+//! Each classification places the workload's sparse profiling row against
+//! the dense offline history of its goal kind (paper §3.2). The history is
+//! factored once per axis (SVD of the double-centred matrix); an arrival
+//! is folded in by one small ridge least-squares solve for its bias and
+//! latent vector ([`quasar_cf::FoldIn`]). Speed axes are reconstructed in
+//! log space; interference axes in linear pressure space. The exhaustive
+//! alternative keeps the full SVD + PQ/SGD retrain.
 
 use std::sync::OnceLock;
 
-use quasar_cf::{DenseMatrix, Reconstructor};
+use quasar_cf::{DenseMatrix, FoldIn, Reconstructor};
 use quasar_interference::PressureVector;
 use quasar_obs::registry::{Counter, Histogram, Registry};
 use quasar_obs::span::timed;
 
 use crate::axes::{Axes, GoalKind};
-use crate::history::{ln_speed, HistorySet, KindHistory};
+use crate::history::{ln_speed, HistoryAxis, HistorySet, KindHistory};
 use crate::profile::ProfilingData;
 
 /// Registry handles for the classification metrics
@@ -80,24 +83,17 @@ enum AxisOut {
 /// Runs the four parallel classifications.
 #[derive(Debug, Clone)]
 pub struct Classifier {
-    reconstructor: Reconstructor,
     threads: usize,
 }
 
 impl Default for Classifier {
     fn default() -> Classifier {
-        Classifier {
-            // Clamping stays off here: every tracked figure and outcome
-            // digest was produced by unclamped axis reconstructions.
-            reconstructor: Reconstructor::new().with_clamping(false),
-            threads: 1,
-        }
+        Classifier { threads: 1 }
     }
 }
 
 impl Classifier {
-    /// A classifier with default SGD hyper-parameters, running its axis
-    /// classifications serially.
+    /// A classifier running its axis classifications serially.
     pub fn new() -> Classifier {
         Classifier::default()
     }
@@ -143,14 +139,18 @@ impl Classifier {
         // The speed axes: span name, history (absent when the workload
         // kind lacks the axis), observations.
         let speed_axes = [
-            ("core.classify.scale_up", Some(&k.scale_up), &data.scale_up),
-            ("core.classify.hetero", Some(&k.hetero), &data.hetero),
+            (
+                "core.classify.scale_up",
+                HistoryAxis::ScaleUp,
+                &data.scale_up,
+            ),
+            ("core.classify.hetero", HistoryAxis::Hetero, &data.hetero),
             (
                 "core.classify.scale_out",
-                k.scale_out.as_ref(),
+                HistoryAxis::ScaleOut,
                 &data.scale_out,
             ),
-            ("core.classify.params", k.params.as_ref(), &data.params),
+            ("core.classify.params", HistoryAxis::Params, &data.params),
         ];
 
         // Each axis runs under a `timed` span: the span carries the
@@ -159,18 +159,21 @@ impl Classifier {
         // below (no ad-hoc `Instant::now()` bookkeeping).
         type AxisTask<'a> = Box<dyn FnOnce() -> (AxisOut, f64) + Send + 'a>;
         let mut tasks: Vec<AxisTask<'_>> = Vec::with_capacity(speed_axes.len() + 1);
-        for (span, axis_history, observed) in speed_axes {
+        for (span, axis, observed) in speed_axes {
             tasks.push(Box::new(move || {
                 timed(span, || {
-                    AxisOut::Speed(axis_history.and_then(|m| self.speed_axis(kind, m, observed)))
+                    AxisOut::Speed(
+                        k.factor(axis)
+                            .and_then(|model| self.speed_axis(kind, model, observed)),
+                    )
                 })
             }));
         }
         tasks.push(Box::new(move || {
             timed("core.classify.interference", || {
                 AxisOut::Pressure(
-                    self.pressure_axis(&k.tolerated, &data.tolerated),
-                    self.pressure_axis(&k.caused, &data.caused),
+                    self.pressure_axis(k, HistoryAxis::Tolerated, &data.tolerated),
+                    self.pressure_axis(k, HistoryAxis::Caused, &data.caused),
                 )
             })
         }));
@@ -211,47 +214,49 @@ impl Classifier {
         )
     }
 
-    /// Reconstructs `target` against `history`.
-    fn reconstruct_axis(&self, history: &DenseMatrix, target: &[(usize, f64)]) -> Vec<f64> {
-        self.reconstructor
-            .reconstruct_row(history, target)
-            .expect("history is dense; target is non-empty, finite and in range")
-    }
-
     /// Reconstructs one speed axis: goal-value observations → ln-speed
-    /// row → CF against history → linear speeds. Observations
-    /// [`usable_ln_speeds`] drops are ignored; `None` when nothing usable
-    /// is left.
+    /// row → folded into the axis's history factor → linear speeds.
+    /// Observations [`usable_ln_speeds`] drops are ignored; `None` when
+    /// nothing usable is left.
     fn speed_axis(
         &self,
         kind: GoalKind,
-        history: &DenseMatrix,
+        model: &FoldIn,
         observed: &[(usize, f64)],
     ) -> Option<Vec<f64>> {
         let target: Vec<(usize, f64)> = usable_ln_speeds(kind, observed).collect();
         if target.is_empty() {
             return None;
         }
-        let row = self.reconstruct_axis(history, &target);
+        let row = model
+            .fold_in(&target)
+            .expect("target is non-empty, finite and in range");
         Some(row.into_iter().map(f64::exp).collect())
     }
 
-    /// Reconstructs one interference axis. Pressure values live on a
-    /// 0–100 scale; they are normalized into [0, 1] for the SGD pass
-    /// (whose learning rate is tuned for unit-scale data) and scaled back.
-    /// Observations [`usable_pressures`] drops are ignored; an axis left
-    /// with none falls back to a uniform estimate and trains nothing.
-    fn pressure_axis(&self, history: &DenseMatrix, observed: &[(usize, f64)]) -> PressureVector {
+    /// Reconstructs one interference axis (`Tolerated` or `Caused`) of
+    /// `history`. Pressure values live on a 0–100 scale; the axis factor
+    /// is fitted on [0, 1] (see [`KindHistory::factor`]), so observations
+    /// are scaled down and the row scaled back. Observations
+    /// [`usable_pressures`] drops are ignored; an axis left with none
+    /// falls back to a uniform estimate.
+    pub(crate) fn pressure_axis(
+        &self,
+        history: &KindHistory,
+        axis: HistoryAxis,
+        observed: &[(usize, f64)],
+    ) -> PressureVector {
         let scaled_observed: Vec<(usize, f64)> = usable_pressures(observed)
             .map(|(c, v)| (c, v / PressureVector::MAX))
             .collect();
         if scaled_observed.is_empty() {
             return PressureVector::uniform(PressureVector::MAX / 2.0);
         }
-        let scaled_history = DenseMatrix::from_fn(history.rows(), history.cols(), |r, c| {
-            history.get(r, c) / PressureVector::MAX
-        });
-        let row = self.reconstruct_axis(&scaled_history, &scaled_observed);
+        let row = history
+            .factor(axis)
+            .expect("every kind has both pressure axes")
+            .fold_in(&scaled_observed)
+            .expect("target is non-empty, finite and in range");
         let mut v = PressureVector::zero();
         for (i, value) in row.into_iter().enumerate() {
             v.set(
@@ -433,9 +438,10 @@ mod tests {
         );
     }
 
-    /// The tentpole guarantee: fanning the axis classifications out over
-    /// worker threads produces *bit-identical* output to the serial path
-    /// on the same seed, for every thread count.
+    /// Fanning the axis classifications out over worker threads produces
+    /// *bit-identical* output to the serial path, for every thread count,
+    /// whether the worker threads build the history's lazy axis factors
+    /// or find them built.
     #[test]
     fn parallel_classification_is_bit_identical_to_serial() {
         let catalog = PlatformCatalog::local();
@@ -461,7 +467,12 @@ mod tests {
         sim.run_until(5.0);
         let data = Profiler::new(2, 9).profile(sim.world_mut(), &axes, id);
 
+        let unfactored = history.clone();
         let serial = Classifier::new().with_threads(1).classify(&history, &data);
+        let cold = Classifier::new()
+            .with_threads(4)
+            .classify(&unfactored, &data);
+        assert_eq!(serial, cold, "classification diverged on a cold history");
         for threads in [2, 4, 8] {
             let parallel = Classifier::new()
                 .with_threads(threads)
@@ -475,25 +486,6 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&serial.scale_up_speed), bits(&parallel.scale_up_speed));
             assert_eq!(bits(&serial.hetero_speed), bits(&parallel.hetero_speed));
-        }
-
-        // The runs above read SGD visit schedules the serial run had
-        // already memoised. With an SGD seed nothing else in this test
-        // process trains with, the four threads go first and race to
-        // build theirs; the serial run then reads what they left.
-        for seed in [0xc01d_0001_u64, 0xc01d_0002] {
-            let seeded = |threads: usize| Classifier {
-                reconstructor: Reconstructor::new()
-                    .with_config(quasar_cf::SgdConfig {
-                        seed,
-                        ..quasar_cf::SgdConfig::default()
-                    })
-                    .with_clamping(false),
-                threads,
-            };
-            let raced = seeded(4).classify(&history, &data);
-            let serial = seeded(1).classify(&history, &data);
-            assert_eq!(raced, serial, "cold-memo classification diverged");
         }
     }
 

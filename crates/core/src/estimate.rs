@@ -98,7 +98,8 @@ impl<'a> Estimator<'a> {
     }
 
     /// Speed multiplier of a framework-parameter column relative to the
-    /// stock configuration; 1.0 when the workload has no framework knobs.
+    /// stock configuration, as profiled on the reference platform's full
+    /// node; 1.0 when the workload has no framework knobs.
     pub fn params_factor(&self, col: usize) -> f64 {
         match &self.class.params_speed {
             Some(p) => {
@@ -107,6 +108,58 @@ impl<'a> Estimator<'a> {
             }
             None => 1.0,
         }
+    }
+
+    /// The framework-parameter column `col` as it runs on a node of
+    /// `cores` cores: the same configuration with its mapper count cut
+    /// to the largest the search space offers at or below `cores` (the
+    /// smallest when none fits). Mappers beyond the cores add no useful
+    /// parallelism, and the parameter axis is profiled on the reference
+    /// platform's full node, where they did.
+    fn params_on_node(&self, col: usize, cores: u32) -> usize {
+        let p = self.axes.params[col];
+        let same_but_mappers = |q: &quasar_workloads::FrameworkParams| {
+            q.heap_gb == p.heap_gb
+                && q.block_size_mb == p.block_size_mb
+                && q.replication == p.replication
+                && q.compression == p.compression
+        };
+        let siblings =
+            || (0..self.axes.params.len()).filter(|&c| same_but_mappers(&self.axes.params[c]));
+        let mappers = |c: usize| self.axes.params[c].mappers_per_node;
+        siblings()
+            .filter(|&c| mappers(c) <= cores.min(p.mappers_per_node))
+            .max_by_key(|&c| mappers(c))
+            .or_else(|| siblings().min_by_key(|&c| mappers(c)))
+            .unwrap_or(col)
+    }
+
+    /// Speed multiplier of framework-parameter column `col` on a node of
+    /// `cores` cores, relative to the stock configuration on the same
+    /// node (both with their mappers cut to the node's cores); 1.0 when
+    /// the workload has no framework knobs. The scale-up axis is
+    /// profiled under the stock configuration, whose 8 mappers leave
+    /// the cores past the eighth idle, so this is the factor a scale-up
+    /// column's speed takes under `col`.
+    pub fn node_params_factor(&self, col: usize, cores: u32) -> f64 {
+        match &self.class.params_speed {
+            Some(p) => {
+                let default = p[self.params_on_node(self.axes.default_params, cores)].max(1e-12);
+                p[self.params_on_node(col, cores)].max(0.0) / default
+            }
+            None => 1.0,
+        }
+    }
+
+    /// Speed multiplier of a scale-up column relative to the anchor when
+    /// the node runs framework parameters `params_col` (`None`: the
+    /// stock configuration, or no framework). Node sizing ranks columns
+    /// by it: without the parameter term a framework job's scale-up row
+    /// is flat past the stock mapper count, and the planner would never
+    /// give a node the cores its re-picked mappers can use.
+    pub fn node_factor(&self, col: usize, params_col: Option<usize>) -> f64 {
+        let cores = self.axes.scale_up[col].cores;
+        self.scale_up_factor(col) * params_col.map_or(1.0, |p| self.node_params_factor(p, cores))
     }
 
     /// Predicted aggregate *speed* of an allocation (goal-kind agnostic:
@@ -256,5 +309,46 @@ mod tests {
         let est = Estimator::new(&axes, &class);
         assert_eq!(est.scale_out_efficiency(1), 1.0);
         assert_eq!(est.scale_out_efficiency(2), 0.0);
+    }
+
+    /// The parameter axis is profiled on a full reference node: a
+    /// configuration's extra mappers speed up only a node with the cores
+    /// to run them.
+    #[test]
+    fn params_gain_is_capped_by_the_node_cores() {
+        let axes = axes();
+        let mut class = synthetic(&axes, GoalKind::Time);
+        // Speed proportional to the mapper count, as on a node with more
+        // cores than any configuration has mappers.
+        class.params_speed = Some(
+            axes.params
+                .iter()
+                .map(|p| p.mappers_per_node as f64)
+                .collect(),
+        );
+        let est = Estimator::new(&axes, &class);
+        let stock = axes.params[axes.default_params];
+        let sixteen = (0..axes.params.len())
+            .find(|&c| {
+                let p = axes.params[c];
+                p.mappers_per_node == 16
+                    && p.heap_gb == stock.heap_gb
+                    && p.compression == stock.compression
+            })
+            .expect("a 16-mapper sibling of the stock configuration");
+        assert_eq!(est.params_factor(sixteen), 2.0);
+        assert_eq!(est.node_params_factor(sixteen, 24), 2.0);
+        assert_eq!(est.node_params_factor(sixteen, 12), 1.5);
+        assert_eq!(est.node_params_factor(sixteen, 8), 1.0);
+        assert_eq!(est.node_params_factor(axes.default_params, 24), 1.0);
+        // Below the smallest mapper count both sides take it.
+        assert_eq!(est.node_params_factor(sixteen, 2), 1.0);
+        // The stock configuration and no framework leave a column alone.
+        let col = axes.anchor_config;
+        assert_eq!(
+            est.node_factor(col, Some(axes.default_params)),
+            est.scale_up_factor(col)
+        );
+        assert_eq!(est.node_factor(col, None), est.scale_up_factor(col));
     }
 }

@@ -156,7 +156,7 @@ impl GreedyScheduler {
         let mut chosen: Vec<(usize, NodeResources)> = Vec::new();
         let mut spend = 0.0;
         for candidate in ranked.iter().take(max_nodes) {
-            let Some(col) = self.best_fitting_col(axes, &est, candidate) else {
+            let Some(col) = self.best_fitting_col(axes, &est, candidate, params_col) else {
                 continue;
             };
             let node_cost = slice_cost(candidate, axes.scale_up[col]);
@@ -184,7 +184,7 @@ impl GreedyScheduler {
             let cheapest = ranked
                 .iter()
                 .filter_map(|c| {
-                    self.best_fitting_col(axes, &est, c).map(|col| {
+                    self.best_fitting_col(axes, &est, c, params_col).map(|col| {
                         let smallest = (0..axes.scale_up.len())
                             .filter(|&cc| {
                                 let r = axes.scale_up[cc];
@@ -277,13 +277,15 @@ impl GreedyScheduler {
         })
     }
 
-    /// The scale-up column with the highest estimated speed that fits the
-    /// candidate's free resources.
+    /// The scale-up column with the highest estimated speed under the
+    /// plan's framework parameters that fits the candidate's free
+    /// resources.
     fn best_fitting_col(
         &self,
         axes: &Axes,
         est: &Estimator<'_>,
         candidate: &CandidateServer,
+        params_col: Option<usize>,
     ) -> Option<usize> {
         (0..axes.scale_up.len())
             .filter(|&c| {
@@ -291,8 +293,8 @@ impl GreedyScheduler {
                 r.cores <= candidate.free_cores && r.memory_gb <= candidate.free_memory_gb
             })
             .max_by(|&a, &b| {
-                desirability(est.scale_up_factor(a))
-                    .total_cmp(&desirability(est.scale_up_factor(b)))
+                desirability(est.node_factor(a, params_col))
+                    .total_cmp(&desirability(est.node_factor(b, params_col)))
                     // Prefer the smaller footprint on ties.
                     .then_with(|| {
                         (axes.scale_up[b].cores, axes.scale_up[b].memory_gb as u64)

@@ -9,8 +9,9 @@
 //! that offline campaign against a scratch simulation.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-use quasar_cf::DenseMatrix;
+use quasar_cf::{DenseMatrix, FoldIn};
 use quasar_cluster::{
     managers::NullManager, ClusterSpec, ProfileConfig, SimConfig, Simulation, World,
 };
@@ -21,9 +22,31 @@ use quasar_workloads::{
 
 use crate::axes::{Axes, GoalKind};
 
+/// One axis of a [`KindHistory`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistoryAxis {
+    /// [`KindHistory::scale_up`].
+    ScaleUp,
+    /// [`KindHistory::scale_out`].
+    ScaleOut,
+    /// [`KindHistory::hetero`].
+    Hetero,
+    /// [`KindHistory::params`].
+    Params,
+    /// [`KindHistory::tolerated`].
+    Tolerated,
+    /// [`KindHistory::caused`].
+    Caused,
+}
+
 /// Dense per-axis history for one goal kind. Speed axes are stored in
-/// natural-log space (ln speed) so the PQ row bias absorbs each training
+/// natural-log space (ln speed) so the row bias absorbs each training
 /// workload's overall scale; interference axes are linear pressure points.
+///
+/// Each axis is factored for fold-in ([`KindHistory::factor`]) on its
+/// first use and kept: the history never changes after
+/// [`HistorySet::bootstrap`], and a clone carries the factors built so
+/// far.
 #[derive(Debug, Clone)]
 pub struct KindHistory {
     /// ln-speed per scale-up column.
@@ -38,6 +61,41 @@ pub struct KindHistory {
     pub caused: DenseMatrix,
     /// ln-speed per framework-parameter column (framework kinds only).
     pub params: Option<DenseMatrix>,
+    /// One lazily built factor per [`HistoryAxis`], in declaration order.
+    factors: [OnceLock<FoldIn>; 6],
+}
+
+impl KindHistory {
+    /// The dense history of `axis`, `None` when the kind lacks it.
+    pub fn matrix(&self, axis: HistoryAxis) -> Option<&DenseMatrix> {
+        match axis {
+            HistoryAxis::ScaleUp => Some(&self.scale_up),
+            HistoryAxis::ScaleOut => self.scale_out.as_ref(),
+            HistoryAxis::Hetero => Some(&self.hetero),
+            HistoryAxis::Params => self.params.as_ref(),
+            HistoryAxis::Tolerated => Some(&self.tolerated),
+            HistoryAxis::Caused => Some(&self.caused),
+        }
+    }
+
+    /// The fold-in factor of `axis`, built on first use; `None` when the
+    /// kind lacks the axis. Pressure axes are factored on the unit scale
+    /// (pressure / [`PressureVector::MAX`]) that classification queries
+    /// them on.
+    ///
+    /// [`PressureVector::MAX`]: quasar_interference::PressureVector::MAX
+    pub fn factor(&self, axis: HistoryAxis) -> Option<&FoldIn> {
+        let m = self.matrix(axis)?;
+        Some(self.factors[axis as usize].get_or_init(|| match axis {
+            HistoryAxis::Tolerated | HistoryAxis::Caused => {
+                let max = quasar_interference::PressureVector::MAX;
+                FoldIn::fit(&DenseMatrix::from_fn(m.rows(), m.cols(), |r, c| {
+                    m.get(r, c) / max
+                }))
+            }
+            _ => FoldIn::fit(m),
+        }))
+    }
 }
 
 /// The full offline history: one [`KindHistory`] per goal kind, sharing
@@ -207,6 +265,7 @@ fn profile_kind(
         tolerated,
         caused,
         params,
+        factors: Default::default(),
     }
 }
 

@@ -16,7 +16,7 @@ use crate::classify::{Classification, Classifier};
 use crate::config::QuasarConfig;
 use crate::estimate::{Estimator, PlannedNode};
 use crate::greedy::{AllocationPlan, CandidateServer, GreedyScheduler};
-use crate::history::HistorySet;
+use crate::history::{HistoryAxis, HistorySet};
 use crate::ordering::desirability;
 use crate::profile::Profiler;
 use crate::similarity::SimilarityIndex;
@@ -600,6 +600,7 @@ impl QuasarManager {
             return;
         };
         let class = state.class.clone();
+        let params_col = state.params_col;
         let est = Estimator::new(&axes, &class);
 
         // 1) Scale up each node to the best configuration that fits the
@@ -619,8 +620,8 @@ impl QuasarManager {
                     r.cores <= budget_cores && r.memory_gb <= budget_mem
                 })
                 .max_by(|&a, &b| {
-                    desirability(est.scale_up_factor(a))
-                        .total_cmp(&desirability(est.scale_up_factor(b)))
+                    desirability(est.node_factor(a, params_col))
+                        .total_cmp(&desirability(est.node_factor(b, params_col)))
                 });
             if let Some(best) = best {
                 if let Some(limit) = cost_limit {
@@ -630,7 +631,8 @@ impl QuasarManager {
                         continue;
                     }
                 }
-                if est.scale_up_factor(best) > est.scale_up_factor(current_col) * 1.05
+                if est.node_factor(best, params_col)
+                    > est.node_factor(current_col, params_col) * 1.05
                     && world
                         .resize_node(id, node.server, axes.scale_up[best])
                         .is_ok()
@@ -686,8 +688,8 @@ impl QuasarManager {
                         r.cores <= best.free_cores && r.memory_gb <= best.free_memory_gb
                     })
                     .max_by(|&a, &b| {
-                        desirability(est.scale_up_factor(a))
-                            .total_cmp(&desirability(est.scale_up_factor(b)))
+                        desirability(est.node_factor(a, params_col))
+                            .total_cmp(&desirability(est.node_factor(b, params_col)))
                     });
                 if let Some(col) = col {
                     let server = ServerId(best.server);
@@ -944,7 +946,9 @@ impl QuasarManager {
         }
     }
 
-    /// Partial in-place reclassification of interference sensitivity.
+    /// Partial in-place reclassification of interference sensitivity:
+    /// fresh probes of a few resources, folded into the kind's tolerated
+    /// history exactly as an arrival's interference axis is.
     fn reclassify_interference(&mut self, world: &mut World, id: WorkloadId) {
         let axes = self.history.axes().clone();
         let kind = self
@@ -960,17 +964,13 @@ impl QuasarManager {
             let r = world.probe_sensitivity(id, axes.resources[c], PROBE_QOS_LOSS);
             tolerated_obs.push((c, r.value));
         }
-        let history = self.history.kind(kind);
-        let reconstructor = quasar_cf::Reconstructor::new();
-        if let Ok(row) = reconstructor.reconstruct_row(&history.tolerated, &tolerated_obs) {
-            if let Some(state) = self.states.get_mut(&id) {
-                for (i, v) in row.into_iter().enumerate() {
-                    state
-                        .class
-                        .tolerated
-                        .set(quasar_interference::SharedResource::from_index(i), v);
-                }
-            }
+        let tolerated = self.classifier.pressure_axis(
+            self.history.kind(kind),
+            HistoryAxis::Tolerated,
+            &tolerated_obs,
+        );
+        if let Some(state) = self.states.get_mut(&id) {
+            state.class.tolerated = tolerated;
         }
         self.stats_mut().classifications += 1;
     }
@@ -1405,6 +1405,56 @@ mod tests {
         }
         fn needs_idle_ticks(&self) -> bool {
             self.0.borrow().needs_idle_ticks()
+        }
+    }
+
+    /// Regression: the in-place reclassification retrained SGD on the raw
+    /// 0–100 pressure scale, where it diverges; the NaN tolerances it
+    /// produced were stored as 0, i.e. maximally sensitive. It now folds
+    /// the probes into the kind's tolerated history as an arrival's
+    /// interference axis does.
+    #[test]
+    fn forced_reclassification_keeps_tolerances_in_range() {
+        let catalog = PlatformCatalog::local();
+        let manager = Rc::new(RefCell::new(QuasarManager::bootstrap(
+            &catalog,
+            QuasarConfig::fast_test(),
+        )));
+        let mut sim = Simulation::new(
+            ClusterSpec::uniform(catalog.clone(), 1),
+            Box::new(Shared(Rc::clone(&manager))),
+            SimConfig::default(),
+        );
+        let mut generator = Generator::new(catalog, 31);
+        let job = generator.analytics_job(
+            WorkloadClass::Spark,
+            "s",
+            Dataset::new("d", 6.0, 1.0),
+            2,
+            400.0,
+            Priority::Guaranteed,
+        );
+        let id = job.id();
+        sim.submit_at(job, 0.0);
+        sim.run_until(60.0);
+
+        let mut manager = manager.borrow_mut();
+        let before = manager.stats().classifications;
+        manager.reclassify_interference(sim.world_mut(), id);
+        assert_eq!(manager.stats().classifications, before + 1);
+        let class = manager.classification(id).expect("classified on arrival");
+        let history = &manager.history().kind(class.kind).tolerated;
+        for (c, &r) in manager.history().axes().resources.iter().enumerate() {
+            let column: Vec<f64> = (0..history.rows()).map(|row| history.get(row, c)).collect();
+            let lo = column.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = column.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let margin = 0.25 * (hi - lo);
+            let v = class.tolerated.get(r);
+            assert!(v.is_finite() && (0.0..=100.0).contains(&v), "{r:?}: {v}");
+            assert!(
+                v >= lo - margin && v <= hi + margin,
+                "{r:?}: {v} outside the history's {lo}..={hi}"
+            );
         }
     }
 

@@ -129,7 +129,8 @@ fn cell_noise(r: usize, c: usize) -> f64 {
 }
 
 /// The dense matrix the SVD benches decompose: full-rank structured
-/// noise (see [`cell_noise`]) at the given shape.
+/// noise (a SplitMix64 hash of each cell's coordinates) at the given
+/// shape.
 pub fn svd_matrix(rows: usize, cols: usize) -> DenseMatrix {
     DenseMatrix::from_fn(rows, cols, |r, c| cell_noise(r, c) * 4.0 - 2.0)
 }

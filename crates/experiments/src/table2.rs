@@ -197,24 +197,35 @@ mod tests {
         assert_eq!(r.rows.len(), 4);
         // The paper's average errors are < 8%; the simulated substrate's
         // response surfaces are deliberately more violent (memory cliffs,
-        // in-memory bonuses), so the bound here is looser — what matters
+        // in-memory bonuses), so the bounds here are looser — what matters
         // is that every classification is usefully accurate and that the
         // well-structured axes (heterogeneity, interference) are tight.
+        // Fold-in measures a worst row average of 29.3% (Webserver
+        // scale-up), at most 14.0% on scale-out, 3.2% on heterogeneity
+        // and 15.4% on interference.
         let worst = r.worst_parallel_avg();
         assert!(
-            worst < 0.55,
+            worst < 0.40,
             "worst avg parallel error {:.1}%",
             worst * 100.0
         );
         for row in &r.rows {
+            if let Some(scale_out) = &row.scale_out {
+                assert!(
+                    scale_out.avg < 0.28,
+                    "{}: scale-out avg {:.1}%",
+                    row.app,
+                    scale_out.avg * 100.0
+                );
+            }
             assert!(
-                row.hetero.avg < 0.25,
+                row.hetero.avg < 0.07,
                 "{}: hetero avg {:.1}%",
                 row.app,
                 row.hetero.avg * 100.0
             );
             assert!(
-                row.interference.avg < 0.25,
+                row.interference.avg < 0.20,
                 "{}: interference avg {:.1}%",
                 row.app,
                 row.interference.avg * 100.0

@@ -9,7 +9,7 @@
 //! on which worker thread happened to run it. That is what makes the
 //! masked trace export byte-identical across `--threads` values.
 //!
-//! Spans are zero-cost when tracing is disabled: the [`span!`] macro
+//! Spans are zero-cost when tracing is disabled: the [`span!`](crate::span!) macro
 //! compiles to one relaxed atomic load and skips argument formatting
 //! entirely.
 
@@ -57,7 +57,7 @@ pub fn current_depth() -> u32 {
 }
 
 /// An active span; records itself into the trace collector on drop.
-/// Obtain via [`span!`] or [`enter`]; hold in a `let _guard = ...`
+/// Obtain via [`span!`](crate::span!) or [`enter`]; hold in a `let _guard = ...`
 /// binding for the region's lifetime.
 #[derive(Debug)]
 pub struct SpanGuard {
@@ -90,7 +90,7 @@ pub fn enter(name: &'static str) -> Option<SpanGuard> {
 }
 
 /// Starts a span with a preformatted argument string. Prefer the
-/// [`span!`] macro, which skips formatting when tracing is off.
+/// [`span!`](crate::span!) macro, which skips formatting when tracing is off.
 pub fn enter_args(name: &'static str, args: String) -> Option<SpanGuard> {
     if !trace::tracing_enabled() {
         return None;
