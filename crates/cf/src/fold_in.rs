@@ -20,6 +20,11 @@
 //! rows, and the truncated tail leaves `σ̂²` of unexplained energy per
 //! cell; the maximum a-posteriori `q` under that prior and that noise is
 //! the ridge solve with `λ = n·σ̂²`. The bias carries no ridge.
+//!
+//! The same model gives each prediction a posterior variance,
+//! `σ̂²·(1 + a_jᵀ·G⁻¹·a_j)` with `a_j = (1, P_j)` and `G` the solve's
+//! normal matrix ([`FoldIn::fold_in_with_variance`]): small near the
+//! observed columns, larger where the history's rows disagree.
 
 use crate::dense::DenseMatrix;
 use crate::pq::SgdConfig;
@@ -31,6 +36,16 @@ use crate::svd::svd;
 /// zero: the solve stays positive definite however few observations the
 /// row has.
 const RIDGE_FLOOR: f64 = 1e-12;
+
+/// A row folded into a history by [`FoldIn::fold_in_with_variance`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct FoldedRow {
+    /// The predicted value of every column, observed entries restored.
+    pub mean: Vec<f64>,
+    /// The posterior variance of each prediction; 0 at the observed
+    /// columns, which keep their measurement.
+    pub variance: Vec<f64>,
+}
 
 /// A dense history factored for fold-in queries.
 ///
@@ -55,7 +70,18 @@ pub struct FoldIn {
     col_bias: Vec<f64>,
     /// `P = V_r·Σ_r`: one row of `rank` per history column.
     col_factors: DenseMatrix,
+    /// `σ̂²`: the truncated tail's energy per cell.
+    noise: f64,
     lambda: f64,
+}
+
+/// The normal equations of one fold-in, solved: the row's bias and
+/// latent vector, and the Cholesky factor of the normal matrix.
+struct Solved {
+    /// `(b, q₁, …, q_r)`.
+    x: Vec<f64>,
+    /// Row-major lower-triangular `L` with `L·Lᵀ = G`.
+    chol: Vec<f64>,
 }
 
 impl FoldIn {
@@ -85,6 +111,7 @@ impl FoldIn {
         let tail: f64 = sigma[rank..].iter().map(|s| s * s).sum();
         // λ = n·σ̂² with σ̂² = tail / (n·m): the n cancels.
         let lambda = (tail.max(RIDGE_FLOOR * energy) / m as f64).max(f64::MIN_POSITIVE);
+        let noise = lambda / n as f64;
 
         let mut col_factors = DenseMatrix::zeros(m, rank);
         for c in 0..m {
@@ -97,6 +124,7 @@ impl FoldIn {
             mu,
             col_bias,
             col_factors,
+            noise,
             lambda,
         }
     }
@@ -115,6 +143,45 @@ impl FoldIn {
     /// [`ReconstructError::InvalidObservation`] when an observation is
     /// not finite or names a column the history does not have.
     pub fn fold_in(&self, target: &[(usize, f64)]) -> Result<Vec<f64>, ReconstructError> {
+        let solved = self.solve(target)?;
+        Ok(self.predict(&solved.x, target))
+    }
+
+    /// [`FoldIn::fold_in`] plus the posterior variance of every
+    /// prediction, `σ̂²·(1 + a_jᵀ·G⁻¹·a_j)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`FoldIn::fold_in`].
+    pub fn fold_in_with_variance(
+        &self,
+        target: &[(usize, f64)],
+    ) -> Result<FoldedRow, ReconstructError> {
+        let solved = self.solve(target)?;
+        let dim = self.rank() + 1;
+        let mut a = vec![1.0; dim];
+        let mut variance: Vec<f64> = (0..self.col_bias.len())
+            .map(|c| {
+                a[0] = 1.0;
+                a[1..].copy_from_slice(self.col_factors.row(c));
+                // a_jᵀ·G⁻¹·a_j = ‖L⁻¹·a_j‖².
+                forward_substitute(&solved.chol, &mut a, dim);
+                self.noise * (1.0 + a.iter().map(|z| z * z).sum::<f64>())
+            })
+            .collect();
+        for &(c, _) in target {
+            variance[c] = 0.0;
+        }
+        Ok(FoldedRow {
+            mean: self.predict(&solved.x, target),
+            variance,
+        })
+    }
+
+    /// Validates `target` and solves the normal equations over
+    /// `x = (b, q)`: `G·x = h` with `G = Σ a·aᵀ + diag(0, λ, …, λ)` and
+    /// `h = Σ a·t`, where `a = (1, P_j)` and `t = y_j − μ − c_j`.
+    fn solve(&self, target: &[(usize, f64)]) -> Result<Solved, ReconstructError> {
         if target.is_empty() {
             return Err(ReconstructError::Empty);
         }
@@ -123,9 +190,6 @@ impl FoldIn {
             return Err(ReconstructError::InvalidObservation { col });
         }
 
-        // Normal equations over x = (b, q): G·x = h with
-        // G = Σ a·aᵀ + diag(0, λ, …, λ) and h = Σ a·t, where a = (1, P_j)
-        // and t = y_j − μ − c_j.
         let dim = self.rank() + 1;
         let mut g = vec![0.0; dim * dim];
         let mut h = vec![0.0; dim];
@@ -143,10 +207,18 @@ impl FoldIn {
         for i in 1..dim {
             g[i * dim + i] += self.lambda;
         }
-        cholesky_solve(&mut g, &mut h, dim);
+        cholesky(&mut g, dim);
+        // L·z = h, then Lᵀ·x = z.
+        forward_substitute(&g, &mut h, dim);
+        backward_substitute(&g, &mut h, dim);
+        Ok(Solved { x: h, chol: g })
+    }
 
-        let (b, q) = (h[0], &h[1..]);
-        let mut row: Vec<f64> = (0..cols)
+    /// The row `μ + c_j + b + P_j·q` for `x = (b, q)`, with the observed
+    /// entries restored.
+    fn predict(&self, x: &[f64], target: &[(usize, f64)]) -> Vec<f64> {
+        let (b, q) = (x[0], &x[1..]);
+        let mut row: Vec<f64> = (0..self.col_bias.len())
             .map(|c| {
                 let latent: f64 = self
                     .col_factors
@@ -162,14 +234,14 @@ impl FoldIn {
         for &(c, v) in target {
             row[c] = v;
         }
-        Ok(row)
+        row
     }
 }
 
-/// Solves `G·x = h` in place (`x` replaces `h`) for a symmetric positive
-/// definite `dim × dim` matrix of which only the lower triangle of the
-/// row-major `g` is read; `g` is overwritten by its Cholesky factor.
-fn cholesky_solve(g: &mut [f64], h: &mut [f64], dim: usize) {
+/// Overwrites the lower triangle of the row-major symmetric positive
+/// definite `dim × dim` matrix `g` with its Cholesky factor `L`
+/// (`L·Lᵀ = G`); only the lower triangle is read.
+fn cholesky(g: &mut [f64], dim: usize) {
     for j in 0..dim {
         let mut d = g[j * dim + j];
         for k in 0..j {
@@ -185,20 +257,27 @@ fn cholesky_solve(g: &mut [f64], h: &mut [f64], dim: usize) {
             g[i * dim + j] = s / d;
         }
     }
-    // L·z = h, then Lᵀ·x = z.
+}
+
+/// Solves `L·z = h` in place for the factor [`cholesky`] left in `l`.
+fn forward_substitute(l: &[f64], h: &mut [f64], dim: usize) {
     for i in 0..dim {
         let mut s = h[i];
         for k in 0..i {
-            s -= g[i * dim + k] * h[k];
+            s -= l[i * dim + k] * h[k];
         }
-        h[i] = s / g[i * dim + i];
+        h[i] = s / l[i * dim + i];
     }
+}
+
+/// Solves `Lᵀ·x = z` in place for the factor [`cholesky`] left in `l`.
+fn backward_substitute(l: &[f64], h: &mut [f64], dim: usize) {
     for i in (0..dim).rev() {
         let mut s = h[i];
         for k in i + 1..dim {
-            s -= g[k * dim + i] * h[k];
+            s -= l[k * dim + i] * h[k];
         }
-        h[i] = s / g[i * dim + i];
+        h[i] = s / l[i * dim + i];
     }
 }
 
@@ -281,6 +360,39 @@ mod tests {
         let row = FoldIn::fit(&additive).fold_in(&[(1, 4.0)]).unwrap();
         for (c, &v) in row.iter().enumerate() {
             assert!((v - (2.0 + 2.0 * c as f64)).abs() < 1e-9, "column {c}: {v}");
+        }
+    }
+
+    #[test]
+    fn variance_vanishes_where_observed_and_shrinks_with_each_observation() {
+        let (mut history, cell) = low_rank(12, 10);
+        for (i, v) in history.as_mut_slice().iter_mut().enumerate() {
+            *v += 0.05 * ((i * 7919) % 13) as f64 / 13.0;
+        }
+        let model = FoldIn::fit(&history);
+        let (alpha, u) = (0.75, [-1.1, 0.6]);
+        let mut target: Vec<(usize, f64)> = Vec::new();
+        let mut previous: Option<Vec<f64>> = None;
+        for c in [3, 7, 0, 9] {
+            target.push((c, cell(alpha, u, c)));
+            let row = model.fold_in_with_variance(&target).unwrap();
+            // The mean is fold_in's row, bit for bit.
+            assert_eq!(row.mean, model.fold_in(&target).unwrap());
+            for (col, &v) in row.variance.iter().enumerate() {
+                if target.iter().any(|&(t, _)| t == col) {
+                    assert_eq!(v, 0.0, "observed column {col}");
+                } else {
+                    // Never below the per-cell noise σ̂² = λ / n.
+                    assert!(v >= model.lambda / 12.0, "column {col}: {v}");
+                }
+            }
+            // An observation adds information: no column's variance grows.
+            if let Some(prev) = &previous {
+                for (col, (&v, &p)) in row.variance.iter().zip(prev).enumerate() {
+                    assert!(v <= p * (1.0 + 1e-12), "column {col}: {p} -> {v}");
+                }
+            }
+            previous = Some(row.variance);
         }
     }
 

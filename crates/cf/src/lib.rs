@@ -61,7 +61,7 @@ mod sparse;
 mod svd;
 
 pub use dense::DenseMatrix;
-pub use fold_in::FoldIn;
+pub use fold_in::{FoldIn, FoldedRow};
 pub use pq::{PqModel, SgdConfig};
 pub use reconstruct::{ReconstructError, Reconstructor};
 pub use sparse::SparseMatrix;

@@ -218,6 +218,14 @@ impl Classifier {
     /// row → folded into the axis's history factor → linear speeds.
     /// Observations [`usable_ln_speeds`] drops are ignored; `None` when
     /// nothing usable is left.
+    ///
+    /// An unobserved column's speed is `exp(m − v)` for the fold-in's
+    /// ln-speed prediction `m` and its variance `v`: when the ln-speed
+    /// is normal, that is the estimate with the least expected relative
+    /// error `|ŝ − s| / s`, the error the planner pays for (and Table 2
+    /// and Fig. 3 score). `exp(m)` would be the median, which
+    /// overestimates the speed of the configurations the row says least
+    /// about. Observed columns keep their measurement.
     fn speed_axis(
         &self,
         kind: GoalKind,
@@ -229,9 +237,15 @@ impl Classifier {
             return None;
         }
         let row = model
-            .fold_in(&target)
+            .fold_in_with_variance(&target)
             .expect("target is non-empty, finite and in range");
-        Some(row.into_iter().map(f64::exp).collect())
+        Some(
+            row.mean
+                .iter()
+                .zip(&row.variance)
+                .map(|(m, v)| (m - v).exp())
+                .collect(),
+        )
     }
 
     /// Reconstructs one interference axis (`Tolerated` or `Caused`) of

@@ -10,6 +10,7 @@ use quasar_interference::{penalty_for, PressureVector};
 
 use crate::axes::Axes;
 use crate::classify::Classification;
+use crate::ordering::desirability;
 
 /// One planned node for prediction purposes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,19 +98,6 @@ impl<'a> Estimator<'a> {
         (speed_at(nodes) / (nodes as f64 * base)).min(2.0)
     }
 
-    /// Speed multiplier of a framework-parameter column relative to the
-    /// stock configuration, as profiled on the reference platform's full
-    /// node; 1.0 when the workload has no framework knobs.
-    pub fn params_factor(&self, col: usize) -> f64 {
-        match &self.class.params_speed {
-            Some(p) => {
-                let default = p[self.axes.default_params].max(1e-12);
-                p[col].max(0.0) / default
-            }
-            None => 1.0,
-        }
-    }
-
     /// The framework-parameter column `col` as it runs on a node of
     /// `cores` cores: the same configuration with its mapper count cut
     /// to the largest the search space offers at or below `cores` (the
@@ -141,7 +129,7 @@ impl<'a> Estimator<'a> {
     /// profiled under the stock configuration, whose 8 mappers leave
     /// the cores past the eighth idle, so this is the factor a scale-up
     /// column's speed takes under `col`.
-    pub fn node_params_factor(&self, col: usize, cores: u32) -> f64 {
+    pub(crate) fn node_params_factor(&self, col: usize, cores: u32) -> f64 {
         match &self.class.params_speed {
             Some(p) => {
                 let default = p[self.params_on_node(self.axes.default_params, cores)].max(1e-12);
@@ -153,13 +141,38 @@ impl<'a> Estimator<'a> {
 
     /// Speed multiplier of a scale-up column relative to the anchor when
     /// the node runs framework parameters `params_col` (`None`: the
-    /// stock configuration, or no framework). Node sizing ranks columns
-    /// by it: without the parameter term a framework job's scale-up row
-    /// is flat past the stock mapper count, and the planner would never
-    /// give a node the cores its re-picked mappers can use.
-    pub fn node_factor(&self, col: usize, params_col: Option<usize>) -> f64 {
+    /// stock configuration, or no framework). This is the one per-node
+    /// model: node sizing ranks columns by it and
+    /// [`Estimator::total_speed`] predicts with it. Without the
+    /// parameter term a framework job's scale-up row is flat past the
+    /// stock mapper count, and the planner would never give a node the
+    /// cores its re-picked mappers can use.
+    pub(crate) fn node_factor(&self, col: usize, params_col: Option<usize>) -> f64 {
         let cores = self.axes.scale_up[col].cores;
         self.scale_up_factor(col) * params_col.map_or(1.0, |p| self.node_params_factor(p, cores))
+    }
+
+    /// The scale-up column with the highest [`Estimator::node_factor`]
+    /// under `params_col` among those within `cores` cores and
+    /// `memory_gb` GB, the smaller footprint on ties; `None` when none
+    /// fits.
+    pub(crate) fn best_node_col(
+        &self,
+        params_col: Option<usize>,
+        cores: u32,
+        memory_gb: f64,
+    ) -> Option<usize> {
+        let axes = self.axes;
+        (0..axes.scale_up.len())
+            .filter(|&c| axes.scale_up[c].cores <= cores && axes.scale_up[c].memory_gb <= memory_gb)
+            .max_by(|&a, &b| {
+                desirability(self.node_factor(a, params_col))
+                    .total_cmp(&desirability(self.node_factor(b, params_col)))
+                    .then_with(|| {
+                        (axes.scale_up[b].cores, axes.scale_up[b].memory_gb as u64)
+                            .cmp(&(axes.scale_up[a].cores, axes.scale_up[a].memory_gb as u64))
+                    })
+            })
     }
 
     /// Predicted aggregate *speed* of an allocation (goal-kind agnostic:
@@ -174,13 +187,12 @@ impl<'a> Estimator<'a> {
             .map(|n| {
                 anchor
                     * self.hetero_factor(n.platform_index)
-                    * self.scale_up_factor(n.scale_up_col)
+                    * self.node_factor(n.scale_up_col, params_col)
                     * self.penalty(&n.pressure)
             })
             .sum();
         let efficiency = self.scale_out_efficiency(nodes.len());
-        let params = params_col.map_or(1.0, |c| self.params_factor(c));
-        per_node * efficiency * params * self.class.runtime_calibration
+        per_node * efficiency * self.class.runtime_calibration
     }
 
     /// Predicted goal value (completion seconds / QPS / IPS) of an
@@ -336,7 +348,6 @@ mod tests {
                     && p.compression == stock.compression
             })
             .expect("a 16-mapper sibling of the stock configuration");
-        assert_eq!(est.params_factor(sixteen), 2.0);
         assert_eq!(est.node_params_factor(sixteen, 24), 2.0);
         assert_eq!(est.node_params_factor(sixteen, 12), 1.5);
         assert_eq!(est.node_params_factor(sixteen, 8), 1.0);
@@ -350,5 +361,27 @@ mod tests {
             est.scale_up_factor(col)
         );
         assert_eq!(est.node_factor(col, None), est.scale_up_factor(col));
+        // Prediction applies the same capped gain node by node: 16 mappers
+        // double a 24-core node but leave an 8-core node at the stock speed.
+        let node_at = |cores: u32| PlannedNode {
+            platform_index: axes.ref_platform_index(),
+            scale_up_col: (0..axes.scale_up.len())
+                .find(|&c| axes.scale_up[c].cores == cores)
+                .expect("a column with that many cores"),
+            pressure: PressureVector::zero(),
+        };
+        for (cores, gain) in [(24, 2.0), (8, 1.0)] {
+            let nodes = [node_at(cores)];
+            let ratio = est.total_speed(&nodes, Some(sixteen))
+                / est.total_speed(&nodes, Some(axes.default_params));
+            assert!((ratio - gain).abs() < 1e-12, "{cores} cores: {ratio}");
+        }
+        // Sizing picks the column that is fastest under the plan's
+        // parameters, the smaller footprint on ties.
+        let best = est
+            .best_node_col(Some(sixteen), 24, 48.0)
+            .expect("the full node fits");
+        assert!(est.node_factor(best, Some(sixteen)) >= est.node_factor(col, Some(sixteen)));
+        assert_eq!(est.best_node_col(Some(sixteen), 0, 48.0), None);
     }
 }

@@ -148,6 +148,39 @@ impl GreedyScheduler {
 
         let single_node_only = class.scale_out_speed.is_none();
         let max_nodes = if single_node_only { 1 } else { self.max_nodes };
+        if single_node_only {
+            // One node: the best-quality server whose best fitting
+            // configuration meets the target, else the one predicted
+            // fastest. The best-quality server alone may have too little
+            // room left, and a job placed short of its target there is
+            // migrated straight back to it.
+            let alone = |c: &CandidateServer| {
+                let col = est.best_node_col(params_col, c.free_cores, c.free_memory_gb)?;
+                let node = PlannedNode {
+                    platform_index: c.platform_index,
+                    scale_up_col: col,
+                    pressure: c.pressure,
+                };
+                Some(est.total_speed(&[node], params_col))
+            };
+            let meets = |speed: f64| meets_target(class.kind, class.kind.from_speed(speed), target);
+            let mut best: Option<(usize, f64)> = None;
+            for (i, c) in ranked.iter().enumerate() {
+                let Some(speed) = alone(c) else {
+                    continue;
+                };
+                if meets(speed) {
+                    best = Some((i, speed));
+                    break;
+                }
+                if best.is_none_or(|(_, s)| desirability(speed) > desirability(s)) {
+                    best = Some((i, speed));
+                }
+            }
+            if let Some((i, _)) = best {
+                ranked.swap(0, i);
+            }
+        }
 
         // Grow node set best-quality-first, each node at its best fitting
         // scale-up configuration (scale-up before scale-out, §3.3),
@@ -156,7 +189,9 @@ impl GreedyScheduler {
         let mut chosen: Vec<(usize, NodeResources)> = Vec::new();
         let mut spend = 0.0;
         for candidate in ranked.iter().take(max_nodes) {
-            let Some(col) = self.best_fitting_col(axes, &est, candidate, params_col) else {
+            let Some(col) =
+                est.best_node_col(params_col, candidate.free_cores, candidate.free_memory_gb)
+            else {
                 continue;
             };
             let node_cost = slice_cost(candidate, axes.scale_up[col]);
@@ -184,19 +219,20 @@ impl GreedyScheduler {
             let cheapest = ranked
                 .iter()
                 .filter_map(|c| {
-                    self.best_fitting_col(axes, &est, c, params_col).map(|col| {
-                        let smallest = (0..axes.scale_up.len())
-                            .filter(|&cc| {
-                                let r = axes.scale_up[cc];
-                                r.cores <= c.free_cores && r.memory_gb <= c.free_memory_gb
-                            })
-                            .min_by(|&a, &b| {
-                                cost(slice_cost(c, axes.scale_up[a]))
-                                    .total_cmp(&cost(slice_cost(c, axes.scale_up[b])))
-                            })
-                            .unwrap_or(col);
-                        (c, smallest)
-                    })
+                    est.best_node_col(params_col, c.free_cores, c.free_memory_gb)
+                        .map(|col| {
+                            let smallest = (0..axes.scale_up.len())
+                                .filter(|&cc| {
+                                    let r = axes.scale_up[cc];
+                                    r.cores <= c.free_cores && r.memory_gb <= c.free_memory_gb
+                                })
+                                .min_by(|&a, &b| {
+                                    cost(slice_cost(c, axes.scale_up[a]))
+                                        .total_cmp(&cost(slice_cost(c, axes.scale_up[b])))
+                                })
+                                .unwrap_or(col);
+                            (c, smallest)
+                        })
                 })
                 .min_by(|(ca, a), (cb, b)| {
                     cost(slice_cost(ca, axes.scale_up[*a]))
@@ -275,32 +311,6 @@ impl GreedyScheduler {
             meets: meets_target(class.kind, predicted_goal, target),
             hourly_cost,
         })
-    }
-
-    /// The scale-up column with the highest estimated speed under the
-    /// plan's framework parameters that fits the candidate's free
-    /// resources.
-    fn best_fitting_col(
-        &self,
-        axes: &Axes,
-        est: &Estimator<'_>,
-        candidate: &CandidateServer,
-        params_col: Option<usize>,
-    ) -> Option<usize> {
-        (0..axes.scale_up.len())
-            .filter(|&c| {
-                let r = axes.scale_up[c];
-                r.cores <= candidate.free_cores && r.memory_gb <= candidate.free_memory_gb
-            })
-            .max_by(|&a, &b| {
-                desirability(est.node_factor(a, params_col))
-                    .total_cmp(&desirability(est.node_factor(b, params_col)))
-                    // Prefer the smaller footprint on ties.
-                    .then_with(|| {
-                        (axes.scale_up[b].cores, axes.scale_up[b].memory_gb as u64)
-                            .cmp(&(axes.scale_up[a].cores, axes.scale_up[a].memory_gb as u64))
-                    })
-            })
     }
 
     /// Shrinks one node's configuration while the plan still meets the
@@ -505,6 +515,34 @@ mod tests {
         let plan = scheduler.plan(&axes, &class, &target, &candidates).unwrap();
         assert_eq!(plan.nodes.len(), 1);
         assert!(!plan.meets);
+    }
+
+    /// A single-node job passes over the best-quality server when what is
+    /// left of it cannot meet the target and a slower one can; with no
+    /// server able to, it takes the one predicted fastest.
+    #[test]
+    fn single_node_workloads_take_a_server_with_room() {
+        let axes = axes();
+        let mut class = class(&axes, GoalKind::Rate);
+        class.scale_out_speed = None;
+        let scheduler = GreedyScheduler::new(8);
+        let ref_idx = axes.ref_platform_index();
+        let other = (ref_idx + 1) % axes.platforms.len();
+        // The fast platform has 2 cores left; the slow one a whole node.
+        let candidates = vec![
+            candidate(0, ref_idx, 2, 48.0),
+            candidate(1, other, 24, 48.0),
+        ];
+        let one_core = class.scale_up_speed[axes.nearest_scale_up(NodeResources::new(1, 1.0))];
+        let target = QosTarget::ips(one_core * 8.0);
+        let plan = scheduler.plan(&axes, &class, &target, &candidates).unwrap();
+        assert!(plan.meets, "predicted {}", plan.predicted_goal);
+        assert_eq!(plan.nodes[0].0, 1);
+        // Out of reach everywhere: the faster of the two best fits.
+        let target = QosTarget::ips(1e12);
+        let plan = scheduler.plan(&axes, &class, &target, &candidates).unwrap();
+        assert!(!plan.meets);
+        assert_eq!(plan.nodes[0].0, 1);
     }
 
     #[test]

@@ -39,6 +39,33 @@ pub enum HistoryAxis {
     Caused,
 }
 
+impl HistoryAxis {
+    /// Whether the axis holds interference pressures (0–100 points)
+    /// rather than ln-speeds.
+    pub fn is_pressure(self) -> bool {
+        matches!(self, HistoryAxis::Tolerated | HistoryAxis::Caused)
+    }
+
+    /// Factors one axis's history for fold-in, as
+    /// [`KindHistory::factor`] does: a pressure axis on the unit scale
+    /// (pressure / [`PressureVector::MAX`]) that classification queries
+    /// it on, a speed axis as stored.
+    ///
+    /// [`PressureVector::MAX`]: quasar_interference::PressureVector::MAX
+    pub fn fit(self, history: &DenseMatrix) -> FoldIn {
+        if self.is_pressure() {
+            let max = quasar_interference::PressureVector::MAX;
+            FoldIn::fit(&DenseMatrix::from_fn(
+                history.rows(),
+                history.cols(),
+                |r, c| history.get(r, c) / max,
+            ))
+        } else {
+            FoldIn::fit(history)
+        }
+    }
+}
+
 /// Dense per-axis history for one goal kind. Speed axes are stored in
 /// natural-log space (ln speed) so the row bias absorbs each training
 /// workload's overall scale; interference axes are linear pressure points.
@@ -78,23 +105,11 @@ impl KindHistory {
         }
     }
 
-    /// The fold-in factor of `axis`, built on first use; `None` when the
-    /// kind lacks the axis. Pressure axes are factored on the unit scale
-    /// (pressure / [`PressureVector::MAX`]) that classification queries
-    /// them on.
-    ///
-    /// [`PressureVector::MAX`]: quasar_interference::PressureVector::MAX
+    /// The fold-in factor of `axis` ([`HistoryAxis::fit`]), built on
+    /// first use; `None` when the kind lacks the axis.
     pub fn factor(&self, axis: HistoryAxis) -> Option<&FoldIn> {
         let m = self.matrix(axis)?;
-        Some(self.factors[axis as usize].get_or_init(|| match axis {
-            HistoryAxis::Tolerated | HistoryAxis::Caused => {
-                let max = quasar_interference::PressureVector::MAX;
-                FoldIn::fit(&DenseMatrix::from_fn(m.rows(), m.cols(), |r, c| {
-                    m.get(r, c) / max
-                }))
-            }
-            _ => FoldIn::fit(m),
-        }))
+        Some(self.factors[axis as usize].get_or_init(|| axis.fit(m)))
     }
 }
 

@@ -614,16 +614,7 @@ impl QuasarManager {
             let budget_cores = server.free_cores() + node.resources.cores;
             let budget_mem = server.free_memory_gb() + node.resources.memory_gb;
             let current_col = axes.nearest_scale_up(node.resources);
-            let best = (0..axes.scale_up.len())
-                .filter(|&c| {
-                    let r = axes.scale_up[c];
-                    r.cores <= budget_cores && r.memory_gb <= budget_mem
-                })
-                .max_by(|&a, &b| {
-                    desirability(est.node_factor(a, params_col))
-                        .total_cmp(&desirability(est.node_factor(b, params_col)))
-                });
-            if let Some(best) = best {
+            if let Some(best) = est.best_node_col(params_col, budget_cores, budget_mem) {
                 if let Some(limit) = cost_limit {
                     let delta = Self::slice_price(world, node.server, axes.scale_up[best])
                         - Self::slice_price(world, node.server, node.resources);
@@ -682,16 +673,9 @@ impl QuasarManager {
                 desirability(qa).total_cmp(&desirability(qb))
             });
             if let Some(best) = best {
-                let col = (0..axes.scale_up.len())
-                    .filter(|&c| {
-                        let r = axes.scale_up[c];
-                        r.cores <= best.free_cores && r.memory_gb <= best.free_memory_gb
-                    })
-                    .max_by(|&a, &b| {
-                        desirability(est.node_factor(a, params_col))
-                            .total_cmp(&desirability(est.node_factor(b, params_col)))
-                    });
-                if let Some(col) = col {
+                if let Some(col) =
+                    est.best_node_col(params_col, best.free_cores, best.free_memory_gb)
+                {
                     let server = ServerId(best.server);
                     if let Some(limit) = cost_limit {
                         let delta = Self::slice_price(world, server, axes.scale_up[col]);

@@ -200,8 +200,8 @@ mod tests {
         // in-memory bonuses), so the bounds here are looser — what matters
         // is that every classification is usefully accurate and that the
         // well-structured axes (heterogeneity, interference) are tight.
-        // Fold-in measures a worst row average of 29.3% (Webserver
-        // scale-up), at most 14.0% on scale-out, 3.2% on heterogeneity
+        // Fold-in measures a worst row average of 20.9% (Webserver
+        // scale-up), at most 13.4% on scale-out, 3.2% on heterogeneity
         // and 15.4% on interference.
         let worst = r.worst_parallel_avg();
         assert!(
