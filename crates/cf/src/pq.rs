@@ -8,9 +8,18 @@
 //! exactly, so trained models are **bit-identical** to
 //! [`PqModel::train_reference`], the frozen pre-refactor implementation
 //! kept for property tests and the kernel benchmarks.
+//!
+//! The reference reshuffles its entries before every epoch; the kernel
+//! instead reads each epoch's order from a table of the same
+//! permutations, a function of `(seed, entry count, epoch)` alone. The
+//! only state kept between calls is each thread's last such table,
+//! reused while consecutive trainings on that thread share a seed and
+//! entry count; a table over 8 MiB is never kept, its rows streamed from
+//! the generator instead.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 use quasar_obs::registry::{Counter, Registry};
 use rand::rngs::StdRng;
@@ -28,37 +37,13 @@ fn sgd_metrics() -> &'static Counter {
     METRICS.get_or_init(|| Registry::global().counter("quasar.cf.sgd.epochs"))
 }
 
-/// Registry handles for `quasar.cf.sgd.schedule.*`. Unlike the epoch
-/// count these depend on process history (a second experiment in one
-/// process hits where the first built; racing threads may both build),
-/// so the prefix is listed in `quasar_obs::registry::LIVE_PREFIXES`.
-struct ScheduleMetrics {
-    hits: Counter,
-    builds: Counter,
-    evictions: Counter,
-    streamed: Counter,
-}
-
-fn schedule_metrics() -> &'static ScheduleMetrics {
-    static METRICS: OnceLock<ScheduleMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let counter = |name: &str| Registry::global().counter(name);
-        ScheduleMetrics {
-            hits: counter("quasar.cf.sgd.schedule.hits"),
-            builds: counter("quasar.cf.sgd.schedule.builds"),
-            evictions: counter("quasar.cf.sgd.schedule.evictions"),
-            streamed: counter("quasar.cf.sgd.schedule.streamed"),
-        }
-    })
-}
-
 /// The per-epoch Fisher–Yates reshuffle of [`PqModel::run_sgd_reference`]
 /// with the data taken out: the same draws from the same generator, the
 /// stream continuing across epochs, applied to the identity permutation
 /// of `0..n` instead of to the entries. The reference's visit order
 /// after any epoch is then `base[perm[k]]` over its starting order
 /// `base` — a function of `(seed, n, epoch)` alone.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Shuffle {
     rng: StdRng,
     perm: Vec<u32>,
@@ -84,169 +69,80 @@ impl Shuffle {
     }
 }
 
-/// The first `epochs` permutations of one `(seed, n)` [`Shuffle`] as
-/// flat rows of `n`, with the generator parked after the last row so a
-/// request for more epochs extends the table instead of replaying it.
+/// The first epochs' permutations of one `(seed, n)` [`Shuffle`] as
+/// flat rows of `n`. Row `e` does not depend on how many rows follow it,
+/// so the table also serves any request for fewer epochs.
 #[derive(Debug)]
 struct Schedule {
+    seed: u64,
+    n: usize,
     rows: Vec<u32>,
-    epochs: usize,
-    shuffle: Shuffle,
 }
 
 impl Schedule {
-    /// A table of `epochs` rows, continuing from `prefix` (a shorter
-    /// table of the same key) when there is one.
-    fn build(prefix: Option<&Schedule>, seed: u64, n: usize, epochs: usize) -> Schedule {
+    fn build(seed: u64, n: usize, epochs: usize) -> Schedule {
+        let mut shuffle = Shuffle::new(seed, n);
         let mut rows = Vec::with_capacity(epochs * n);
-        let (mut shuffle, have) = match prefix {
-            Some(p) => {
-                rows.extend_from_slice(&p.rows);
-                (p.shuffle.clone(), p.epochs)
-            }
-            None => (Shuffle::new(seed, n), 0),
-        };
-        for _ in have..epochs {
+        for _ in 0..epochs {
             rows.extend_from_slice(shuffle.next_epoch());
         }
-        Schedule {
-            rows,
-            epochs,
-            shuffle,
-        }
+        Schedule { seed, n, rows }
+    }
+
+    fn serves(&self, seed: u64, n: usize, epochs: usize) -> bool {
+        (self.seed, self.n) == (seed, n) && self.rows.len() >= epochs * n
     }
 
     fn row(&self, epoch: usize) -> &[u32] {
-        let n = self.shuffle.perm.len();
-        &self.rows[epoch * n..(epoch + 1) * n]
+        &self.rows[epoch * self.n..(epoch + 1) * self.n]
     }
+}
 
-    fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.rows.as_slice())
-    }
+/// Largest table a thread keeps; a request beyond it (the exhaustive
+/// classifier's n in the tens of thousands) is streamed.
+const SCHEDULE_KEY_BYTES: usize = 8 << 20;
+
+thread_local! {
+    /// The thread's last [`Schedule`]: every caller that still trains SGD
+    /// trains one shape several times in a row on one thread.
+    static LAST_SCHEDULE: RefCell<Option<Rc<Schedule>>> = const { RefCell::new(None) };
 }
 
 /// Where one training run reads its visit orders from.
 enum Visits {
-    /// Rows of a memoised table.
-    Memoised(Arc<Schedule>),
+    /// Rows of the thread's table.
+    Table(Rc<Schedule>),
     /// A key too large to retain: the generator itself, one reused row.
     Streamed(Shuffle),
 }
 
 impl Visits {
+    /// The visit orders of the first `epochs` epochs of `(seed, n)`: the
+    /// thread's table when it serves them, else a new table that replaces
+    /// it, else (beyond [`SCHEDULE_KEY_BYTES`]) the generator.
+    fn of(seed: u64, n: usize, epochs: usize) -> Visits {
+        let bytes = epochs
+            .saturating_mul(n)
+            .saturating_mul(std::mem::size_of::<u32>());
+        if bytes > SCHEDULE_KEY_BYTES {
+            return Visits::Streamed(Shuffle::new(seed, n));
+        }
+        LAST_SCHEDULE.with_borrow_mut(|slot| {
+            if !slot.as_ref().is_some_and(|t| t.serves(seed, n, epochs)) {
+                *slot = None; // drop the old table first: a thread holds one
+                *slot = Some(Rc::new(Schedule::build(seed, n, epochs)));
+            }
+            Visits::Table(Rc::clone(slot.as_ref().expect("the slot was just filled")))
+        })
+    }
+
     /// The visit order of `epoch`. Called with `epoch = 0, 1, 2, …` in
     /// order (the streamed generator cannot seek).
     fn epoch(&mut self, epoch: usize) -> &[u32] {
         match self {
-            Visits::Memoised(schedule) => schedule.row(epoch),
+            Visits::Table(schedule) => schedule.row(epoch),
             Visits::Streamed(shuffle) => shuffle.next_epoch(),
         }
-    }
-}
-
-/// Total bytes of visit schedules [`SCHEDULES`] keeps resident. The four
-/// live shapes (n = 242 / 338 / 602 / 770 at 800 epochs) need 6.2 MB;
-/// fig3's density sweep mints dozens of distinct `n` and would otherwise
-/// grow the process by hundreds of MB.
-const SCHEDULE_BUDGET_BYTES: usize = 32 << 20;
-/// Largest table retained for one key; a request beyond it (the
-/// exhaustive classifier's n in the tens of thousands) is streamed.
-const SCHEDULE_KEY_BYTES: usize = SCHEDULE_BUDGET_BYTES / 4;
-
-/// Process-wide memo of [`Schedule`]s keyed by `(seed, n)`, filled on
-/// first use and evicted least-recently-used to stay within `budget`.
-struct ScheduleMemo {
-    budget: usize,
-    per_key: usize,
-    state: Mutex<MemoState>,
-}
-
-struct MemoState {
-    clock: u64,
-    bytes: usize,
-    /// Per key: the clock of its last use, and the table.
-    tables: BTreeMap<(u64, usize), (u64, Arc<Schedule>)>,
-}
-
-static SCHEDULES: ScheduleMemo = ScheduleMemo::new(SCHEDULE_BUDGET_BYTES, SCHEDULE_KEY_BYTES);
-
-impl ScheduleMemo {
-    const fn new(budget: usize, per_key: usize) -> ScheduleMemo {
-        assert!(per_key <= budget);
-        ScheduleMemo {
-            budget,
-            per_key,
-            state: Mutex::new(MemoState {
-                clock: 0,
-                bytes: 0,
-                tables: BTreeMap::new(),
-            }),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, MemoState> {
-        self.state
-            .lock()
-            .expect("a thread panicked while updating the schedule memo")
-    }
-
-    /// The visit orders of the first `epochs` epochs of `(seed, n)`.
-    fn visits(&self, seed: u64, n: usize, epochs: usize) -> Visits {
-        let metrics = schedule_metrics();
-        let bytes = epochs
-            .saturating_mul(n)
-            .saturating_mul(std::mem::size_of::<u32>());
-        if bytes > self.per_key {
-            metrics.streamed.inc();
-            return Visits::Streamed(Shuffle::new(seed, n));
-        }
-        let key = (seed, n);
-        let prefix = {
-            let mut state = self.lock();
-            state.clock += 1;
-            let now = state.clock;
-            match state.tables.get_mut(&key) {
-                Some((used, table)) if table.epochs >= epochs => {
-                    *used = now;
-                    metrics.hits.inc();
-                    return Visits::Memoised(Arc::clone(table));
-                }
-                shorter => shorter.map(|(_, table)| Arc::clone(table)),
-            }
-        };
-        // Built outside the lock, so threads cold on different keys (the
-        // four axes of a first arrival) do not queue behind one another;
-        // two threads cold on the same key both build the same rows.
-        let table = Arc::new(Schedule::build(prefix.as_deref(), seed, n, epochs));
-        metrics.builds.inc();
-
-        let mut state = self.lock();
-        state.clock += 1;
-        let now = state.clock;
-        let raced = state
-            .tables
-            .get(&key)
-            .is_some_and(|(_, theirs)| theirs.epochs >= epochs);
-        if !raced {
-            let old = state.tables.insert(key, (now, Arc::clone(&table)));
-            state.bytes += table.bytes();
-            state.bytes -= old.map_or(0, |(_, old)| old.bytes());
-        }
-        while state.bytes > self.budget {
-            // `per_key <= budget`, so the table just stamped `now` is
-            // never the one to go.
-            let lru = state
-                .tables
-                .iter()
-                .min_by_key(|(_, (used, _))| *used)
-                .map(|(key, _)| *key)
-                .expect("a non-zero byte count has a table behind it");
-            let (_, evicted) = state.tables.remove(&lru).expect("key was just found");
-            state.bytes -= evicted.bytes();
-            metrics.evictions.inc();
-        }
-        Visits::Memoised(table)
     }
 }
 
@@ -463,13 +359,14 @@ impl PqModel {
     /// slice pair — predict, bias update, and factor update together,
     /// monomorphized per latent rank (see [`sgd_entry_pass`]). The
     /// entries stay in `a.iter()` order and each epoch visits them
-    /// through a memoised permutation (see [`Shuffle`]), which is the
+    /// through a permutation (see [`Shuffle`]) read from the thread's
+    /// last [`Schedule`] or streamed (see [`Visits::of`]), which is the
     /// order [`PqModel::run_sgd_reference`] reaches by reshuffling them;
     /// operation order matches it exactly, so every intermediate (and
     /// hence the trained model) is bit-identical.
     fn run_sgd(&mut self, a: &SparseMatrix, config: &SgdConfig) {
         let base: Vec<(usize, usize, f64)> = a.iter().collect();
-        let mut visits = SCHEDULES.visits(config.seed, base.len(), config.max_epochs);
+        let mut visits = Visits::of(config.seed, base.len(), config.max_epochs);
         let eta = config.learning_rate;
         let lambda = config.regularization;
         let epochs_metric = sgd_metrics();
@@ -777,48 +674,51 @@ mod tests {
         assert_eq!(bias_bits(&fast.row_bias), bias_bits(&slow.row_bias));
     }
 
-    /// Drives a private small-budget memo through build → hit → extend →
-    /// evict → rebuild → oversized; every row served on the way must be
-    /// the row a straight run of the generator produces.
+    /// Drives the thread's slot through build → prefix read → new key →
+    /// more epochs → oversized; every row served on the way must be the
+    /// row a straight run of the generator produces. Runs on a thread of
+    /// its own, so the slot starts empty.
     #[test]
-    fn schedule_memo_serves_generator_rows_in_every_state() {
-        // Ten epochs of n = 8 are 320 bytes: two such tables fit, three do not.
-        let memo = ScheduleMemo::new(700, 320);
-        let serve = |seed: u64, n: usize, epochs: usize| {
-            let mut visits = memo.visits(seed, n, epochs);
-            let mut straight = Shuffle::new(seed, n);
-            for epoch in 0..epochs {
-                assert_eq!(
-                    visits.epoch(epoch),
-                    straight.next_epoch(),
-                    "seed {seed} n {n} epoch {epoch}"
-                );
-            }
-            matches!(visits, Visits::Memoised(_))
-        };
-        let resident = || memo.lock().tables.keys().copied().collect::<Vec<_>>();
-        let table = |key: (u64, usize)| Arc::clone(&memo.lock().tables[&key].1);
+    fn schedule_slot_serves_generator_rows_in_every_state() {
+        std::thread::spawn(|| {
+            let serve = |seed: u64, n: usize, epochs: usize| {
+                let mut visits = Visits::of(seed, n, epochs);
+                let mut straight = Shuffle::new(seed, n);
+                for epoch in 0..epochs {
+                    assert_eq!(
+                        visits.epoch(epoch),
+                        straight.next_epoch(),
+                        "{seed} {n} {epoch}"
+                    );
+                }
+                match visits {
+                    Visits::Table(table) => Some(table),
+                    Visits::Streamed(_) => None,
+                }
+            };
+            let kept = || LAST_SCHEDULE.with_borrow(|slot| slot.clone().unwrap());
 
-        assert!(serve(1, 8, 5), "build");
-        let built = table((1, 8));
-        assert!(serve(1, 8, 3), "hit on a prefix");
-        assert!(Arc::ptr_eq(&built, &table((1, 8))), "a hit builds nothing");
-        assert!(serve(1, 8, 10), "extend");
-        assert_eq!(table((1, 8)).epochs, 10);
-        assert_eq!(table((1, 8)).rows[..5 * 8], built.rows[..]);
+            let built = serve(1, 8, 5).expect("build");
+            assert!(
+                Rc::ptr_eq(&serve(1, 8, 3).unwrap(), &built),
+                "a prefix read"
+            );
+            let other = serve(2, 8, 5).expect("a new seed");
+            assert!(!Rc::ptr_eq(&other, &built) && Rc::ptr_eq(&other, &kept()));
+            let longer = serve(2, 8, 10).expect("more epochs");
+            assert!(!Rc::ptr_eq(&longer, &other) && Rc::ptr_eq(&longer, &kept()));
+            assert_eq!(longer.rows[..5 * 8], other.rows[..]);
 
-        assert!(serve(2, 8, 10));
-        assert!(serve(1, 8, 10), "touch (1, 8): (2, 8) is now the oldest");
-        assert!(serve(1, 9, 8), "a third key evicts");
-        assert_eq!(resident(), [(1, 8), (1, 9)]);
-        assert!(memo.lock().bytes <= 700);
-        assert!(serve(2, 8, 10), "rebuild after eviction");
-        assert_eq!(resident(), [(1, 9), (2, 8)]);
-
-        assert!(!serve(1, 8, 11), "352 bytes > per-key budget: streamed");
-        assert!(!serve(3, 81, 1), "one row too large to keep");
-        assert_eq!(resident(), [(1, 9), (2, 8)], "streaming retains nothing");
-        assert!(serve(4, 1, 20), "n = 1 draws nothing");
+            // Two rows of one entry more than half the cap each: 8 bytes
+            // over it.
+            assert!(
+                serve(3, SCHEDULE_KEY_BYTES / 8 + 1, 2).is_none(),
+                "streamed"
+            );
+            assert!(Rc::ptr_eq(&longer, &kept()), "streaming retains nothing");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

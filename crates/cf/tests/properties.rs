@@ -152,9 +152,10 @@ proptest! {
     /// The fused SGD kernel must train to a bit-identical model across
     /// densities: same rank, same epoch count, same residual bits, and
     /// bit-identical predictions everywhere. The seed, epoch cap and
-    /// entry count vary from case to case within this one process, so
-    /// the visit-schedule memo is read cold, extended and prefix-read;
-    /// the tolerance is loose enough that some cases stop early.
+    /// entry count vary from case to case on this one thread, so its
+    /// visit-schedule table is built, replaced, rebuilt for more epochs
+    /// and prefix-read; the tolerance is loose enough that some cases
+    /// stop early.
     #[test]
     fn sgd_training_is_bit_identical_to_reference(
         entries in proptest::collection::vec((0usize..7, 0usize..9, -5.0..5.0f64), 5..63),
@@ -228,10 +229,10 @@ proptest! {
     }
 
     /// End-to-end: `reconstruct_row` returns the same bits whether the
-    /// process-wide visit-schedule memo has never seen the shape (cold:
-    /// each case draws a seed no earlier case used), has just served it
-    /// (warm), or is read from another thread. The memo is the only
-    /// state the kernels keep between calls.
+    /// thread's visit-schedule table was built for another shape (cold:
+    /// each case draws a seed no earlier case used), has just served
+    /// this one (warm), or belongs to a fresh thread that has none. The
+    /// table is the only state the kernels keep between calls.
     #[test]
     fn reconstruct_row_bits_do_not_depend_on_schedule_memo_state(
         h in dense_matrix(6),
@@ -287,46 +288,4 @@ fn single_entry_training_is_bit_identical_to_reference() {
         bits(fast.predict_all().as_slice()),
         bits(slow.predict_all().as_slice())
     );
-}
-
-/// Threads racing to build the same cold visit schedule (a seed nothing
-/// else in this process trains with) train the same model as a serial
-/// run that then reads whatever they left in the memo. The shape is a
-/// live classification's: 24 dense history rows plus one row with two
-/// observations.
-#[test]
-fn racing_trainings_on_a_cold_schedule_match_serial() {
-    let mut a = SparseMatrix::from_dense_rows(&DenseMatrix::from_fn(24, 10, |r, c| {
-        ((r * 7 + c * 3) % 11) as f64 / 11.0 + 0.1 * c as f64
-    }));
-    let row = a.push_row();
-    a.insert(row, 1, 0.4);
-    a.insert(row, 6, 0.9);
-    for seed in [0xc01d_0001_u64, 0xc01d_0002] {
-        let config = SgdConfig {
-            seed,
-            ..SgdConfig::default()
-        };
-        let barrier = std::sync::Barrier::new(4);
-        let raced: Vec<PqModel> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        PqModel::train(&a, &config)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let serial = PqModel::train(&a, &config);
-        for model in &raced {
-            assert_eq!(model.epochs_run(), serial.epochs_run());
-            assert_eq!(
-                bits(model.predict_all().as_slice()),
-                bits(serial.predict_all().as_slice()),
-                "cold-memo training diverged (seed {seed:#x})"
-            );
-        }
-    }
 }

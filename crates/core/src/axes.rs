@@ -86,6 +86,9 @@ pub struct Axes {
     pub scale_out_probe: NodeResources,
     /// All platforms (columns of the heterogeneity classification).
     pub platforms: Vec<PlatformId>,
+    /// The full resources of each platform, in `platforms` order: a
+    /// slice is priced as its share of these.
+    pub capacity: Vec<NodeResources>,
     /// The reference platform (highest-end; scale-up profiling runs here).
     pub ref_platform: PlatformId,
     /// The full resources of the reference platform; framework-parameter
@@ -159,6 +162,7 @@ impl Axes {
                 12.0_f64.min(reference.memory_gb),
             ),
             platforms: catalog.iter().map(|p| p.id).collect(),
+            capacity: catalog.iter().map(NodeResources::all_of).collect(),
             ref_platform: reference.id,
             ref_full: NodeResources::all_of(reference),
             params,

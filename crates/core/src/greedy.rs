@@ -194,7 +194,7 @@ impl GreedyScheduler {
             else {
                 continue;
             };
-            let node_cost = slice_cost(candidate, axes.scale_up[col]);
+            let node_cost = slice_cost(axes, candidate, axes.scale_up[col]);
             if let Some(budget) = budget_per_hour {
                 if spend + node_cost > budget {
                     continue; // a cheaper later candidate may still fit
@@ -216,6 +216,8 @@ impl GreedyScheduler {
             // Nothing affordable at best-fitting size: fall back to the
             // single cheapest fitting slice so the workload still runs
             // (the cost target "serves as a limit", not a veto).
+            let col_cost =
+                |c: &CandidateServer, col: usize| cost(slice_cost(axes, c, axes.scale_up[col]));
             let cheapest = ranked
                 .iter()
                 .filter_map(|c| {
@@ -226,18 +228,12 @@ impl GreedyScheduler {
                                     let r = axes.scale_up[cc];
                                     r.cores <= c.free_cores && r.memory_gb <= c.free_memory_gb
                                 })
-                                .min_by(|&a, &b| {
-                                    cost(slice_cost(c, axes.scale_up[a]))
-                                        .total_cmp(&cost(slice_cost(c, axes.scale_up[b])))
-                                })
+                                .min_by(|&a, &b| col_cost(c, a).total_cmp(&col_cost(c, b)))
                                 .unwrap_or(col);
                             (c, smallest)
                         })
                 })
-                .min_by(|(ca, a), (cb, b)| {
-                    cost(slice_cost(ca, axes.scale_up[*a]))
-                        .total_cmp(&cost(slice_cost(cb, axes.scale_up[*b])))
-                });
+                .min_by(|(ca, a), (cb, b)| col_cost(ca, *a).total_cmp(&col_cost(cb, *b)));
             if let Some((c, col)) = cheapest {
                 planned.push(PlannedNode {
                     platform_index: c.platform_index,
@@ -301,7 +297,7 @@ impl GreedyScheduler {
                     .iter()
                     .find(|c| c.server == server)
                     .expect("chosen servers come from the candidate set");
-                slice_cost(cand, res)
+                slice_cost(axes, cand, res)
             })
             .sum();
         Some(AllocationPlan {
@@ -353,15 +349,25 @@ impl GreedyScheduler {
     }
 }
 
-/// Pro-rata hourly cost of holding `res` on a candidate server: the
-/// dominant share of cores or memory times the server's price.
-fn slice_cost(candidate: &CandidateServer, res: NodeResources) -> f64 {
-    let total_cores = (candidate.free_cores.max(res.cores)) as f64;
-    let total_mem = candidate.free_memory_gb.max(res.memory_gb);
-    let share = (res.cores as f64 / total_cores.max(1.0))
-        .max(res.memory_gb / total_mem.max(1e-9))
-        .min(1.0);
-    candidate.hourly_price * share
+/// Pro-rata hourly price of holding `res` on a server with `whole`
+/// resources that costs `hourly_price`: the dominant share of the whole
+/// server's cores or memory times its price, whatever its tenants
+/// already hold. The planner and the manager's cost cap (§4.4) both
+/// price slices with it.
+pub(crate) fn slice_price(hourly_price: f64, whole: NodeResources, res: NodeResources) -> f64 {
+    hourly_price
+        * (res.cores as f64 / whole.cores as f64)
+            .max(res.memory_gb / whole.memory_gb)
+            .min(1.0)
+}
+
+/// [`slice_price`] of `res` on a candidate server.
+fn slice_cost(axes: &Axes, candidate: &CandidateServer, res: NodeResources) -> f64 {
+    slice_price(
+        candidate.hourly_price,
+        axes.capacity[candidate.platform_index],
+        res,
+    )
 }
 
 /// Whether a predicted goal value satisfies a target with margin.
@@ -580,6 +586,30 @@ mod tests {
         let target = QosTarget::throughput(1.0, 1000.0);
         let plan = scheduler.plan(&axes, &class, &target, &candidates).unwrap();
         assert!(plan.hourly_cost > 0.0 && plan.hourly_cost <= 1.0 + 1e-9);
+    }
+
+    /// A slice is priced as a share of its whole platform, so what the
+    /// server's tenants already hold does not change its price.
+    #[test]
+    fn a_slice_costs_the_same_on_a_busy_server_as_on_an_idle_one() {
+        let axes = axes();
+        let class = class(&axes, GoalKind::Qps);
+        let scheduler = GreedyScheduler::new(1);
+        let ref_idx = axes.ref_platform_index();
+        let target = QosTarget::throughput(1.0, 1000.0);
+        let plan_on = |cores: u32, mem: f64| {
+            scheduler
+                .plan(&axes, &class, &target, &[candidate(0, ref_idx, cores, mem)])
+                .unwrap()
+        };
+        let idle = plan_on(24, 48.0);
+        let busy = plan_on(12, 24.0);
+        assert_eq!(idle.nodes, busy.nodes, "both trim to the same slice");
+        assert_eq!(idle.hourly_cost.to_bits(), busy.hourly_cost.to_bits());
+        // The reference platform has 24 cores and 48 GB; the price is 1.
+        let res = idle.nodes[0].1;
+        let share = (res.cores as f64 / 24.0).max(res.memory_gb / 48.0);
+        assert_eq!(idle.hourly_cost, share);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::axes::GoalKind;
 use crate::classify::{Classification, Classifier};
 use crate::config::QuasarConfig;
 use crate::estimate::{Estimator, PlannedNode};
-use crate::greedy::{AllocationPlan, CandidateServer, GreedyScheduler};
+use crate::greedy::{self, AllocationPlan, CandidateServer, GreedyScheduler};
 use crate::history::{HistoryAxis, HistorySet};
 use crate::ordering::desirability;
 use crate::profile::Profiler;
@@ -562,13 +562,15 @@ impl QuasarManager {
         }
     }
 
-    /// Pro-rata hourly price of one slice on a server.
+    /// Pro-rata hourly price of one slice on a server, as the planner
+    /// prices it ([`greedy::slice_price`]).
     fn slice_price(world: &World, server: ServerId, res: NodeResources) -> f64 {
         let platform = world.platform_of(server);
-        platform.price_per_hour()
-            * (res.cores as f64 / platform.cores as f64)
-                .max(res.memory_gb / platform.memory_gb)
-                .min(1.0)
+        greedy::slice_price(
+            platform.price_per_hour(),
+            NodeResources::all_of(platform),
+            res,
+        )
     }
 
     /// Pro-rata hourly price of a workload's current placement.

@@ -244,8 +244,9 @@ pub fn run(scale: Scale) -> KernelBenchReport {
     // and a wide live shape. Full scale uses the production epoch cap;
     // quick shrinks it so the CI smoke stays fast (the per-epoch inner
     // loop is identical either way). The untimed warmup call leaves the
-    // kernel side's visit schedule memoised, as it is for every live
-    // arrival after a process's first.
+    // kernel side's visit schedule in this thread's slot, so the timed
+    // reps, which train the same shape in a row, read it instead of
+    // drawing it.
     let config = SgdConfig {
         max_epochs: sgd_epochs,
         ..SgdConfig::default()

@@ -8,28 +8,16 @@
 //! itself is only locked at handle-creation and snapshot time.
 //!
 //! Naming convention: `quasar.<crate>.<subsystem>.<name>`, e.g.
-//! `quasar.cf.sgd.epochs`. Metrics under [`LIVE_PREFIXES`] (the SGD
-//! schedule memo's counters) and the `sum`/bucket detail of wall-clock
-//! histograms are *scheduling- or history-dependent*: they vary
-//! run-to-run and across `--threads` values.
-//! [`Snapshot::deterministic`] strips exactly those, leaving a view that
-//! is byte-identical for every thread count, which is what the CI
-//! determinism smoke diffs.
+//! `quasar.cf.sgd.epochs`. The `sum`/bucket detail of wall-clock
+//! histograms is *scheduling-dependent*: it varies run-to-run and across
+//! `--threads` values. [`Snapshot::deterministic`] strips exactly that,
+//! leaving a view that is byte-identical for every thread count, which
+//! is what the CI determinism smoke diffs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Metric-name prefixes whose values depend on thread scheduling or
-/// process history (and so are excluded from [`Snapshot::deterministic`]).
-///
-/// The SGD visit-schedule memo's counters (`quasar.cf.sgd.schedule.*`)
-/// depend on process history: a second experiment in one process hits
-/// where the first built, and threads racing on a cold key may both
-/// build. `quasar.cf.sgd.epochs` counts epochs trained, memoised or not,
-/// and stays deterministic.
-pub const LIVE_PREFIXES: &[&str] = &["quasar.cf.sgd.schedule."];
 
 /// Default histogram bucket upper bounds for latencies in microseconds:
 /// a 1-2-5 ladder from 1 µs to 5 s, with an implicit overflow bucket.
@@ -400,16 +388,15 @@ impl Snapshot {
             .map(|e| &e.value)
     }
 
-    /// The scheduling-independent view: metrics under [`LIVE_PREFIXES`]
-    /// are dropped, and histograms are reduced to their counts (bucket
-    /// detail and float sums depend on timing / addition order). The
-    /// result is byte-identical across `--threads` values for workloads
-    /// driven by the deterministic parallel runner.
+    /// The scheduling-independent view: histograms are reduced to their
+    /// counts (bucket detail and float sums depend on timing / addition
+    /// order) and every other metric is kept as is. The result is
+    /// byte-identical across `--threads` values for workloads driven by
+    /// the deterministic parallel runner.
     pub fn deterministic(&self) -> Snapshot {
         let entries = self
             .entries
             .iter()
-            .filter(|e| !LIVE_PREFIXES.iter().any(|p| e.name.starts_with(p)))
             .map(|e| MetricSnapshot {
                 name: e.name.clone(),
                 value: match &e.value {
@@ -576,16 +563,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_deterministic_strips_live_metrics() {
+    fn snapshot_deterministic_keeps_counters_and_reduces_histograms() {
         let r = Registry::new();
         r.counter("quasar.cf.sgd.epochs").add(3);
         r.counter("quasar.core.classify.classifications").add(5);
         let h = r.histogram_us("quasar.core.classify.decision_us");
         h.record(123.4);
-        r.counter("quasar.cf.sgd.schedule.hits").add(11);
         let det = r.snapshot().deterministic();
-        // The schedule memo's counters are history-dependent and stripped.
-        assert!(det.get("quasar.cf.sgd.schedule.hits").is_none());
         // Kernel work counters are deterministic and kept.
         assert_eq!(
             det.get("quasar.cf.sgd.epochs"),
