@@ -27,10 +27,10 @@
 //!   ridge least-squares solve against the fixed column factors. Quasar's
 //!   four classifications run on it.
 //!
-//! The SVD and SGD kernels are flat-slice implementations with a strict
-//! **bit-identical-output contract** against the frozen pre-refactor
-//! scalar loops in [`reference`](mod@reference); property tests enforce the contract
-//! and `quasar-experiments bench-kernels` measures the speedup.
+//! The SVD and SGD are the plain loops of the paper's equations, one of
+//! each: the SVD runs once per history axis when the fold-in factors are
+//! built, and SGD only in the full retrain. Fingerprint tests pin the
+//! bits of both.
 //!
 //! # Examples
 //!
@@ -66,32 +66,3 @@ pub use pq::{PqModel, SgdConfig};
 pub use reconstruct::{ReconstructError, Reconstructor};
 pub use sparse::SparseMatrix;
 pub use svd::{svd, Svd};
-
-/// The order-free elementwise loop kernels of the SVD (see DESIGN.md
-/// §4f for the loop taxonomy that makes them safe to re-block).
-///
-/// Exposed so the micro-benchmarks and the `bench-kernels` emitter can
-/// measure the blocked rotation against its scalar form directly; the
-/// classification fast path always uses the blocked [`kernel::rotate_cols`].
-pub mod kernel {
-    pub use crate::svd::{rotate_cols, rotate_cols_scalar};
-}
-
-/// Frozen pre-refactor scalar-loop kernels, kept as correctness oracles.
-///
-/// The slice kernels ([`svd`], [`PqModel::train`]) must produce
-/// bit-identical output to these; property tests assert it and the
-/// `bench-kernels` emitter measures the before/after speedup. These are
-/// reference implementations only — nothing on the classification fast
-/// path calls them.
-pub mod reference {
-    pub use crate::svd::svd_reference;
-
-    use crate::pq::{PqModel, SgdConfig};
-    use crate::sparse::SparseMatrix;
-
-    /// The pre-refactor SGD training loop; see [`PqModel::train_reference`].
-    pub fn train_reference(a: &SparseMatrix, config: &SgdConfig) -> PqModel {
-        PqModel::train_reference(a, config)
-    }
-}

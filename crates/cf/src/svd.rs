@@ -1,13 +1,9 @@
 //! Singular Value Decomposition via one-sided Jacobi rotations.
 //!
-//! The [`svd`] kernel works on a contiguous **column-major** copy of the
-//! input: one-sided Jacobi touches whole columns (Gram accumulation and
-//! plane rotations), so laying each column out as a flat slice turns
-//! every inner loop into a bounds-check-free `zip` over contiguous
-//! memory. The floating-point accumulation order of the original
-//! per-element loops is preserved exactly, so the output is
-//! **bit-identical** to the naive implementation (kept as
-//! [`svd_reference`] for property tests and the kernel benchmarks).
+//! [`svd`] is the plain loop: bounds-checked `get`/`set` over a row-major
+//! working copy. It runs once per history axis when the fold-in factors
+//! are built and once per full retrain, off the arrival path. The
+//! fingerprint tests below pin its output bits.
 
 use std::sync::OnceLock;
 
@@ -109,55 +105,6 @@ impl Svd {
     }
 }
 
-/// Two disjoint column slices (`p < q`) of a column-major buffer whose
-/// columns are `len` elements long.
-#[inline]
-fn col_pair_mut(data: &mut [f64], len: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
-    debug_assert!(p < q, "column pair must be ordered");
-    let (left, right) = data.split_at_mut(q * len);
-    (&mut left[p * len..p * len + len], &mut right[..len])
-}
-
-/// Lanes per block of the width-blocked rotation kernel: one 4-wide
-/// `f64` vector (AVX2) or two 2-wide ones (SSE2/NEON).
-const ROTATE_LANES: usize = 4;
-
-/// The straight-line rotation loop, kept both as the remainder handler
-/// of [`rotate_cols`] and as the comparison baseline for the
-/// blocked-vs-scalar benches and proptests.
-#[inline]
-pub fn rotate_cols_scalar(colp: &mut [f64], colq: &mut [f64], c: f64, s: f64) {
-    for (x, y) in colp.iter_mut().zip(colq.iter_mut()) {
-        let (ap, aq) = (*x, *y);
-        *x = c * ap - s * aq;
-        *y = s * ap + c * aq;
-    }
-}
-
-/// Applies the plane rotation `(x, y) ← (c·x − s·y, s·x + c·y)` to a
-/// column pair, blocked into `ROTATE_LANES`-wide (4) bodies over fixed-size
-/// array chunks (so every lane is bounds-check-free and the block maps
-/// onto one SIMD register) with a scalar remainder. Each element is
-/// rotated independently — there is no cross-element accumulation to
-/// reassociate — so blocking stays inside the §4f bit-identity contract:
-/// the output is identical to [`rotate_cols_scalar`] bit for bit.
-#[inline]
-pub fn rotate_cols(colp: &mut [f64], colq: &mut [f64], c: f64, s: f64) {
-    debug_assert_eq!(colp.len(), colq.len(), "column pair lengths match");
-    let mut ps = colp.chunks_exact_mut(ROTATE_LANES);
-    let mut qs = colq.chunks_exact_mut(ROTATE_LANES);
-    for (p, q) in ps.by_ref().zip(qs.by_ref()) {
-        let p: &mut [f64; ROTATE_LANES] = p.try_into().expect("chunk is ROTATE_LANES wide");
-        let q: &mut [f64; ROTATE_LANES] = q.try_into().expect("chunk is ROTATE_LANES wide");
-        for k in 0..ROTATE_LANES {
-            let (ap, aq) = (p[k], q[k]);
-            p[k] = c * ap - s * aq;
-            q[k] = s * ap + c * aq;
-        }
-    }
-    rotate_cols_scalar(ps.into_remainder(), qs.into_remainder(), c, s);
-}
-
 /// Computes the thin SVD of `a` with the one-sided Jacobi method.
 ///
 /// One-sided Jacobi applies plane rotations to the columns of a working
@@ -165,11 +112,6 @@ pub fn rotate_cols(colp: &mut [f64], colq: &mut [f64], c: f64, s: f64) {
 /// norms are then the singular values, the normalized columns form `U`, and
 /// the accumulated rotations form `V`. For matrices with more columns than
 /// rows the decomposition is computed on `Aᵀ` and the factors swapped.
-///
-/// The working copy (and the rotation accumulator `V`) live in flat
-/// column-major buffers, so the Gram accumulation, the rotations, and
-/// the final norm pass all run over contiguous slices. Output is
-/// bit-identical to [`svd_reference`].
 ///
 /// # Examples
 ///
@@ -183,129 +125,8 @@ pub fn rotate_cols(colp: &mut [f64], colq: &mut [f64], c: f64, s: f64) {
 /// assert!(d.reconstruct().max_abs_diff(&a) < 1e-9);
 /// ```
 pub fn svd(a: &DenseMatrix) -> Svd {
-    // The decomposition runs on the tall orientation: M = Aᵀ when A is
-    // wide. The column-major layout of Aᵀ is exactly A's row-major
-    // buffer, so the wide case needs no transpose pass at all — just a
-    // copy of the data and a swap of the factors on the way out.
-    let wide = a.rows() < a.cols();
-    let (m, n) = if wide {
-        (a.cols(), a.rows())
-    } else {
-        (a.rows(), a.cols())
-    };
-    // Column-major working set: column c occupies work[c·m .. (c+1)·m].
-    // Laying the working set out by column is what makes every sweep
-    // below contiguous.
-    let mut work = if wide {
-        a.as_slice().to_vec()
-    } else {
-        let mut work = vec![0.0; m * n];
-        for r in 0..m {
-            for (c, &value) in a.row(r).iter().enumerate() {
-                work[c * m + r] = value;
-            }
-        }
-        work
-    };
-    let mut v = vec![0.0; n * n];
-    for i in 0..n {
-        v[i * n + i] = 1.0;
-    }
-
-    let (mut sweep_count, mut rotation_count) = (0u64, 0u64);
-    for _ in 0..MAX_SWEEPS {
-        sweep_count += 1;
-        let mut off_diagonal = false;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let (wp, wq) = col_pair_mut(&mut work, m, p, q);
-                // Fused Gram accumulation: α = ‖a_p‖², β = ‖a_q‖²,
-                // γ = a_p·a_q in one pass, each sum in ascending row
-                // order exactly as the reference loops.
-                let mut alpha = 0.0;
-                let mut beta = 0.0;
-                let mut gamma = 0.0;
-                for (&ap, &aq) in wp.iter().zip(wq.iter()) {
-                    alpha += ap * ap;
-                    beta += aq * aq;
-                    gamma += ap * aq;
-                }
-                if gamma.abs() <= JACOBI_TOL * (alpha * beta).sqrt() || gamma == 0.0 {
-                    continue;
-                }
-                off_diagonal = true;
-                rotation_count += 1;
-                // Jacobi rotation that zeroes the (p, q) Gram entry.
-                let zeta = (beta - alpha) / (2.0 * gamma);
-                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                rotate_cols(wp, wq, c, s);
-                let (vp, vq) = col_pair_mut(&mut v, n, p, q);
-                rotate_cols(vp, vq, c, s);
-            }
-        }
-        if !off_diagonal {
-            break;
-        }
-    }
-    // One batched registry update per decomposition, not one atomic RMW
-    // per rotation inside the hot loop.
-    let (sweeps, rotations) = svd_metrics();
-    sweeps.add(sweep_count);
-    rotations.add(rotation_count);
-
-    // Column norms are the singular values; sort them descending.
-    let mut order: Vec<usize> = (0..n).collect();
-    let norms: Vec<f64> = work
-        .chunks_exact(m)
-        .map(|col| col.iter().map(|x| x.powi(2)).sum::<f64>().sqrt())
-        .collect();
-    order.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]));
-
-    let mut u_data = vec![0.0; m * n];
-    let mut v_data = vec![0.0; n * n];
-    let mut singular_values = Vec::with_capacity(n);
-    for (k, &c) in order.iter().enumerate() {
-        let norm = norms[c];
-        singular_values.push(norm);
-        if norm > 0.0 {
-            for (i, &w) in work[c * m..(c + 1) * m].iter().enumerate() {
-                u_data[i * n + k] = w / norm;
-            }
-        }
-        for (i, &x) in v[c * n..(c + 1) * n].iter().enumerate() {
-            v_data[i * n + k] = x;
-        }
-    }
-
-    let u = DenseMatrix::from_vec(m, n, u_data);
-    let v = DenseMatrix::from_vec(n, n, v_data);
-    if wide {
-        Svd {
-            u: v,
-            singular_values,
-            v: u,
-        }
-    } else {
-        Svd {
-            u,
-            singular_values,
-            v,
-        }
-    }
-}
-
-/// The pre-refactor scalar-loop Jacobi SVD, frozen verbatim as the
-/// correctness oracle: property tests assert [`svd`] matches it
-/// bit-for-bit, and `quasar-experiments bench-kernels` measures the
-/// slice kernel's speedup against it. Every element access goes through
-/// bounds-checked `get`/`set` with column-strided reads over the
-/// row-major buffer — exactly the cache-hostile shape the flat-slice
-/// kernel replaces.
-pub fn svd_reference(a: &DenseMatrix) -> Svd {
     if a.rows() < a.cols() {
-        let t = svd_reference(&a.transpose());
+        let t = svd(&a.transpose());
         return Svd {
             u: t.v,
             singular_values: t.singular_values,
@@ -318,7 +139,9 @@ pub fn svd_reference(a: &DenseMatrix) -> Svd {
     let mut work = a.clone();
     let mut v = DenseMatrix::identity(n);
 
+    let (mut sweep_count, mut rotation_count) = (0u64, 0u64);
     for _ in 0..MAX_SWEEPS {
+        sweep_count += 1;
         let mut off_diagonal = false;
         for p in 0..n {
             for q in (p + 1)..n {
@@ -336,6 +159,7 @@ pub fn svd_reference(a: &DenseMatrix) -> Svd {
                     continue;
                 }
                 off_diagonal = true;
+                rotation_count += 1;
                 // Jacobi rotation that zeroes the (p, q) Gram entry.
                 let zeta = (beta - alpha) / (2.0 * gamma);
                 let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
@@ -359,6 +183,11 @@ pub fn svd_reference(a: &DenseMatrix) -> Svd {
             break;
         }
     }
+    // One batched registry update per decomposition, not one atomic RMW
+    // per rotation inside the loop.
+    let (sweeps, rotations) = svd_metrics();
+    sweeps.add(sweep_count);
+    rotations.add(rotation_count);
 
     // Column norms are the singular values; sort them descending.
     let mut order: Vec<usize> = (0..n).collect();
@@ -411,19 +240,6 @@ mod tests {
         }
     }
 
-    fn assert_bit_identical(a: &DenseMatrix) {
-        let fast = svd(a);
-        let slow = svd_reference(a);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(
-            bits(&fast.singular_values),
-            bits(&slow.singular_values),
-            "singular values must match the reference bit-for-bit"
-        );
-        assert_eq!(bits(fast.u.as_slice()), bits(slow.u.as_slice()));
-        assert_eq!(bits(fast.v.as_slice()), bits(slow.v.as_slice()));
-    }
-
     #[test]
     fn diagonal_matrix() {
         let a = DenseMatrix::from_vec(3, 3, vec![2.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 1.0]);
@@ -438,23 +254,12 @@ mod tests {
     fn tall_matrix() {
         let a = DenseMatrix::from_fn(5, 3, |r, c| ((r + 1) * (c + 2)) as f64 + (r as f64) * 0.3);
         assert_reconstructs(&a, 1e-8);
-        assert_bit_identical(&a);
     }
 
     #[test]
     fn wide_matrix() {
         let a = DenseMatrix::from_fn(3, 6, |r, c| (r as f64 - 1.0) * (c as f64 + 0.5) + 2.0);
         assert_reconstructs(&a, 1e-8);
-        assert_bit_identical(&a);
-    }
-
-    #[test]
-    fn history_shaped_matrix_is_bit_identical_to_reference() {
-        // The shape the classifier decomposes on every arrival.
-        let a = DenseMatrix::from_fn(25, 81, |r, c| {
-            ((r * 13 + c * 7) % 17) as f64 * 0.25 + (r as f64) * 0.1
-        });
-        assert_bit_identical(&a);
     }
 
     #[test]
@@ -474,7 +279,6 @@ mod tests {
         let d = svd(&a);
         assert!(d.singular_values.iter().all(|&s| s == 0.0));
         assert!(d.reconstruct().max_abs_diff(&a) < 1e-12);
-        assert_bit_identical(&a);
     }
 
     #[test]
@@ -517,20 +321,38 @@ mod tests {
         assert_eq!(inf.rank_for_energy(0.95), 1);
     }
 
-    #[test]
-    fn blocked_rotation_matches_scalar_across_remainder_classes() {
-        let (c, s) = (0.8, 0.6);
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 81] {
-            let base_p: Vec<f64> = (0..len).map(|i| i as f64 * 0.37 - 4.0).collect();
-            let base_q: Vec<f64> = (0..len).map(|i| 2.5 - i as f64 * 0.11).collect();
-            let (mut bp, mut bq) = (base_p.clone(), base_q.clone());
-            let (mut sp, mut sq) = (base_p, base_q);
-            rotate_cols(&mut bp, &mut bq, c, s);
-            rotate_cols_scalar(&mut sp, &mut sq, c, s);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            assert_eq!(bits(&bp), bits(&sp), "len {len}");
-            assert_eq!(bits(&bq), bits(&sq), "len {len}");
+    /// FNV-1a over the little-endian bytes of each value's bits.
+    fn fingerprint(values: &[f64]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for byte in values.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
         }
+        hash
+    }
+
+    fn svd_fingerprint(a: &DenseMatrix) -> u64 {
+        let d = svd(a);
+        let mut all = d.singular_values.clone();
+        all.extend_from_slice(d.u.as_slice());
+        all.extend_from_slice(d.v.as_slice());
+        fingerprint(&all)
+    }
+
+    #[test]
+    fn history_shaped_svd_bits_are_pinned() {
+        // The shape of one history axis: 25 rows, 81 columns.
+        let a = DenseMatrix::from_fn(25, 81, |r, c| {
+            ((r * 13 + c * 7) % 17) as f64 * 0.25 + (r as f64) * 0.1
+        });
+        assert_eq!(svd_fingerprint(&a), 15946386061459307781);
+    }
+
+    #[test]
+    fn wide_and_tall_svd_bits_are_pinned() {
+        let wide = DenseMatrix::from_fn(3, 6, |r, c| (r as f64 - 1.0) * (c as f64 + 0.5) + 2.0);
+        assert_eq!(svd_fingerprint(&wide), 3524502025637256766);
+        let tall = DenseMatrix::from_fn(7, 5, |r, c| ((r * 7 + c * 3) % 11) as f64 - 5.0);
+        assert_eq!(svd_fingerprint(&tall), 5767909761184389818);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptation;
-pub mod bench_kernels;
 pub mod fig1;
 pub mod fig11;
 pub mod fig2;

@@ -5,7 +5,6 @@
 //! quasar-experiments all [--full] [--threads N]
 //! quasar-experiments trace <id> [--full] [--threads N]
 //!                    [--trace-out PATH] [--jsonl-out PATH]
-//! quasar-experiments bench-kernels [--full] [--json] [--out PATH]
 //! quasar-experiments qos-report <fig> [--full] [--threads N]
 //! ```
 //!
@@ -13,12 +12,6 @@
 //! over the deterministic parallel runner (default: the machine's
 //! available parallelism; `--threads 1` forces the serial path). The
 //! printed reports are bit-identical for every thread count.
-//!
-//! `bench-kernels` times the flat-slice CF math kernels against their
-//! frozen pre-refactor references (median of N serial reps; `--full`
-//! raises the reps and uses the production SGD epoch cap). `--json`
-//! additionally writes the machine-readable result to `--out PATH`
-//! (default `BENCH_kernels.json`).
 //!
 //! Throughput and latency numbers come from `benchmark/`, not from here.
 //!
@@ -48,7 +41,6 @@ fn usage() -> ! {
         "usage: quasar-experiments <id>... [--full] [--threads N]\n\
          \x20      quasar-experiments trace <id> [--full] [--threads N] \
          [--trace-out PATH] [--jsonl-out PATH]\n\
-         \x20      quasar-experiments bench-kernels [--full] [--json] [--out PATH]\n\
          \x20      quasar-experiments qos-report <fig> [--full] [--threads N]"
     );
     eprintln!("ids: all {}", EXPERIMENT_IDS.join(" "));
@@ -62,9 +54,6 @@ struct Options {
     trace_mode: bool,
     trace_out: Option<String>,
     jsonl_out: Option<String>,
-    bench_mode: bool,
-    bench_json: bool,
-    bench_out: Option<String>,
     qos_report_mode: bool,
 }
 
@@ -76,9 +65,6 @@ fn parse_args(args: &[String]) -> Options {
         trace_mode: false,
         trace_out: None,
         jsonl_out: None,
-        bench_mode: false,
-        bench_json: false,
-        bench_out: None,
         qos_report_mode: false,
     };
     let path_flag = |args: &[String], i: &mut usize| -> String {
@@ -105,14 +91,11 @@ fn parse_args(args: &[String]) -> Options {
             }
             "--trace-out" => opts.trace_out = Some(path_flag(args, &mut i)),
             "--jsonl-out" => opts.jsonl_out = Some(path_flag(args, &mut i)),
-            "--json" => opts.bench_json = true,
-            "--out" => opts.bench_out = Some(path_flag(args, &mut i)),
             a if a.starts_with("--") => {
                 eprintln!("unknown flag: {a}");
                 usage();
             }
             "trace" if opts.ids.is_empty() && !opts.trace_mode => opts.trace_mode = true,
-            "bench-kernels" if opts.ids.is_empty() && !opts.bench_mode => opts.bench_mode = true,
             "qos-report" if opts.ids.is_empty() && !opts.qos_report_mode => {
                 opts.qos_report_mode = true
             }
@@ -120,7 +103,7 @@ fn parse_args(args: &[String]) -> Options {
         }
         i += 1;
     }
-    if opts.ids.is_empty() && !opts.bench_mode {
+    if opts.ids.is_empty() {
         usage();
     }
     opts
@@ -191,19 +174,6 @@ fn run_trace(opts: &Options) {
     println!("{}", telemetry_summary());
 }
 
-fn run_bench_kernels(opts: &Options) {
-    if !opts.ids.is_empty() {
-        eprintln!("bench-kernels takes no experiment ids");
-        usage();
-    }
-    let report = quasar_experiments::bench_kernels::run(opts.scale);
-    println!("{report}");
-    if opts.bench_json {
-        let path = opts.bench_out.as_deref().unwrap_or("BENCH_kernels.json");
-        write_or_fail(path, &report.to_json(), "kernel bench results");
-    }
-}
-
 /// `qos-report <fig>`: rerun one figure's scenario and print the
 /// per-cause QoS violation breakdown (the ledger CSV and the incident
 /// JSONL land under `target/experiment-results/qos/`).
@@ -243,10 +213,6 @@ fn main() {
 
     if opts.qos_report_mode {
         run_qos_report(&opts);
-        return;
-    }
-    if opts.bench_mode {
-        run_bench_kernels(&opts);
         return;
     }
     if opts.trace_mode {
