@@ -163,7 +163,7 @@ pub fn write_event(out: &mut String, at_s: f64, event: &JournalEvent) {
             num(out, workload.0);
             num(out, server.0 as u64);
         }
-        JournalEvent::ParamsSet { workload } | JournalEvent::Completed { workload } => {
+        JournalEvent::Completed { workload } => {
             num(out, workload.0);
         }
         JournalEvent::QosEpisode {
@@ -229,9 +229,6 @@ pub fn parse_event(line: &str) -> io::Result<(f64, JournalEvent)> {
         "node_removed" => JournalEvent::NodeRemoved {
             workload: WorkloadId(parse_num(next("workload")?, "workload")?),
             server: ServerId(parse_num(next("server")?, "server")?),
-        },
-        "params_set" => JournalEvent::ParamsSet {
-            workload: WorkloadId(parse_num(next("workload")?, "workload")?),
         },
         "completed" => JournalEvent::Completed {
             workload: WorkloadId(parse_num(next("workload")?, "workload")?),
@@ -608,7 +605,7 @@ mod tests {
             JournalEvent::NodeRemoved { workload, server } => {
                 let _ = write!(line, " {} {}", workload.0, server.0);
             }
-            JournalEvent::ParamsSet { workload } | JournalEvent::Completed { workload } => {
+            JournalEvent::Completed { workload } => {
                 let _ = write!(line, " {}", workload.0);
             }
             JournalEvent::QosEpisode {
@@ -658,7 +655,7 @@ mod tests {
 
     fn any_event() -> impl Strategy<Value = JournalEvent> {
         let ids = (edge_u64(), edge_u64(), edge_u64(), any::<bool>());
-        (0usize..8, ids, any::<u32>(), 0usize..QosCause::ALL.len()).prop_flat_map(
+        (0usize..7, ids, any::<u32>(), 0usize..QosCause::ALL.len()).prop_flat_map(
             |(kind, (w, s, n, flag), cores, cause)| {
                 (edge_f64(), edge_f64(), edge_f64()).prop_map(move |(a, b, c)| {
                     let workload = WorkloadId(w);
@@ -689,8 +686,7 @@ mod tests {
                             server,
                             resources,
                         },
-                        5 => JournalEvent::ParamsSet { workload },
-                        6 => JournalEvent::Completed { workload },
+                        5 => JournalEvent::Completed { workload },
                         _ => JournalEvent::QosEpisode {
                             workload,
                             cause: QosCause::ALL[cause],
@@ -763,12 +759,6 @@ mod tests {
                 },
             ),
             (
-                5.0,
-                JournalEvent::ParamsSet {
-                    workload: WorkloadId(4),
-                },
-            ),
-            (
                 6.0,
                 JournalEvent::Completed {
                     workload: WorkloadId(3),
@@ -804,9 +794,9 @@ mod tests {
             events: sample_events(),
         };
         let text = chunk.serialize();
-        assert!(text.starts_with("quasar.journal.chunk.v1 index=5 events=8 "));
+        assert!(text.starts_with("quasar.journal.chunk.v1 index=5 events=7 "));
         let header = format!(
-            "{CHUNK_SCHEMA} index=5 events=8 first={} last={}\n",
+            "{CHUNK_SCHEMA} index=5 events=7 first={} last={}\n",
             hex(chunk.first_s()),
             hex(chunk.last_s())
         );

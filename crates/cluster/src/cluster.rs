@@ -292,24 +292,6 @@ impl ClusterState {
         Ok(())
     }
 
-    /// Updates the framework parameters of a placement.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the workload is not placed.
-    pub fn set_params(
-        &mut self,
-        id: WorkloadId,
-        params: quasar_workloads::FrameworkParams,
-    ) -> Result<(), PlaceError> {
-        let placement = self
-            .placements
-            .get_mut(&id)
-            .ok_or(PlaceError::NotPlaced(id))?;
-        placement.params = params;
-        Ok(())
-    }
-
     /// Total cores across the cluster.
     pub fn total_cores(&self) -> u32 {
         self.servers.iter().map(|s| s.total_cores()).sum()

@@ -30,13 +30,12 @@ use crate::server::ServerId;
 
 /// Every event kind as `(kind tag, trace event name)`, indexed by
 /// [`JournalEvent::slot`].
-const KINDS: [(&str, &str); 8] = [
+const KINDS: [(&str, &str); 7] = [
     ("placed", "cluster.journal.placed"),
     ("evicted", "cluster.journal.evicted"),
     ("node_added", "cluster.journal.node_added"),
     ("node_removed", "cluster.journal.node_removed"),
     ("node_resized", "cluster.journal.node_resized"),
-    ("params_set", "cluster.journal.params_set"),
     ("completed", "cluster.journal.completed"),
     ("qos_episode", "cluster.journal.qos_episode"),
 ];
@@ -45,7 +44,7 @@ const KINDS: [(&str, &str); 8] = [
 /// event kind (`quasar.cluster.journal.<kind>`, indexed like [`KINDS`]).
 struct JournalMetrics {
     total: Counter,
-    per_kind: [Counter; 8],
+    per_kind: [Counter; 7],
     chunk_flushes: Counter,
     chunk_events: Counter,
     chunk_store_failures: Counter,
@@ -111,11 +110,6 @@ pub enum JournalEvent {
         /// New slice size.
         resources: NodeResources,
     },
-    /// Framework parameters were updated in place.
-    ParamsSet {
-        /// Workload reconfigured.
-        workload: WorkloadId,
-    },
     /// A batch workload completed.
     Completed {
         /// Workload that finished.
@@ -176,9 +170,6 @@ impl fmt::Display for JournalEvent {
                 "{workload} resized on {server} to {} cores, {:.0}GB",
                 resources.cores, resources.memory_gb
             ),
-            JournalEvent::ParamsSet { workload } => {
-                write!(f, "{workload} framework parameters updated")
-            }
             JournalEvent::Completed { workload } => write!(f, "{workload} completed"),
             JournalEvent::QosEpisode {
                 workload,
@@ -203,9 +194,8 @@ impl JournalEvent {
             JournalEvent::NodeAdded { .. } => 2,
             JournalEvent::NodeRemoved { .. } => 3,
             JournalEvent::NodeResized { .. } => 4,
-            JournalEvent::ParamsSet { .. } => 5,
-            JournalEvent::Completed { .. } => 6,
-            JournalEvent::QosEpisode { .. } => 7,
+            JournalEvent::Completed { .. } => 5,
+            JournalEvent::QosEpisode { .. } => 6,
         }
     }
 
@@ -553,7 +543,6 @@ mod tests {
                 server,
                 resources,
             },
-            JournalEvent::ParamsSet { workload },
             JournalEvent::Completed { workload },
             JournalEvent::QosEpisode {
                 workload,
@@ -681,9 +670,6 @@ mod tests {
                 workload: WorkloadId(1),
                 server: ServerId(2),
                 resources: NodeResources::new(8, 16.0),
-            },
-            JournalEvent::ParamsSet {
-                workload: WorkloadId(1),
             },
             JournalEvent::Completed {
                 workload: WorkloadId(1),

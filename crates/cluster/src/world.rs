@@ -571,22 +571,6 @@ impl World {
         Ok(())
     }
 
-    /// Updates the framework parameters of a placement.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the workload has no placement.
-    pub fn set_params(
-        &mut self,
-        id: WorkloadId,
-        params: FrameworkParams,
-    ) -> Result<(), PlaceError> {
-        self.cluster.set_params(id, params)?;
-        self.journal
-            .record(self.now, JournalEvent::ParamsSet { workload: id });
-        Ok(())
-    }
-
     /// Records the resources a reservation-based manager *reserved* for a
     /// workload; only used for the used-vs-reserved metrics (Figs. 1, 11d).
     pub fn report_reservation(&mut self, id: WorkloadId, cores: u32, memory_gb: f64) {
@@ -1372,8 +1356,8 @@ mod tests {
     }
 
     /// Satellite guarantee for the structured journal: every mutating
-    /// `World` action — place, resize, scale-out, reclaim, params,
-    /// evict, completion — appends exactly one journal event
+    /// `World` action — place, resize, scale-out, reclaim, evict,
+    /// completion — appends exactly one journal event
     /// of the matching kind, and failed mutations append none.
     #[test]
     fn every_mutating_action_journals_exactly_one_event() {
@@ -1401,7 +1385,6 @@ mod tests {
         w.resize_node(id, sid, NodeResources::new(4, 8.0)).unwrap();
         w.add_node(id, NodeAlloc::immediate(other, small)).unwrap();
         w.remove_node(id, other).unwrap();
-        w.set_params(id, FrameworkParams::default()).unwrap();
         w.evict(id, true);
 
         let kinds: Vec<&str> = w.journal().iter().map(|(_, e)| e.kind()).collect();
@@ -1412,7 +1395,6 @@ mod tests {
                 "node_resized",
                 "node_added",
                 "node_removed",
-                "params_set",
                 "evicted"
             ],
             "one event per mutating action, in order"
@@ -1421,7 +1403,6 @@ mod tests {
         // Failed mutations must not journal.
         let before = w.journal().len();
         assert!(w.resize_node(id, sid, small).is_err(), "evicted → no slice");
-        assert!(w.set_params(id, FrameworkParams::default()).is_err());
         assert_eq!(w.journal().len(), before);
 
         // Completion via physics journals exactly one `completed`.
@@ -1472,7 +1453,7 @@ mod tests {
             w.place(id, vec![node], params).unwrap();
             w.advance(5.0);
             for _ in 0..extra {
-                w.set_params(id, params).unwrap();
+                w.resize_node(id, node.server, node.resources).unwrap();
             }
             w.advance(5.0);
             w.evict(id, true);

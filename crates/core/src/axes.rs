@@ -86,9 +86,6 @@ pub struct Axes {
     pub scale_out_probe: NodeResources,
     /// All platforms (columns of the heterogeneity classification).
     pub platforms: Vec<PlatformId>,
-    /// The full resources of each platform, in `platforms` order: a
-    /// slice is priced as its share of these.
-    pub capacity: Vec<NodeResources>,
     /// The reference platform (highest-end; scale-up profiling runs here).
     pub ref_platform: PlatformId,
     /// The full resources of the reference platform; framework-parameter
@@ -162,7 +159,6 @@ impl Axes {
                 12.0_f64.min(reference.memory_gb),
             ),
             platforms: catalog.iter().map(|p| p.id).collect(),
-            capacity: catalog.iter().map(NodeResources::all_of).collect(),
             ref_platform: reference.id,
             ref_full: NodeResources::all_of(reference),
             params,
@@ -272,6 +268,16 @@ mod tests {
         for kind in GoalKind::ALL {
             let v = 123.0;
             assert!((kind.from_speed(kind.to_speed(v)) - v).abs() < 1e-9);
+        }
+    }
+
+    /// The planner's smallest slice (`CandidateServer::has_room`) is a
+    /// scale-up column, so a candidate with room always fits one.
+    #[test]
+    fn smallest_slice_is_a_scale_up_column() {
+        for catalog in [PlatformCatalog::local(), PlatformCatalog::ec2()] {
+            let axes = Axes::for_catalog(&catalog);
+            assert!(axes.scale_up.contains(&NodeResources::new(1, 1.0)));
         }
     }
 

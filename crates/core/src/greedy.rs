@@ -13,7 +13,7 @@ use quasar_workloads::{NodeResources, QosTarget};
 use crate::axes::{Axes, GoalKind};
 use crate::classify::Classification;
 use crate::estimate::{Estimator, PlannedNode};
-use crate::ordering::{cost, desirability};
+use crate::ordering::desirability;
 
 /// A candidate server as seen by the scheduler: free resources plus the
 /// manager's *estimates* of its pressure and of how much headroom its
@@ -34,8 +34,10 @@ pub struct CandidateServer {
     /// workload's caused pressure would push an existing tenant past its
     /// tolerance (1.0 = no victims).
     pub victim_factor: f64,
-    /// Hourly price of the whole server, in dollars (cost-target
-    /// extension, paper §4.4).
+    /// Hourly price of the whole server, in dollars. Nothing in
+    /// `crates/` reads it; the end-to-end benchmark's planner probe
+    /// still builds candidates with it, so it goes with that
+    /// benchmark's re-pin (ROADMAP item 26).
     pub hourly_price: f64,
 }
 
@@ -60,9 +62,6 @@ pub struct AllocationPlan {
     pub predicted_goal: f64,
     /// Whether the prediction meets the target with margin.
     pub meets: bool,
-    /// Estimated spend of the plan in dollars per hour (slices are billed
-    /// pro rata to the share of the server they hold).
-    pub hourly_cost: f64,
 }
 
 /// Margin the scheduler leaves against the target to absorb measurement
@@ -94,21 +93,6 @@ impl GreedyScheduler {
         class: &Classification,
         target: &QosTarget,
         candidates: &[CandidateServer],
-    ) -> Option<AllocationPlan> {
-        self.plan_with_budget(axes, class, target, candidates, None)
-    }
-
-    /// [`GreedyScheduler::plan`] with an optional spending cap in dollars
-    /// per hour: node growth stops at the budget, and the most expensive
-    /// slices are dropped if a partial plan overshoots it (the paper's
-    /// §4.4 cost target "serves as a limit for resource allocation").
-    pub fn plan_with_budget(
-        &self,
-        axes: &Axes,
-        class: &Classification,
-        target: &QosTarget,
-        candidates: &[CandidateServer],
-        budget_per_hour: Option<f64>,
     ) -> Option<AllocationPlan> {
         let _span = quasar_obs::span!("core.greedy.plan", "candidates={}", candidates.len());
         {
@@ -183,24 +167,15 @@ impl GreedyScheduler {
         }
 
         // Grow node set best-quality-first, each node at its best fitting
-        // scale-up configuration (scale-up before scale-out, §3.3),
-        // stopping at the spending cap when one is set.
+        // scale-up configuration (scale-up before scale-out, §3.3).
         let mut planned: Vec<PlannedNode> = Vec::new();
         let mut chosen: Vec<(usize, NodeResources)> = Vec::new();
-        let mut spend = 0.0;
         for candidate in ranked.iter().take(max_nodes) {
             let Some(col) =
                 est.best_node_col(params_col, candidate.free_cores, candidate.free_memory_gb)
             else {
                 continue;
             };
-            let node_cost = slice_cost(axes, candidate, axes.scale_up[col]);
-            if let Some(budget) = budget_per_hour {
-                if spend + node_cost > budget {
-                    continue; // a cheaper later candidate may still fit
-                }
-            }
-            spend += node_cost;
             planned.push(PlannedNode {
                 platform_index: candidate.platform_index,
                 scale_up_col: col,
@@ -213,37 +188,7 @@ impl GreedyScheduler {
             }
         }
         if chosen.is_empty() {
-            // Nothing affordable at best-fitting size: fall back to the
-            // single cheapest fitting slice so the workload still runs
-            // (the cost target "serves as a limit", not a veto).
-            let col_cost =
-                |c: &CandidateServer, col: usize| cost(slice_cost(axes, c, axes.scale_up[col]));
-            let cheapest = ranked
-                .iter()
-                .filter_map(|c| {
-                    est.best_node_col(params_col, c.free_cores, c.free_memory_gb)
-                        .map(|col| {
-                            let smallest = (0..axes.scale_up.len())
-                                .filter(|&cc| {
-                                    let r = axes.scale_up[cc];
-                                    r.cores <= c.free_cores && r.memory_gb <= c.free_memory_gb
-                                })
-                                .min_by(|&a, &b| col_cost(c, a).total_cmp(&col_cost(c, b)))
-                                .unwrap_or(col);
-                            (c, smallest)
-                        })
-                })
-                .min_by(|(ca, a), (cb, b)| col_cost(ca, *a).total_cmp(&col_cost(cb, *b)));
-            if let Some((c, col)) = cheapest {
-                planned.push(PlannedNode {
-                    platform_index: c.platform_index,
-                    scale_up_col: col,
-                    pressure: c.pressure,
-                });
-                chosen.push((c.server, axes.scale_up[col]));
-            } else {
-                return None;
-            }
+            return None;
         }
 
         // Re-pick framework parameters now that node sizes are known: the
@@ -290,22 +235,11 @@ impl GreedyScheduler {
         }
 
         let predicted_goal = est.predicted_goal(&planned, params_col);
-        let hourly_cost = chosen
-            .iter()
-            .map(|&(server, res)| {
-                let cand = candidates
-                    .iter()
-                    .find(|c| c.server == server)
-                    .expect("chosen servers come from the candidate set");
-                slice_cost(axes, cand, res)
-            })
-            .sum();
         Some(AllocationPlan {
             nodes: chosen,
             params_col,
             predicted_goal,
             meets: meets_target(class.kind, predicted_goal, target),
-            hourly_cost,
         })
     }
 
@@ -347,27 +281,6 @@ impl GreedyScheduler {
             planned[last].scale_up_col = saved;
         }
     }
-}
-
-/// Pro-rata hourly price of holding `res` on a server with `whole`
-/// resources that costs `hourly_price`: the dominant share of the whole
-/// server's cores or memory times its price, whatever its tenants
-/// already hold. The planner and the manager's cost cap (§4.4) both
-/// price slices with it.
-pub(crate) fn slice_price(hourly_price: f64, whole: NodeResources, res: NodeResources) -> f64 {
-    hourly_price
-        * (res.cores as f64 / whole.cores as f64)
-            .max(res.memory_gb / whole.memory_gb)
-            .min(1.0)
-}
-
-/// [`slice_price`] of `res` on a candidate server.
-fn slice_cost(axes: &Axes, candidate: &CandidateServer, res: NodeResources) -> f64 {
-    slice_price(
-        candidate.hourly_price,
-        axes.capacity[candidate.platform_index],
-        res,
-    )
 }
 
 /// Whether a predicted goal value satisfies a target with margin.
@@ -549,67 +462,6 @@ mod tests {
         let plan = scheduler.plan(&axes, &class, &target, &candidates).unwrap();
         assert!(!plan.meets);
         assert_eq!(plan.nodes[0].0, 1);
-    }
-
-    #[test]
-    fn budget_caps_the_spend() {
-        let axes = axes();
-        let class = class(&axes, GoalKind::Qps);
-        let scheduler = GreedyScheduler::new(8);
-        let ref_idx = axes.ref_platform_index();
-        let candidates: Vec<_> = (0..8).map(|i| candidate(i, ref_idx, 24, 48.0)).collect();
-        // A target needing several nodes, but a budget for ~1.5 of them.
-        let one_node_speed = 2.0 * 24.0 * (1.0 + 48.0 / 100.0);
-        let target = QosTarget::throughput(one_node_speed * 4.0, 1000.0);
-        let unlimited = scheduler.plan(&axes, &class, &target, &candidates).unwrap();
-        assert!(unlimited.nodes.len() >= 4);
-        assert!(unlimited.hourly_cost > 1.5);
-        let capped = scheduler
-            .plan_with_budget(&axes, &class, &target, &candidates, Some(1.5))
-            .unwrap();
-        assert!(
-            capped.hourly_cost <= 1.5 + 1e-9,
-            "cost {:.2} must respect the budget",
-            capped.hourly_cost
-        );
-        assert!(!capped.meets, "the budget prevents meeting the target");
-        assert!(capped.nodes.len() < unlimited.nodes.len());
-    }
-
-    #[test]
-    fn plans_report_their_cost() {
-        let axes = axes();
-        let class = class(&axes, GoalKind::Qps);
-        let scheduler = GreedyScheduler::new(2);
-        let ref_idx = axes.ref_platform_index();
-        let candidates = vec![candidate(0, ref_idx, 24, 48.0)];
-        let target = QosTarget::throughput(1.0, 1000.0);
-        let plan = scheduler.plan(&axes, &class, &target, &candidates).unwrap();
-        assert!(plan.hourly_cost > 0.0 && plan.hourly_cost <= 1.0 + 1e-9);
-    }
-
-    /// A slice is priced as a share of its whole platform, so what the
-    /// server's tenants already hold does not change its price.
-    #[test]
-    fn a_slice_costs_the_same_on_a_busy_server_as_on_an_idle_one() {
-        let axes = axes();
-        let class = class(&axes, GoalKind::Qps);
-        let scheduler = GreedyScheduler::new(1);
-        let ref_idx = axes.ref_platform_index();
-        let target = QosTarget::throughput(1.0, 1000.0);
-        let plan_on = |cores: u32, mem: f64| {
-            scheduler
-                .plan(&axes, &class, &target, &[candidate(0, ref_idx, cores, mem)])
-                .unwrap()
-        };
-        let idle = plan_on(24, 48.0);
-        let busy = plan_on(12, 24.0);
-        assert_eq!(idle.nodes, busy.nodes, "both trim to the same slice");
-        assert_eq!(idle.hourly_cost.to_bits(), busy.hourly_cost.to_bits());
-        // The reference platform has 24 cores and 48 GB; the price is 1.
-        let res = idle.nodes[0].1;
-        let share = (res.cores as f64 / 24.0).max(res.memory_gb / 48.0);
-        assert_eq!(idle.hourly_cost, share);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::axes::GoalKind;
 use crate::classify::{Classification, Classifier};
 use crate::config::QuasarConfig;
 use crate::estimate::{Estimator, PlannedNode};
-use crate::greedy::{self, AllocationPlan, CandidateServer, GreedyScheduler};
+use crate::greedy::{AllocationPlan, CandidateServer, GreedyScheduler};
 use crate::history::{HistoryAxis, HistorySet};
 use crate::ordering::desirability;
 use crate::profile::Profiler;
@@ -353,13 +353,11 @@ impl QuasarManager {
                 reused,
             );
         }
-        let spec = world.spec(id);
-        self.scheduler.plan_with_budget(
+        self.scheduler.plan(
             self.history.axes(),
             class,
-            &spec.target,
+            &world.spec(id).target,
             &candidates,
-            spec.cost_limit_per_hour,
         )
     }
 
@@ -562,41 +560,9 @@ impl QuasarManager {
         }
     }
 
-    /// Pro-rata hourly price of one slice on a server, as the planner
-    /// prices it ([`greedy::slice_price`]).
-    fn slice_price(world: &World, server: ServerId, res: NodeResources) -> f64 {
-        let platform = world.platform_of(server);
-        greedy::slice_price(
-            platform.price_per_hour(),
-            NodeResources::all_of(platform),
-            res,
-        )
-    }
-
-    /// Pro-rata hourly price of a workload's current placement.
-    fn placement_price(&self, world: &World, id: WorkloadId) -> f64 {
-        world
-            .placement(id)
-            .map(|p| {
-                p.nodes
-                    .iter()
-                    .map(|n| Self::slice_price(world, n.server, n.resources))
-                    .sum()
-            })
-            .unwrap_or(0.0)
-    }
-
     /// Gives a struggling workload more resources: scale-up in place
-    /// first, then scale-out, evicting best-effort fill if needed —
-    /// within the workload's cost limit when one is set (§4.4).
+    /// first, then scale-out, evicting best-effort fill if needed.
     fn adapt_up(&mut self, world: &mut World, id: WorkloadId) {
-        let cost_limit = world.spec(id).cost_limit_per_hour;
-        if let Some(limit) = cost_limit {
-            if self.placement_price(world, id) >= limit {
-                return; // at the spending cap; the target yields to cost
-            }
-        }
-
         let axes = self.history.axes().clone();
         let Some(state) = self.states.get(&id) else {
             return;
@@ -617,13 +583,6 @@ impl QuasarManager {
             let budget_mem = server.free_memory_gb() + node.resources.memory_gb;
             let current_col = axes.nearest_scale_up(node.resources);
             if let Some(best) = est.best_node_col(params_col, budget_cores, budget_mem) {
-                if let Some(limit) = cost_limit {
-                    let delta = Self::slice_price(world, node.server, axes.scale_up[best])
-                        - Self::slice_price(world, node.server, node.resources);
-                    if self.placement_price(world, id) + delta > limit {
-                        continue;
-                    }
-                }
                 if est.node_factor(best, params_col)
                     > est.node_factor(current_col, params_col) * 1.05
                     && world
@@ -679,12 +638,6 @@ impl QuasarManager {
                     est.best_node_col(params_col, best.free_cores, best.free_memory_gb)
                 {
                     let server = ServerId(best.server);
-                    if let Some(limit) = cost_limit {
-                        let delta = Self::slice_price(world, server, axes.scale_up[col]);
-                        if self.placement_price(world, id) + delta > limit {
-                            return; // growing further would bust the cap
-                        }
-                    }
                     // Stateful services migrate microshards: small delay.
                     let delay = if world.spec(id).class.is_stateful() {
                         5.0

@@ -9,8 +9,6 @@
 //! - **Quality rankings** (pick the best server / highest estimate) map
 //!   non-finite keys through [`desirability`], so a NaN or infinite
 //!   estimate is *never preferred* over any finite candidate.
-//! - **Cost minimizations** map non-finite keys through [`cost`], so a
-//!   NaN cost is never chosen over any finite one.
 
 /// `x` if finite, otherwise `fallback`.
 #[inline]
@@ -33,14 +31,6 @@ pub fn desirability(x: f64) -> f64 {
     finite_or(x, f64::NEG_INFINITY)
 }
 
-/// Sort key for "lower is better" minimizations: non-finite costs
-/// collapse to [`f64::INFINITY`] so they can never be selected by a
-/// `min_by` over finite candidates.
-#[inline]
-pub fn cost(x: f64) -> f64 {
-    finite_or(x, f64::INFINITY)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,18 +44,8 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_never_wins_a_cost_minimization() {
-        let best = [f64::NAN, 7.0, f64::INFINITY, 2.0]
-            .into_iter()
-            .min_by(|a, b| cost(*a).total_cmp(&cost(*b)))
-            .unwrap();
-        assert_eq!(best, 2.0);
-    }
-
-    #[test]
     fn finite_values_pass_through() {
         assert_eq!(desirability(1.5), 1.5);
-        assert_eq!(cost(-2.5), -2.5);
         assert_eq!(finite_or(0.0, 9.0), 0.0);
         assert_eq!(finite_or(f64::NAN, 9.0), 9.0);
     }

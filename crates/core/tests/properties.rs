@@ -82,7 +82,8 @@ fn classification(axes: &Axes, kind: GoalKind, speeds: &[f64]) -> Classification
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every node in a greedy plan fits inside its candidate's free
+    /// Every candidate has room for the smallest slice, so a plan
+    /// exists; each of its nodes fits inside its candidate's free
     /// resources and refers to a real candidate.
     #[test]
     fn plans_respect_capacity(
@@ -107,17 +108,18 @@ proptest! {
             .collect();
         let scheduler = GreedyScheduler::new(8);
         let target = QosTarget::throughput(target_qps, 1_000.0);
-        if let Some(plan) = scheduler.plan(&axes, &class, &target, &candidates) {
-            let mut seen = std::collections::BTreeSet::new();
-            for (server, res) in &plan.nodes {
-                prop_assert!(seen.insert(*server), "one slice per server");
-                let cand = candidates.iter().find(|c| c.server == *server).expect("real candidate");
-                prop_assert!(res.cores <= cand.free_cores);
-                prop_assert!(res.memory_gb <= cand.free_memory_gb + 1e-9);
-            }
-            prop_assert!(plan.nodes.len() <= 8);
-            prop_assert!(plan.predicted_goal.is_finite());
+        let plan = scheduler.plan(&axes, &class, &target, &candidates);
+        prop_assert!(plan.is_some(), "candidates with room must yield a plan");
+        let plan = plan.unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        for (server, res) in &plan.nodes {
+            prop_assert!(seen.insert(*server), "one slice per server");
+            let cand = candidates.iter().find(|c| c.server == *server).expect("real candidate");
+            prop_assert!(res.cores <= cand.free_cores);
+            prop_assert!(res.memory_gb <= cand.free_memory_gb + 1e-9);
         }
+        prop_assert!(!plan.nodes.is_empty() && plan.nodes.len() <= 8);
+        prop_assert!(plan.predicted_goal.is_finite());
     }
 
     /// Predicted speed is non-negative, finite, and monotone in node

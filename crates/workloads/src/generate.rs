@@ -89,7 +89,6 @@ impl Generator {
             dataset,
             target: QosTarget::completion(target_s),
             priority,
-            cost_limit_per_hour: None,
         };
         Workload::new(spec, PerfModel::Batch(model), None)
     }
@@ -148,7 +147,6 @@ impl Generator {
             dataset,
             target: QosTarget::throughput(load.peak_qps(), latency_us),
             priority,
-            cost_limit_per_hour: None,
         };
         Workload::new(spec, PerfModel::Service(model), Some(load))
     }
@@ -360,7 +358,6 @@ fn single_node(
         dataset,
         target: QosTarget::ips(best_rate * 0.5),
         priority,
-        cost_limit_per_hour: None,
     };
     Workload::new(spec, PerfModel::Batch(model), None)
 }

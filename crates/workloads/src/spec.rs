@@ -49,9 +49,6 @@ pub struct WorkloadSpec {
     pub target: QosTarget,
     /// Guaranteed or best-effort.
     pub priority: Priority,
-    /// Optional spending cap in dollars per hour (the cost-target
-    /// extension of paper §4.4); `None` = unconstrained.
-    pub cost_limit_per_hour: Option<f64>,
 }
 
 impl WorkloadSpec {
@@ -109,16 +106,6 @@ impl Workload {
         &self.spec
     }
 
-    /// Attaches a spending cap in dollars per hour (builder style).
-    pub fn with_cost_limit(mut self, dollars_per_hour: f64) -> Workload {
-        assert!(
-            dollars_per_hour.is_finite() && dollars_per_hour > 0.0,
-            "cost limits must be positive"
-        );
-        self.spec.cost_limit_per_hour = Some(dollars_per_hour);
-        self
-    }
-
     /// The workload id.
     pub fn id(&self) -> WorkloadId {
         self.spec.id
@@ -156,7 +143,6 @@ mod tests {
             dataset: Dataset::new("d", 10.0, 1.0),
             target: QosTarget::completion(3600.0),
             priority: Priority::Guaranteed,
-            cost_limit_per_hour: None,
         }
     }
 
@@ -206,18 +192,6 @@ mod tests {
             &mut rng,
         ));
         Workload::new(spec, model, Some(LoadPattern::Flat { qps: 100.0 }));
-    }
-
-    #[test]
-    fn cost_limit_builder_sets_the_cap() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let model = PerfModel::Batch(BatchModel::sample(
-            Dataset::new("d", 4.0, 1.0),
-            true,
-            &mut rng,
-        ));
-        let w = Workload::new(batch_spec(9), model, None).with_cost_limit(1.5);
-        assert_eq!(w.spec().cost_limit_per_hour, Some(1.5));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Builds the paper's 40-server local cluster, bootstraps the offline
 //! classification history, submits one Hadoop-style analytics job and one
 //! memcached-style service — each with a *performance target*, never a
-//! reservation — and reports how Quasar did.
+//! reservation — and reports how Quasar did. It panics if the job
+//! misses its completion target or the service keeps fewer than 95 % of
+//! its queries within their latency bound.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -79,13 +81,15 @@ fn main() {
     let QosTarget::CompletionTime { seconds: target } = job_target else {
         unreachable!()
     };
+    let executed = record.execution_s().unwrap();
     println!(
         "analytics job: target {:.0}s, executed in {:.0}s ({:.1}% from target, {:.0}s of profiling)",
         target,
-        record.execution_s().unwrap(),
-        (record.execution_s().unwrap() / target - 1.0) * 100.0,
+        executed,
+        (executed / target - 1.0) * 100.0,
         record.profiling_s,
     );
+    assert!(executed <= target, "job should meet its target");
 
     let qos = world
         .qos_records()
@@ -96,6 +100,10 @@ fn main() {
         "service: served {:.1}% of offered load, {:.1}% of queries within the 200us p99 bound",
         qos.served_fraction() * 100.0,
         qos.qos_fraction() * 100.0,
+    );
+    assert!(
+        qos.qos_fraction() >= 0.95,
+        "service should keep 95% of queries within its bound"
     );
     println!(
         "cluster: {:.1}% mean CPU utilization over the run",

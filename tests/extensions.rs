@@ -1,5 +1,4 @@
-//! Integration tests for the §4.4 extensions: cost targets and manager
-//! failover.
+//! Integration test for the §4.4 manager-failover extension.
 
 use quasar::cluster::{ClusterSpec, Observation, SimConfig, Simulation};
 use quasar::core::{HistorySet, QuasarConfig, QuasarManager};
@@ -11,76 +10,6 @@ fn shared_history() -> HistorySet {
     static H: OnceLock<HistorySet> = OnceLock::new();
     H.get_or_init(|| HistorySet::bootstrap(&PlatformCatalog::local(), 12, 0xE47))
         .clone()
-}
-
-/// Runs one webserver under the given config; returns (served fraction,
-/// peak cores held, total hourly price of the final placement).
-fn run_service(
-    config: QuasarConfig,
-    load: LoadPattern,
-    cost_limit: Option<f64>,
-    horizon: f64,
-) -> (f64, u32, f64) {
-    let catalog = PlatformCatalog::local();
-    let manager = QuasarManager::with_history(shared_history(), config);
-    let mut sim = Simulation::new(
-        ClusterSpec::uniform(catalog.clone(), 4),
-        Box::new(manager),
-        SimConfig::default(),
-    );
-    let mut generator = Generator::new(catalog.clone(), 0xE48);
-    let mut service = generator.service(
-        WorkloadClass::Webserver,
-        "svc",
-        6.0,
-        load,
-        Priority::Guaranteed,
-    );
-    if let Some(limit) = cost_limit {
-        service = service.with_cost_limit(limit);
-    }
-    let id = service.id();
-    sim.submit_at(service, 0.0);
-    sim.run_until(horizon);
-
-    let record = &sim.world().qos_records()[0];
-    let price: f64 = sim
-        .world()
-        .placement(id)
-        .map(|p| {
-            p.nodes
-                .iter()
-                .map(|n| {
-                    let platform = sim.world().platform_of(n.server);
-                    platform.price_per_hour()
-                        * (n.resources.cores as f64 / platform.cores as f64)
-                            .max(n.resources.memory_gb / platform.memory_gb)
-                })
-                .sum()
-        })
-        .unwrap_or(0.0);
-    (record.served_fraction(), record.peak_cores, price)
-}
-
-#[test]
-fn cost_limits_constrain_the_allocation() {
-    // A load that needs well over 0.15 $/h of servers to serve fully.
-    let load = LoadPattern::Flat { qps: 500_000.0 };
-    let (served_free, cores_free, _) = run_service(QuasarConfig::default(), load, None, 1_800.0);
-    let (served_capped, cores_capped, price) =
-        run_service(QuasarConfig::default(), load, Some(0.15), 1_800.0);
-    assert!(
-        cores_capped < cores_free,
-        "the cap must shrink the allocation: {cores_capped} vs {cores_free}"
-    );
-    assert!(
-        served_free > served_capped + 0.02,
-        "unconstrained must serve more: {served_free:.3} vs {served_capped:.3}"
-    );
-    assert!(
-        price <= 0.25,
-        "final placement cost {price:.3} must stay near the 0.15 cap"
-    );
 }
 
 #[test]
